@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import InvalidNodeError, ScenarioError
 from .ingest import (
     PairProfile,
     Regime,
@@ -38,7 +38,7 @@ from .ingest import (
     generate_synthetic,
     import_jsonl,
 )
-from .model import ClassKind, InMemoryGraph, NodeId, materialize, resolve_name
+from .model import ClassKind, InMemoryGraph, NodeId, check_node, materialize, resolve_name
 from .search import Algorithm, FrontierPolicy, SearchConfig, run_search
 from .store import CacheConfig, CacheMode, build_store, open_store
 
@@ -267,11 +267,12 @@ def _load_base_graph(scenario: Scenario) -> InMemoryGraph:
 
 def _resolve_pair(graph: InMemoryGraph, spec: PairSpec) -> tuple[int, int]:
     def one(value: int | str) -> int:
-        if isinstance(value, int):
-            if not 0 <= value < graph.node_count:
-                raise ScenarioError(f"pair node id {value} out of range")
-            return value
-        return resolve_name(graph, value)
+        if isinstance(value, str):
+            return resolve_name(graph, value)
+        try:
+            return check_node(value, graph.node_count)
+        except InvalidNodeError as exc:
+            raise ScenarioError(f"pair {exc}") from exc
 
     return one(spec.initial), one(spec.final)
 

@@ -228,6 +228,13 @@ def _search_config(args, parser: argparse.ArgumentParser) -> SearchConfig:
                 parser.error(f"{flag} only applies to --algo postpone")
     if algorithm is Algorithm.UNIDIRECTIONAL and args.frontier is not None:
         parser.error("--frontier does not apply to --algo uni")
+    for flag, value, minimum in (
+        ("--delay", args.delay, 0),
+        ("--cache-nodes", args.cache_nodes, 1),
+        ("--latency-ms", args.latency_ms, 0),
+    ):
+        if value is not None and not value >= minimum:  # "not >=" also rejects NaN
+            parser.error(f"{flag} must be at least {minimum}, got {value}")
     kinds = DEFAULT_POSTPONE_KINDS
     if args.postpone_kinds is not None:
         try:

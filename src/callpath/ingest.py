@@ -31,8 +31,8 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidNodeError, JsonlFormatError, SyntheticSpecError
-from .model import ClassKind, Direction, InMemoryGraph, MethodMeta, NodeId
+from .errors import JsonlFormatError, SyntheticSpecError
+from .model import ClassKind, Direction, InMemoryGraph, MethodMeta, NodeId, check_node
 
 _KIND_NAMES = {kind.value: kind for kind in ClassKind}
 
@@ -109,7 +109,7 @@ def _parse_node(obj: dict, lineno: int, id_map: dict, next_id: int) -> MethodMet
     line_no = obj.get("line", 0)
     if not isinstance(file, str):
         raise JsonlFormatError(lineno, "'file' must be a string")
-    if not isinstance(line_no, int) or line_no < 0:
+    if isinstance(line_no, bool) or not isinstance(line_no, int) or line_no < 0:
         raise JsonlFormatError(lineno, "'line' must be a non-negative integer")
     id_map[key] = next_id
     return MethodMeta(
@@ -128,10 +128,13 @@ def _parse_edge(obj: dict, lineno: int, id_map: dict) -> tuple[int, int]:
         callee_key = obj["callee"]
     except KeyError as exc:
         raise JsonlFormatError(lineno, f"edge record missing {exc.args[0]!r}") from exc
-    if caller_key not in id_map:
-        raise JsonlFormatError(lineno, f"edge references undeclared caller id {caller_key!r}")
-    if callee_key not in id_map:
-        raise JsonlFormatError(lineno, f"edge references undeclared callee id {callee_key!r}")
+    try:
+        if caller_key not in id_map:
+            raise JsonlFormatError(lineno, f"edge references undeclared caller id {caller_key!r}")
+        if callee_key not in id_map:
+            raise JsonlFormatError(lineno, f"edge references undeclared callee id {callee_key!r}")
+    except TypeError as exc:  # a list or object does not hash, and no node id is one
+        raise JsonlFormatError(lineno, "edge caller and callee must be JSON scalars") from exc
     return id_map[caller_key], id_map[callee_key]
 
 
@@ -303,8 +306,7 @@ def reachable_count(graph, start: NodeId, direction: Direction) -> int:
 
 def reachable_set(graph, start: NodeId, direction: Direction) -> set[NodeId]:
     """All nodes reachable from ``start`` (start itself excluded even on cycles)."""
-    if not isinstance(start, int) or not 0 <= start < graph.node_count:
-        raise InvalidNodeError(start, graph.node_count)
+    start = check_node(start, graph.node_count)
     step = graph.successors if direction is Direction.FORWARD else graph.predecessors
     seen: set[NodeId] = {start}
     queue: deque[NodeId] = deque([start])

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import AmbiguousNameError, InvalidNodeError, NameNotFoundError
 
@@ -74,12 +77,31 @@ class MethodMeta:
         return f"{self.class_name}.{self.method_name}"
 
 
-class InMemoryGraph:
-    """Adjacency-list call graph held fully in memory.
+def check_node(u: object, node_count: int) -> int:
+    """Return node id ``u`` as a Python ``int`` if it lies in ``[0, node_count)``.
 
-    Both directions are materialized so backward traversal costs the
-    same as forward. Adjacency tuples are sorted ascending and
-    duplicate-free; node ids are dense, assigned in construction order.
+    Python and numpy integers are accepted; ``bool`` and every other
+    type raise InvalidNodeError, as does an out-of-range id. This is the
+    one node-id check every backend, search and closure entry point uses.
+    """
+    if type(u) is not int:
+        if isinstance(u, bool) or not isinstance(u, (int, np.integer)):
+            raise InvalidNodeError(u, node_count)
+        u = int(u)
+    if not 0 <= u < node_count:
+        raise InvalidNodeError(u, node_count)
+    return u
+
+
+class InMemoryGraph:
+    """Call graph held fully in memory.
+
+    Each direction is stored in one CSR layout, the same one the CGS1
+    store serialises: ``node_count + 1`` int64 offsets and an int64 id
+    array in which node u's run ``ids[offsets[u]:offsets[u + 1]]`` is
+    sorted ascending and duplicate-free. Every run is also decoded once
+    into a tuple of Python ints, which is what the access contract
+    serves. Node ids are dense, assigned in construction order.
     """
 
     def __init__(self, nodes: Sequence[MethodMeta], edges: Iterable[tuple[int, int]]):
@@ -87,20 +109,22 @@ class InMemoryGraph:
         for i, meta in enumerate(nodes):
             if meta.node != i:
                 raise ValueError(f"node record {i} carries id {meta.node}; ids must be dense")
-        fwd: list[set[int]] = [set() for _ in range(n)]
-        bwd: list[set[int]] = [set() for _ in range(n)]
-        for caller, callee in edges:
-            if not 0 <= caller < n:
-                raise InvalidNodeError(caller, n)
-            if not 0 <= callee < n:
-                raise InvalidNodeError(callee, n)
-            caller, callee = int(caller), int(callee)  # shed numpy integer types
-            fwd[caller].add(callee)
-            bwd[callee].add(caller)
+        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+        bad = np.flatnonzero((pairs < 0) | (pairs >= n))
+        if len(bad):
+            raise InvalidNodeError(int(pairs.flat[bad[0]]), n)
+        pairs = np.unique(pairs, axis=0)  # sorted by (caller, callee), duplicates dropped
+        callers, callees = pairs[:, 0], pairs[:, 1]
+        by_callee = np.lexsort((callers, callees))
+        self._csr = {
+            Direction.FORWARD: _csr(callers, callees, n),
+            Direction.BACKWARD: _csr(callees[by_callee], callers[by_callee], n),
+        }
+        node_ids = list(range(n))
+        self._fwd = _rows(*self._csr[Direction.FORWARD], node_ids)
+        self._bwd = _rows(*self._csr[Direction.BACKWARD], node_ids)
         self._nodes: tuple[MethodMeta, ...] = tuple(nodes)
-        self._fwd: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in fwd)
-        self._bwd: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in bwd)
-        self._edge_count = sum(len(s) for s in self._fwd)
+        self._edge_count = len(pairs)
         index: dict[str, list[int]] = {}
         for meta in self._nodes:
             index.setdefault(meta.qualified_name, []).append(meta.node)
@@ -118,24 +142,20 @@ class InMemoryGraph:
 
     def successors(self, u: NodeId) -> tuple[int, ...]:
         """All v with an edge u -> v, sorted ascending."""
-        self._check(u)
-        return self._fwd[u]
+        return self._fwd[check_node(u, len(self._nodes))]
 
     def predecessors(self, u: NodeId) -> tuple[int, ...]:
         """All v with an edge v -> u, sorted ascending."""
-        self._check(u)
-        return self._bwd[u]
+        return self._bwd[check_node(u, len(self._nodes))]
 
     def method_meta(self, u: NodeId) -> MethodMeta:
-        self._check(u)
-        return self._nodes[u]
+        return self._nodes[check_node(u, len(self._nodes))]
 
     # ---- helpers -------------------------------------------------------------
 
-    def has_edge(self, caller: NodeId, callee: NodeId) -> bool:
-        self._check(caller)
-        self._check(callee)
-        return callee in self._fwd[caller]
+    def csr(self, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only (offsets, ids) arrays of one direction."""
+        return self._csr[direction]
 
     def edges(self) -> Iterable[Edge]:
         """All edges, sorted by (caller, callee)."""
@@ -143,24 +163,26 @@ class InMemoryGraph:
             for v in targets:
                 yield Edge(u, v)
 
-    def out_degree(self, u: NodeId) -> int:
-        self._check(u)
-        return len(self._fwd[u])
-
-    def in_degree(self, u: NodeId) -> int:
-        self._check(u)
-        return len(self._bwd[u])
-
-    def _check(self, u: NodeId) -> None:
-        try:
-            in_range = 0 <= u < len(self._nodes)
-        except TypeError:
-            in_range = False
-        if not in_range:
-            raise InvalidNodeError(u, len(self._nodes))
-
     def __repr__(self) -> str:
         return f"InMemoryGraph(nodes={self.node_count}, edges={self.edge_count})"
+
+
+def _csr(sources: np.ndarray, targets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and ids of edges already sorted by (source, target)."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=offsets[1:])
+    ids = np.ascontiguousarray(targets)
+    offsets.flags.writeable = ids.flags.writeable = False
+    return offsets, ids
+
+
+def _rows(offsets: np.ndarray, ids: np.ndarray, node_ids: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Every run as a tuple of Python ints. The ints come from the shared
+    ``node_ids`` list, so each id is one object however many rows hold it
+    (``tolist`` alone would allocate one int per edge and direction)."""
+    values = list(map(node_ids.__getitem__, ids.tolist()))
+    bounds = offsets.tolist()
+    return tuple([tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
 def materialize(graph) -> InMemoryGraph:

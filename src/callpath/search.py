@@ -43,8 +43,8 @@ from math import inf
 from time import perf_counter
 from typing import NamedTuple
 
-from .errors import InternalSearchError, InvalidNodeError
-from .model import ClassKind, Edge, NodeId
+from .errors import InternalSearchError
+from .model import ClassKind, Edge, NodeId, check_node
 
 DEFAULT_POSTPONE_KINDS = frozenset({ClassKind.INTERFACE, ClassKind.ABSTRACT})
 DEFAULT_DELAY_STEPS = 3
@@ -161,15 +161,6 @@ class SearchResult:
         return replace(self, elapsed=0.0) == replace(other, elapsed=0.0)
 
 
-def _check_node(graph, u: NodeId) -> None:
-    try:
-        in_range = 0 <= u < graph.node_count
-    except TypeError:
-        in_range = False
-    if not in_range:
-        raise InvalidNodeError(u, graph.node_count)
-
-
 def _begin_query(graph) -> None:
     begin = getattr(graph, "begin_query", None)
     if begin is not None:
@@ -260,8 +251,8 @@ def _bidir(
     trace: list[TraceEvent] | None = None,
     return_state: bool = False,
 ):
-    _check_node(graph, initial)
-    _check_node(graph, final)
+    initial = check_node(initial, graph.node_count)
+    final = check_node(final, graph.node_count)
     _begin_query(graph)
     t0 = perf_counter()
     if initial == final:
@@ -411,8 +402,8 @@ def unidirectional_shortest_path(
     always the true shortest distance. Stops the moment the final node
     is first relaxed.
     """
-    _check_node(graph, initial)
-    _check_node(graph, final)
+    initial = check_node(initial, graph.node_count)
+    final = check_node(final, graph.node_count)
     _begin_query(graph)
     t0 = perf_counter()
     if initial == final:

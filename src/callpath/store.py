@@ -26,33 +26,29 @@ bwd       same layout for caller ids.
 trailer   five u32 CRC32 values: header, meta, heap, fwd, bwd. 20 bytes.
 ========  =====================================================================
 
-``open_store`` verifies every checksum up front (a corrupt or truncated
-file fails naming the damaged section); the verification scan happens
-before any access accounting starts.
+The fwd and bwd sections are the CSR adjacency layout of
+``model.InMemoryGraph`` written out as is. A handle maps the file
+read-only once and decodes rows, metadata records and heap strings
+straight from the map; the file must not be modified while a handle is
+open. ``open_store`` verifies every checksum up front (a corrupt or
+truncated file fails naming the damaged section); the verification
+scan happens before any access accounting starts.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO
+from zlib import crc32
 
-from .errors import (
-    ChecksumError,
-    InvalidNodeError,
-    StoreFormatError,
-    StoreLimitError,
-)
-from .model import ClassKind, MethodMeta, NodeId
-
-try:
-    from zlib import crc32
-except ImportError:  # pragma: no cover
-    from binascii import crc32
+from .errors import ChecksumError, StoreFormatError, StoreLimitError
+from .model import ClassKind, Direction, InMemoryGraph, MethodMeta, NodeId, check_node, materialize
 
 MAGIC = b"CGS1"
 VERSION = 1
@@ -127,12 +123,16 @@ class StoreSummary:
 def build_store(graph, output_path: str | Path) -> StoreSummary:
     """Serialize any graph-access backend into a CGS1 file.
 
-    Round-trips: opening the file yields the same successors,
-    predecessors and metadata for every node.
+    The adjacency sections are the graph's CSR arrays; other backends
+    are copied into an InMemoryGraph first. Round-trips: opening the
+    file yields the same successors, predecessors and metadata for
+    every node.
     """
     n = graph.node_count
     if n >= _MAX_NODES:
         raise StoreLimitError(f"node_count {n} exceeds format limit {_MAX_NODES - 1}")
+    if not isinstance(graph, InMemoryGraph):
+        graph = materialize(graph)
 
     heap = bytearray()
     offsets: dict[str, int] = {}
@@ -162,24 +162,12 @@ def build_store(graph, output_path: str | Path) -> StoreSummary:
             )
         )
 
-    def adjacency_section(neighbor_fn) -> bytes:
-        prefix = bytearray()
-        runs = bytearray()
-        total = 0
-        prefix.extend(struct.pack("<Q", 0))
-        for u in range(n):
-            run = neighbor_fn(u)
-            total += len(run)
-            prefix.extend(struct.pack("<Q", total))
-            for v in run:
-                runs.extend(_U32.pack(v))
-        return bytes(prefix) + bytes(runs)
+    sections = [bytes(meta), bytes(heap)]
+    for direction in (Direction.FORWARD, Direction.BACKWARD):
+        prefix, ids = graph.csr(direction)
+        sections.append(prefix.astype("<u8").tobytes() + ids.astype("<u4").tobytes())
+    edge_count = graph.edge_count
 
-    fwd = adjacency_section(graph.successors)
-    bwd = adjacency_section(graph.predecessors)
-    edge_count = (len(fwd) - 8 * (n + 1)) // 4
-
-    sections = [bytes(meta), bytes(heap), fwd, bwd]
     offset = _HEADER.size
     table: list[int] = []
     for payload in sections:
@@ -221,19 +209,20 @@ class _NodeRecord:
 class DiskGraph:
     """Graph-access handle over a CGS1 file.
 
-    Satisfies the same contract as InMemoryGraph. Each handle owns its
-    own file object, cache and statistics, and serves one query at a
-    time; open several handles on the same file for parallelism.
+    Satisfies the same contract as InMemoryGraph. Each handle maps the
+    file read-only and owns its cache and statistics, and serves one
+    query at a time; open several handles on the same file for
+    parallelism.
     """
 
     def __init__(self, path: str | Path, cache: CacheConfig):
         self._path = Path(path)
         self._cache_config = cache
-        self._fh: BinaryIO = self._path.open("rb")
+        self._map = _map_file(self._path)
         try:
-            layout = _verify(self._fh, self._path)
+            layout = _verify(self._map, self._path)
         except Exception:
-            self._fh.close()
+            self._map.close()
             raise
         (self._node_count, self._edge_count, self._section_offsets) = layout
         self._lru: OrderedDict[int, _NodeRecord] = OrderedDict()
@@ -256,7 +245,7 @@ class DiskGraph:
         return self._adjacency(u, forward=False)
 
     def method_meta(self, u: NodeId) -> MethodMeta:
-        self._check(u)
+        u = check_node(u, self._node_count)
         record = self._entry(u)
         self._stats.meta_reads += 1
         if record.meta is not None:
@@ -284,7 +273,7 @@ class DiskGraph:
         return self._cache_config
 
     def close(self) -> None:
-        self._fh.close()
+        self._map.close()
 
     def __enter__(self) -> "DiskGraph":
         return self
@@ -296,14 +285,6 @@ class DiskGraph:
         return f"DiskGraph({str(self._path)!r}, nodes={self._node_count}, edges={self._edge_count})"
 
     # ---- internals -------------------------------------------------------
-
-    def _check(self, u: NodeId) -> None:
-        try:
-            in_range = 0 <= u < self._node_count
-        except TypeError:
-            in_range = False
-        if not in_range:
-            raise InvalidNodeError(u, self._node_count)
 
     def _entry(self, u: int) -> _NodeRecord:
         record = self._lru.get(u)
@@ -324,7 +305,7 @@ class DiskGraph:
             self._stats.injected_latency_total += latency
 
     def _adjacency(self, u: NodeId, forward: bool) -> tuple[int, ...]:
-        self._check(u)
+        u = check_node(u, self._node_count)
         record = self._entry(u)
         self._stats.adjacency_reads += 1
         cached = record.fwd if forward else record.bwd
@@ -340,19 +321,14 @@ class DiskGraph:
         return run
 
     def _read_adjacency(self, u: int, forward: bool) -> tuple[int, ...]:
-        base = self._section_offsets[2 if forward else 3]
-        self._fh.seek(base + 8 * u)
-        start, end = _U64x2.unpack(self._fh.read(16))
-        if end == start:
-            return ()
-        self._fh.seek(base + 8 * (self._node_count + 1) + 4 * start)
-        data = self._fh.read(4 * (end - start))
-        return struct.unpack(f"<{end - start}I", data)
+        prefix = self._section_offsets[2 if forward else 3]
+        start, end = _U64x2.unpack_from(self._map, prefix + 8 * u)
+        ids = prefix + 8 * (self._node_count + 1)
+        return struct.unpack_from(f"<{end - start}I", self._map, ids + 4 * start)
 
     def _read_meta(self, u: int) -> MethodMeta:
-        self._fh.seek(self._section_offsets[0] + _META_RECORD.size * u)
-        name_off, class_off, file_off, kind_byte, line = _META_RECORD.unpack(
-            self._fh.read(_META_RECORD.size)
+        name_off, class_off, file_off, kind_byte, line = _META_RECORD.unpack_from(
+            self._map, self._section_offsets[0] + _META_RECORD.size * u
         )
         kind = _BYTE_TO_KIND.get(kind_byte)
         if kind is None:
@@ -367,9 +343,9 @@ class DiskGraph:
         )
 
     def _read_string(self, offset: int) -> str:
-        self._fh.seek(self._section_offsets[1] + offset)
-        (length,) = _U32.unpack(self._fh.read(4))
-        return self._fh.read(length).decode("utf-8")
+        start = self._section_offsets[1] + offset
+        (length,) = _U32.unpack_from(self._map, start)
+        return self._map[start + 4 : start + 4 + length].decode("utf-8")
 
 
 def open_store(path: str | Path, cache: CacheConfig | None = None) -> DiskGraph:
@@ -377,15 +353,20 @@ def open_store(path: str | Path, cache: CacheConfig | None = None) -> DiskGraph:
     return DiskGraph(path, cache or CacheConfig())
 
 
-def _verify(fh: BinaryIO, path: Path) -> tuple[int, int, list[int]]:
+def _map_file(path: Path) -> mmap.mmap:
+    """Map a store file read-only. Empty files cannot be mapped, so the
+    header-size check comes first."""
+    with path.open("rb") as fh:
+        if os.fstat(fh.fileno()).st_size < _HEADER.size:
+            raise StoreFormatError(f"{path}: file too short for a CGS1 header")
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+def _verify(buf: mmap.mmap, path: Path) -> tuple[int, int, list[int]]:
     """Validate header layout and all five checksums; returns
     (node_count, edge_count, [section offsets])."""
-    fh.seek(0, 2)
-    file_size = fh.tell()
-    if file_size < _HEADER.size:
-        raise StoreFormatError(f"{path}: file too short for a CGS1 header")
-    fh.seek(0)
-    header = fh.read(_HEADER.size)
+    file_size = len(buf)
+    header = buf[: _HEADER.size]
     fields = _HEADER.unpack(header)
     magic, version, node_count, edge_count = fields[0], fields[1], fields[2], fields[3]
     if magic != MAGIC:
@@ -430,25 +411,12 @@ def _verify(fh: BinaryIO, path: Path) -> tuple[int, int, list[int]]:
     if file_size > expected_size:
         raise StoreFormatError(f"{path}: {file_size - expected_size} bytes of trailing garbage")
 
-    fh.seek(trailer_offset)
-    crcs = _TRAILER.unpack(fh.read(_TRAILER.size))
+    crcs = _TRAILER.unpack_from(buf, trailer_offset)
     if crcs[0] != crc32(header):
         raise ChecksumError.mismatch("header", crcs[0], crc32(header))
-    for idx in range(4):
-        fh.seek(offsets[idx])
-        actual = _stream_crc(fh, sizes[idx])
-        if actual != crcs[idx + 1]:
-            raise ChecksumError.mismatch(_SECTION_NAMES[idx], crcs[idx + 1], actual)
+    with memoryview(buf) as view:
+        for idx in range(4):
+            actual = crc32(view[offsets[idx] : offsets[idx] + sizes[idx]])
+            if actual != crcs[idx + 1]:
+                raise ChecksumError.mismatch(_SECTION_NAMES[idx], crcs[idx + 1], actual)
     return node_count, edge_count, offsets
-
-
-def _stream_crc(fh: BinaryIO, size: int, chunk: int = 1 << 20) -> int:
-    value = 0
-    remaining = size
-    while remaining > 0:
-        data = fh.read(min(chunk, remaining))
-        if not data:
-            break
-        value = crc32(data, value)
-        remaining -= len(data)
-    return value

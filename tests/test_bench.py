@@ -88,6 +88,17 @@ def test_expected_regime_mismatch_is_hard_error():
         run_scenario(scenario)
 
 
+@pytest.mark.parametrize("initial", [True, 4, -1, 1.0], ids=repr)
+def test_pair_node_id_outside_graph_is_scenario_error(initial):
+    scenario = Scenario(
+        graph_jsonl=DATA / "transceiver.jsonl",
+        pairs=(PairSpec(initial, 3),),
+        algorithms=(SearchConfig(),),
+    )
+    with pytest.raises(ScenarioError, match="pair node id"):
+        run_scenario(scenario)
+
+
 def test_unresolved_pair_name_is_error():
     scenario = Scenario(
         graph_jsonl=DATA / "transceiver.jsonl",

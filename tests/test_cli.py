@@ -81,6 +81,18 @@ def test_path_flag_conflicts_exit_two():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--delay", "-1"), ("--cache-nodes", "0"), ("--latency-ms", "-1")]
+)
+def test_path_out_of_range_numbers_exit_two(capsys, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("path", "--graph", FIG, "--from", "0", "--to", "3", flag, value)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+
+
 def test_path_text_output_is_pure_function_of_inputs(capsys):
     args = ("path", "--graph", FIG, "--from", "0", "--to", "3")
     run_cli(*args)

@@ -80,6 +80,22 @@ def test_import_unknown_kind_rejected():
         import_jsonl(lines)
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"record": "edge", "caller": [0], "callee": 0}',
+        '{"record": "edge", "caller": 0, "callee": {}}',
+        '{"record": "node", "id": 1, "method": "b", "class": "B", "kind": "concrete", "line": true}',
+    ],
+    ids=["list-caller", "object-callee", "bool-line"],
+)
+def test_import_rejects_non_scalar_edge_ids_and_bool_lines(record):
+    lines = ['{"record": "node", "id": 0, "method": "a", "class": "A", "kind": "concrete"}', record]
+    with pytest.raises(JsonlFormatError) as excinfo:
+        import_jsonl(lines)
+    assert excinfo.value.lineno == 2
+
+
 def test_import_missing_kind_defaults_concrete_with_warning():
     lines = ['{"record": "node", "id": 0, "method": "a", "class": "A"}']
     with pytest.warns(UserWarning, match="defaulting to concrete"):

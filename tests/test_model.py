@@ -1,14 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
 from callpath.errors import AmbiguousNameError, InvalidNodeError, NameNotFoundError
+from callpath.ingest import reachable_set
 from callpath.model import (
     ClassKind,
+    Direction,
+    Edge,
     InMemoryGraph,
     MethodMeta,
     materialize,
     resolve_name,
 )
+from callpath.search import Algorithm, SearchConfig, run_search
+from callpath.store import build_store, open_store
 
 from oracles import random_graph
 
@@ -154,3 +161,49 @@ def test_materialize_round_trip(fig_graph):
 def test_node_ids_must_be_dense():
     with pytest.raises(ValueError):
         InMemoryGraph([MethodMeta(5, "m", "C", ClassKind.CONCRETE)], [])
+
+
+@pytest.mark.parametrize(
+    "node, valid",
+    [
+        (np.int64(0), True),
+        (np.uint32(0), True),
+        (True, False),
+        (np.bool_(False), False),
+        (0.0, False),
+        ("0", False),
+        (None, False),
+    ],
+    ids=repr,
+)
+def test_node_id_check_shared_by_backends_search_and_closure(tmp_path, fig_graph, node, valid):
+    path = tmp_path / "fig.cgs"
+    build_store(fig_graph, path)
+    with open_store(path) as disk:
+        for graph in (fig_graph, disk):
+            calls = [
+                lambda: graph.successors(node),
+                lambda: graph.predecessors(node),
+                lambda: graph.method_meta(node),
+                lambda: reachable_set(graph, node, Direction.FORWARD),
+            ] + [
+                lambda config=config: run_search(graph, node, np.int64(3), config)
+                for config in (
+                    SearchConfig(algorithm=Algorithm.UNIDIRECTIONAL),
+                    SearchConfig(algorithm=Algorithm.BIDIR_BALANCED),
+                    SearchConfig(),
+                )
+            ]
+            if not valid:
+                for call in calls:
+                    with pytest.raises(InvalidNodeError):
+                        call()
+                continue
+            assert graph.successors(node) == (1, 2, 3)
+            assert reachable_set(graph, node, Direction.FORWARD) == {1, 2, 3}
+            for call in calls[4:]:
+                result = call()
+                assert result.path == (Edge(0, 3),)
+                assert all(type(v) is int for edge in result.path for v in edge)
+                assert result.meeting_point is None or type(result.meeting_point) is int
+                json.dumps([result.path, result.meeting_point])

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import time
 
@@ -95,6 +96,28 @@ def test_round_trip_equality_10k_nodes(tmp_path):
             assert handle.successors(u) == graph.successors(u)
             assert handle.predecessors(u) == graph.predecessors(u)
             assert handle.method_meta(u) == graph.method_meta(u)
+
+
+# The sha256 of build_store output for three shipped graphs. The
+# round-trip tests only compare what is read back; these pin the CGS1
+# bytes themselves, so a format change fails here.
+GOLDEN_STORE_SHA256 = {
+    "transceiver": "9c111a77c8e575c53e2a77218027a76c8b5e0cf22c02a04ee4c1a211305781eb",
+    "hub-1000": "652b371b435fa8c0a7a6d2a3dceae12271593720ad1770c78128feed95bae2c3",
+    "empty": "96b2b9ed4baed6164b8fa4fce761b6a30bc737c45d6ea473834aae03d0caa311",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STORE_SHA256))
+def test_store_bytes_match_golden_sha256(tmp_path, fig_graph, hub_graph, name):
+    graph = {"transceiver": fig_graph, "hub-1000": hub_graph, "empty": InMemoryGraph([], [])}[name]
+    path = tmp_path / f"{name}.cgs"
+    build_store(graph, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_STORE_SHA256[name]
+    with open_store(path) as handle:
+        copy = tmp_path / f"{name}-copy.cgs"
+        build_store(handle, copy)  # serialising a store handle reproduces the bytes
+    assert copy.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +274,23 @@ def test_truncated_file_names_damaged_section(tmp_path, fig_graph):
         "backward-adjacency",
         "trailer",
     )
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda data: b"", "too short"),
+        (lambda data: data[:50], "too short"),
+        (lambda data: data + b"\0", "trailing garbage"),
+    ],
+    ids=["empty", "short", "trailing-garbage"],
+)
+def test_malformed_length_is_format_error(tmp_path, fig_graph, mangle, message):
+    path = tmp_path / "bad.cgs"
+    build_store(fig_graph, path)
+    path.write_bytes(mangle(path.read_bytes()))
+    with pytest.raises(StoreFormatError, match=message):
+        open_store(path)
 
 
 def test_bad_magic(tmp_path, fig_graph):
