@@ -21,10 +21,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import statistics
+import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -169,55 +171,79 @@ class ScenarioReport:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse a scenario JSON file; relative paths resolve against the file."""
+    """Parse a scenario JSON file; relative paths resolve against the file.
+
+    Every field is type-checked here (a JSON boolean is not an integer),
+    so a malformed document fails with a ScenarioError naming the field.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: scenario must be a JSON object")
+    try:
+        return _parse_scenario(doc, path.parent)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _parse_scenario(doc, base: Path) -> Scenario:
+    _typed(doc, dict, "scenario")
     schema = doc.get("schema", SCENARIO_SCHEMA)
     if schema != SCENARIO_SCHEMA:
-        raise ScenarioError(f"{path}: unsupported schema {schema!r}")
-    base = path.parent
+        raise ScenarioError(f"unsupported schema {schema!r}")
 
     graph = doc.get("graph")
     if not isinstance(graph, dict) or len(graph) != 1:
-        raise ScenarioError(f"{path}: 'graph' must name exactly one source")
+        raise ScenarioError("'graph' must name exactly one source")
     graph_jsonl = synthetic = store_path = None
     if "jsonl" in graph:
-        graph_jsonl = (base / graph["jsonl"]).resolve()
+        graph_jsonl = (base / _field(graph, "jsonl", str, "graph")).resolve()
     elif "synthetic" in graph:
-        spec = dict(graph["synthetic"])
-        if "hub_kind" in spec:
-            spec["hub_kind"] = ClassKind(spec["hub_kind"])
-        synthetic = SyntheticSpec(**spec)
+        spec = _field(graph, "synthetic", dict, "graph")
+        unknown = sorted(set(spec) - set(_SYNTHETIC_TYPES))
+        if unknown:
+            raise ScenarioError(f"unknown graph.synthetic field(s) {unknown}")
+        synthetic = SyntheticSpec(
+            **{k: _field(spec, k, _SYNTHETIC_TYPES[k], "graph.synthetic") for k in spec}
+        )
     elif "store" in graph:
-        store_path = (base / graph["store"]).resolve()
+        store_path = (base / _field(graph, "store", str, "graph")).resolve()
     else:
-        raise ScenarioError(f"{path}: graph source must be jsonl | synthetic | store")
+        raise ScenarioError("graph source must be jsonl | synthetic | store")
 
     pairs = []
-    for entry in doc.get("pairs", []):
-        regime = Regime(entry["regime"]) if "regime" in entry else None
+    for i, entry in enumerate(_field(doc, "pairs", list, "", [])):
+        where = f"pairs[{i}]"
+        _typed(entry, dict, where)
+        for key in ("initial", "final"):
+            if key not in entry:
+                raise ScenarioError(f"{where}.{key} is required")
+        regime = _field(entry, "regime", Regime, where)
         pairs.append(PairSpec(entry["initial"], entry["final"], regime))
 
-    algorithms = [_parse_algorithm(entry, path) for entry in doc.get("algorithms", [])]
+    algorithms = [
+        _parse_algorithm(entry, f"algorithms[{i}]")
+        for i, entry in enumerate(_field(doc, "algorithms", list, "", []))
+    ]
 
     condition = StorageCondition()
-    cond = doc.get("condition", {"storage": "memory"})
+    cond = _field(doc, "condition", dict, "", {})
     storage = cond.get("storage", "memory")
     if storage == "disk":
-        cache_doc = cond.get("cache", {})
-        cache = CacheConfig(
-            max_cached_nodes=cache_doc.get("max_cached_nodes", 1024),
-            latency_per_miss=cache_doc.get("latency_per_miss_ms", 0) / 1000.0,
-            mode=CacheMode(cache_doc.get("mode", "cold")),
-        )
+        cache_doc = _field(cond, "cache", dict, "condition", {})
+        where = "condition.cache"
+        try:
+            cache = CacheConfig(
+                max_cached_nodes=_field(cache_doc, "max_cached_nodes", int, where, 1024),
+                latency_per_miss=_field(cache_doc, "latency_per_miss_ms", float, where, 0) / 1000,
+                mode=_field(cache_doc, "mode", CacheMode, where, CacheMode.COLD_PER_QUERY),
+            )
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
         condition = StorageCondition(on_disk=True, cache=cache)
     elif storage != "memory":
-        raise ScenarioError(f"{path}: unknown storage condition {storage!r}")
+        raise ScenarioError(f"unknown storage condition {storage!r}")
 
     return Scenario(
         graph_jsonl=graph_jsonl,
@@ -226,28 +252,74 @@ def load_scenario(path: str | Path) -> Scenario:
         pairs=tuple(pairs),
         algorithms=tuple(algorithms),
         condition=condition,
-        repetitions=doc.get("repetitions", 3),
+        repetitions=_field(doc, "repetitions", int, "", 3),
     )
 
 
-def _parse_algorithm(entry: dict, path: Path) -> SearchConfig:
-    try:
-        algorithm = Algorithm(entry["algorithm"])
-    except (KeyError, ValueError) as exc:
-        raise ScenarioError(f"{path}: bad algorithm entry {entry!r}") from exc
-    kwargs: dict = {"algorithm": algorithm}
-    if "delay_steps" in entry:
-        kwargs["delay_steps"] = entry["delay_steps"]
-    if "probe_only" in entry:
-        kwargs["probe_only"] = entry["probe_only"]
-    if "frontier_policy" in entry:
-        kwargs["frontier_policy"] = FrontierPolicy(entry["frontier_policy"])
-    if "postpone_kinds" in entry:
-        kwargs["postpone_kinds"] = frozenset(ClassKind(k) for k in entry["postpone_kinds"])
+def _parse_algorithm(entry, where: str) -> SearchConfig:
+    _typed(entry, dict, where)
+    if "algorithm" not in entry:
+        raise ScenarioError(f"{where}.algorithm is required")
+    kwargs = {key: _field(entry, key, kind, where) for key, kind in _ALGORITHM_TYPES.items()}
+    kwargs = {key: value for key, value in kwargs.items() if value is not None}
+    if "postpone_kinds" in kwargs:
+        kwargs["postpone_kinds"] = frozenset(
+            _typed(kind, ClassKind, f"{where}.postpone_kinds") for kind in kwargs["postpone_kinds"]
+        )
     try:
         return SearchConfig(**kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+#: JSON type of every field a scenario may set, for SyntheticSpec and SearchConfig.
+_SYNTHETIC_TYPES = {
+    "node_count": int,
+    "edge_probability": float,
+    "out_degree": int,
+    "hub_count": int,
+    "hub_indegree": int,
+    "hub_kind": ClassKind,
+    "seed": int,
+    "acyclic": bool,
+}
+_ALGORITHM_TYPES = {
+    "algorithm": Algorithm,
+    "delay_steps": int,
+    "probe_only": bool,
+    "frontier_policy": FrontierPolicy,
+    "postpone_kinds": list,
+}
+_TYPE_NAMES = {
+    int: "an integer", float: "a finite number", str: "a string",
+    bool: "a boolean", dict: "an object", list: "a list",
+}
+
+
+def _field(obj: dict, key: str, kind: type, where: str, default=None):
+    """``obj[key]`` checked by ``_typed``, or ``default`` when absent."""
+    if key not in obj:
+        return default
+    return _typed(obj[key], kind, f"{where}.{key}" if where else key)
+
+
+def _typed(value, kind: type, name: str):
+    """Return ``value`` as a JSON ``kind``, or an Enum ``kind`` member.
+
+    A boolean is not an ``int``; ``float`` takes any finite number.
+    """
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            choices = ", ".join(member.value for member in kind)
+            raise ScenarioError(f"{name} must be one of {choices}, got {value!r}") from None
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    if not ok or (kind is float and not math.isfinite(value)):
+        raise ScenarioError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +352,13 @@ def _resolve_pair(graph: InMemoryGraph, spec: PairSpec) -> tuple[int, int]:
 def run_scenario(
     scenario: Scenario,
     *,
-    parallel: bool = False,
     workdir: str | Path | None = None,
 ) -> ScenarioReport:
     """Execute every (pair, algorithm) cell and assemble the report.
 
     Rows appear in deterministic order (pairs outer, algorithms inner).
-    With ``parallel=True`` cells run on a thread pool and the timing
-    columns are zeroed and flagged invalid, since concurrent cells
-    distort each other's wall-clock. On-disk scenarios without a
-    prebuilt store get one built under ``workdir`` (or a temp dir).
+    On-disk scenarios without a prebuilt store get one built under
+    ``workdir`` (or a temp dir).
     """
     base = _load_base_graph(scenario)
     resolved: list[tuple[int, int, PairProfile]] = []
@@ -313,39 +382,22 @@ def run_scenario(
         store_path = Path(workdir) / "scenario.cgs"
         build_store(base, store_path)
 
-    cells = [
-        (s, t, profile, config)
-        for (s, t, profile) in resolved
-        for config in scenario.algorithms
-    ]
-
-    def run_cell(cell) -> ReportRow:
-        s, t, profile, config = cell
+    def run_cell(s: int, t: int, profile: PairProfile, config: SearchConfig) -> ReportRow:
         if scenario.condition.on_disk:
             handle = open_store(store_path, scenario.condition.cache)
         else:
             handle = base
         try:
-            results = []
-            for _ in range(scenario.repetitions):
-                results.append(run_search(handle, s, t, config))
+            results = [run_search(handle, s, t, config) for _ in range(scenario.repetitions)]
             first = results[0]
-            for other in results[1:]:
-                if not first.same_traversal(other):
-                    raise ScenarioError(
-                        f"nondeterministic counters for pair ({s}, {t}) "
-                        f"algorithm {config.label}"
-                    )
+            if not all(first.same_traversal(other) for other in results[1:]):
+                raise ScenarioError(
+                    f"nondeterministic counters for pair ({s}, {t}) algorithm {config.label}"
+                )
             elapsed = [r.elapsed for r in results]
-            if parallel:
-                mean = stddev = 0.0
-            else:
-                mean = statistics.fmean(elapsed)
-                stddev = statistics.stdev(elapsed) if len(elapsed) > 1 else 0.0
-            if scenario.condition.on_disk:
-                stats = handle.access_stats()
-            else:
-                stats = None
+            mean = statistics.fmean(elapsed)
+            stddev = statistics.stdev(elapsed) if len(elapsed) > 1 else 0.0
+            stats = handle.access_stats() if scenario.condition.on_disk else None
         finally:
             if scenario.condition.on_disk:
                 handle.close()
@@ -370,7 +422,7 @@ def run_scenario(
             repetitions=scenario.repetitions,
             mean_elapsed_s=mean,
             stddev_elapsed_s=stddev,
-            timing_valid=not parallel,
+            timing_valid=True,
             meta_reads=stats.meta_reads if stats else 0,
             adjacency_reads=stats.adjacency_reads if stats else 0,
             cache_hits=stats.cache_hits if stats else 0,
@@ -379,11 +431,11 @@ def run_scenario(
         )
 
     try:
-        if parallel:
-            with ThreadPoolExecutor() as pool:
-                rows = tuple(pool.map(run_cell, cells))
-        else:
-            rows = tuple(run_cell(cell) for cell in cells)
+        rows = tuple(
+            run_cell(s, t, profile, config)
+            for (s, t, profile) in resolved
+            for config in scenario.algorithms
+        )
     finally:
         if tmp is not None:
             tmp.cleanup()
@@ -393,7 +445,6 @@ def run_scenario(
         "edge_count": base.edge_count,
         "condition": scenario.condition.describe(),
         "repetitions": scenario.repetitions,
-        "parallel": parallel,
     }
     return ScenarioReport(environment=environment, rows=rows)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -112,7 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a scenario file")
     p_bench.add_argument("--scenario", required=True)
     p_bench.add_argument("--out", help="report file (default stdout)")
-    p_bench.add_argument("--parallel", action="store_true", help="count-only parallel run")
     return parser
 
 
@@ -233,8 +233,8 @@ def _search_config(args, parser: argparse.ArgumentParser) -> SearchConfig:
         ("--cache-nodes", args.cache_nodes, 1),
         ("--latency-ms", args.latency_ms, 0),
     ):
-        if value is not None and not value >= minimum:  # "not >=" also rejects NaN
-            parser.error(f"{flag} must be at least {minimum}, got {value}")
+        if value is not None and not minimum <= value < math.inf:  # also rejects NaN
+            parser.error(f"{flag} must be a finite number of at least {minimum}, got {value}")
     kinds = DEFAULT_POSTPONE_KINDS
     if args.postpone_kinds is not None:
         try:
@@ -321,7 +321,7 @@ def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
     if fmt not in ("csv", "json", "markdown"):
         parser.error(f"bench only emits csv|json|markdown, not {fmt!r}")
     scenario = load_scenario(args.scenario)
-    report = run_scenario(scenario, parallel=args.parallel)
+    report = run_scenario(scenario)
     text = emit_report(report, fmt)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

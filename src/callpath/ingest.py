@@ -55,7 +55,7 @@ def import_jsonl(lines: Iterable[str] | IO[str]) -> InMemoryGraph:
     reference an id not yet declared. Duplicate edges are deduplicated.
     """
     metas: list[MethodMeta] = []
-    id_map: dict[object, int] = {}
+    id_map: dict[object, int] = {}  # keyed by _id_key
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -77,13 +77,19 @@ def import_jsonl(lines: Iterable[str] | IO[str]) -> InMemoryGraph:
     return InMemoryGraph(metas, edges)
 
 
+def _id_key(value) -> object:
+    """Dict key of a JSON id. ``true == 1 == 1.0`` in Python, so ids other
+    than ints and strings are keyed together with their type."""
+    return value if type(value) is int or type(value) is str else (type(value), value)
+
+
 def _parse_node(obj: dict, lineno: int, id_map: dict, next_id: int) -> MethodMeta:
     if "id" not in obj:
         raise JsonlFormatError(lineno, "node record missing 'id'")
     key = obj["id"]
     if isinstance(key, (dict, list)):
         raise JsonlFormatError(lineno, "node id must be a JSON scalar")
-    if key in id_map:
+    if _id_key(key) in id_map:
         raise JsonlFormatError(lineno, f"duplicate node id {key!r}")
     method = obj.get("method")
     cls = obj.get("class")
@@ -111,7 +117,7 @@ def _parse_node(obj: dict, lineno: int, id_map: dict, next_id: int) -> MethodMet
         raise JsonlFormatError(lineno, "'file' must be a string")
     if isinstance(line_no, bool) or not isinstance(line_no, int) or line_no < 0:
         raise JsonlFormatError(lineno, "'line' must be a non-negative integer")
-    id_map[key] = next_id
+    id_map[_id_key(key)] = next_id
     return MethodMeta(
         node=next_id,
         method_name=method,
@@ -129,13 +135,14 @@ def _parse_edge(obj: dict, lineno: int, id_map: dict) -> tuple[int, int]:
     except KeyError as exc:
         raise JsonlFormatError(lineno, f"edge record missing {exc.args[0]!r}") from exc
     try:
-        if caller_key not in id_map:
+        caller, callee = _id_key(caller_key), _id_key(callee_key)
+        if caller not in id_map:
             raise JsonlFormatError(lineno, f"edge references undeclared caller id {caller_key!r}")
-        if callee_key not in id_map:
+        if callee not in id_map:
             raise JsonlFormatError(lineno, f"edge references undeclared callee id {callee_key!r}")
     except TypeError as exc:  # a list or object does not hash, and no node id is one
         raise JsonlFormatError(lineno, "edge caller and callee must be JSON scalars") from exc
-    return id_map[caller_key], id_map[callee_key]
+    return id_map[caller], id_map[callee]
 
 
 def iter_jsonl(graph) -> Iterator[str]:

@@ -1,14 +1,17 @@
 """Shortest call-path search: unidirectional baseline, balanced
 bidirectional search, and the postponing bidirectional variant.
 
-All searches treat every edge as weight one and run layered frontier
-expansion: each round picks one direction, processes that direction's
-entire frontier in ascending node-id order, and commits the next
-frontier only after the round finishes. The search stops the moment a
-relaxation lands on a node currently sitting in the *opposite*
+All four variants run one kernel, ``_search``, configured by
+``SearchConfig``. It treats every edge as weight one and runs layered
+frontier expansion: each round picks one direction, processes that
+direction's entire frontier in ascending node-id order, and commits the
+next frontier only after the round finishes. The search stops the
+moment a relaxation lands on a node currently sitting in the *opposite*
 frontier (not merely the opposite visited set), which keeps visited
 counts and meeting points reproducible at the cost of sometimes
-detecting a meeting later than a visited-set check would.
+detecting a meeting later than a visited-set check would. The
+unidirectional baseline is the same kernel with an empty backward
+frontier whose membership set is just the final node.
 
 The postponing variant additionally inspects the class kind of every
 backward-frontier node before expanding it. Methods of interface or
@@ -161,27 +164,6 @@ class SearchResult:
         return replace(self, elapsed=0.0) == replace(other, elapsed=0.0)
 
 
-def _begin_query(graph) -> None:
-    begin = getattr(graph, "begin_query", None)
-    if begin is not None:
-        begin()
-
-
-def _trivial_result(node: NodeId, elapsed: float) -> SearchResult:
-    return SearchResult(
-        status=SearchStatus.FOUND,
-        path=(),
-        length=0,
-        meeting_point=node,
-        visited_forward=0,
-        visited_backward=0,
-        postponements=0,
-        probe_count=0,
-        steps=0,
-        elapsed=elapsed,
-    )
-
-
 def reconstruct_path(state: SearchState, initial: NodeId, final: NodeId) -> list[Edge]:
     """Stitch the two predecessor chains at ``state.intermed`` into one path.
 
@@ -238,25 +220,40 @@ def _choose_forward(policy: FrontierPolicy, n_fwd: int, n_bwd: int) -> bool:
     return n_fwd <= n_bwd
 
 
-def _bidir(
+def _search(
     graph,
     initial: NodeId,
     final: NodeId,
+    config: SearchConfig,
     *,
-    delay_steps: int,
-    probe_only: bool,
-    postpone_kinds: frozenset[ClassKind],
-    policy: FrontierPolicy,
-    postpone_enabled: bool,
     trace: list[TraceEvent] | None = None,
     return_state: bool = False,
 ):
+    """The one frontier loop behind every algorithm.
+
+    ``uni`` starts with an empty backward frontier and a fixed backward
+    membership set ``{final}``: the backward side never runs, and the
+    forward search meets it exactly when it relaxes the final node.
+    """
     initial = check_node(initial, graph.node_count)
     final = check_node(final, graph.node_count)
-    _begin_query(graph)
+    begin_query = getattr(graph, "begin_query", None)
+    if begin_query is not None:
+        begin_query()
     t0 = perf_counter()
     if initial == final:
-        result = _trivial_result(initial, perf_counter() - t0)
+        result = SearchResult(
+            status=SearchStatus.FOUND,
+            path=(),
+            length=0,
+            meeting_point=initial,
+            visited_forward=0,
+            visited_backward=0,
+            postponements=0,
+            probe_count=0,
+            steps=0,
+            elapsed=perf_counter() - t0,
+        )
         return (result, None) if return_state else result
 
     n = graph.node_count
@@ -269,15 +266,23 @@ def _bidir(
     dist_f[initial] = 0
     dist_b[final] = 0
     todo_f: list[NodeId] = [initial]
-    todo_b: list[NodeId] = [final]
-    set_f = {initial}
-    set_b = {final}
+    todo_b: list[NodeId] = [] if config.algorithm is Algorithm.UNIDIRECTIONAL else [final]
+    # Membership sets for the meeting test, built only when the opposite
+    # direction expands and dropped whenever their frontier is recommitted.
+    set_f: set[NodeId] | None = {initial}
+    set_b: set[NodeId] | None = {final}
 
     # With delay 0 and probing off, the postpone branch can never fire;
     # skipping it entirely makes the reduction to the balanced variant
     # exact, probes included.
-    may_postpone = postpone_enabled and not probe_only and delay_steps > 0
-    probing = probe_only or may_postpone
+    delay_steps = config.delay_steps
+    postpone_kinds = config.postpone_kinds
+    may_postpone = (
+        config.algorithm is Algorithm.BIDIR_POSTPONE
+        and not config.probe_only
+        and delay_steps > 0
+    )
+    probing = config.probe_only or may_postpone
 
     intermed: NodeId | None = None
     steps = 0
@@ -287,11 +292,15 @@ def _bidir(
     probes = 0
 
     while todo_f or todo_b:
-        forward = _choose_forward(policy, len(todo_f), len(todo_b))
+        forward = _choose_forward(config.frontier_policy, len(todo_f), len(todo_b))
         steps += 1
         if forward:
+            if set_b is None:
+                set_b = set(todo_b)
             todo, other_set, dist, prev = todo_f, set_b, dist_f, prev_f
         else:
+            if set_f is None:
+                set_f = set(todo_f)
             todo, other_set, dist, prev = todo_b, set_f, dist_b, prev_b
         todo2: list[NodeId] = []
         met = False
@@ -336,11 +345,9 @@ def _bidir(
             break
         todo2.sort()
         if forward:
-            todo_f = todo2
-            set_f = set(todo2)
+            todo_f, set_f = todo2, None
         else:
-            todo_b = todo2
-            set_b = set(todo2)
+            todo_b, set_b = todo2, None
 
     state = SearchState(
         todo_forward=todo_f,
@@ -353,39 +360,24 @@ def _bidir(
         postponed=postponed,
         intermed=intermed,
     )
-    if intermed is None:
-        result = SearchResult(
-            status=SearchStatus.NO_PATH,
-            path=(),
-            length=0,
-            meeting_point=None,
-            visited_forward=visited_f,
-            visited_backward=visited_b,
-            postponements=postponements,
-            probe_count=probes,
-            steps=steps,
-            elapsed=perf_counter() - t0,
-        )
-    else:
-        # The dist tables can be stale relative to the prev chains: a
-        # postponed node's late expansion may improve an ancestor's
-        # distance after a descendant recorded it, so the realized path
-        # can be shorter than dist_f[intermed] + dist_b[intermed].
-        # Without postponement the two always agree. Length reports the
-        # real edge count.
-        path = tuple(reconstruct_path(state, initial, final))
-        result = SearchResult(
-            status=SearchStatus.FOUND,
-            path=path,
-            length=len(path),
-            meeting_point=intermed,
-            visited_forward=visited_f,
-            visited_backward=visited_b,
-            postponements=postponements,
-            probe_count=probes,
-            steps=steps,
-            elapsed=perf_counter() - t0,
-        )
+    # The dist tables can be stale relative to the prev chains: a
+    # postponed node's late expansion may improve an ancestor's distance
+    # after a descendant recorded it, so the realized path can be shorter
+    # than dist_f[intermed] + dist_b[intermed]. Without postponement the
+    # two always agree. Length reports the real edge count.
+    path = () if intermed is None else tuple(reconstruct_path(state, initial, final))
+    result = SearchResult(
+        status=SearchStatus.NO_PATH if intermed is None else SearchStatus.FOUND,
+        path=path,
+        length=len(path),
+        meeting_point=intermed,
+        visited_forward=visited_f,
+        visited_backward=visited_b,
+        postponements=postponements,
+        probe_count=probes,
+        steps=steps,
+        elapsed=perf_counter() - t0,
+    )
     return (result, state) if return_state else result
 
 
@@ -402,81 +394,8 @@ def unidirectional_shortest_path(
     always the true shortest distance. Stops the moment the final node
     is first relaxed.
     """
-    initial = check_node(initial, graph.node_count)
-    final = check_node(final, graph.node_count)
-    _begin_query(graph)
-    t0 = perf_counter()
-    if initial == final:
-        return _trivial_result(initial, perf_counter() - t0)
-
-    n = graph.node_count
-    prev: list[NodeId | None] = [None] * n
-    dist: list[float] = [inf] * n
-    dist[initial] = 0
-    todo: list[NodeId] = [initial]
-    steps = 0
-    visited = 0
-    found = False
-    while todo and not found:
-        steps += 1
-        todo2: list[NodeId] = []
-        for u in todo:
-            visited += 1
-            if trace is not None:
-                trace.append(TraceEvent(steps, True, u, "expanded"))
-            alt = dist[u] + 1
-            for v in graph.successors(u):
-                if dist[v] > alt:
-                    prev[v] = u
-                    dist[v] = alt
-                    if v == final:
-                        found = True
-                        break
-                    todo2.append(v)
-            if found:
-                break
-        todo2.sort()
-        todo = todo2
-
-    if not found:
-        return SearchResult(
-            status=SearchStatus.NO_PATH,
-            path=(),
-            length=0,
-            meeting_point=None,
-            visited_forward=visited,
-            visited_backward=0,
-            postponements=0,
-            probe_count=0,
-            steps=steps,
-            elapsed=perf_counter() - t0,
-        )
-    chain: list[NodeId] = [final]
-    v: NodeId = final
-    for _ in range(n + 1):
-        u = prev[v]
-        if u is None:
-            break
-        chain.append(u)
-        v = u
-    else:
-        raise InternalSearchError("predecessor chain does not terminate")
-    if v != initial:
-        raise InternalSearchError("predecessor chain does not root at the initial node")
-    chain.reverse()
-    path = tuple(Edge(a, b) for a, b in zip(chain, chain[1:]))
-    return SearchResult(
-        status=SearchStatus.FOUND,
-        path=path,
-        length=len(path),
-        meeting_point=final,
-        visited_forward=visited,
-        visited_backward=0,
-        postponements=0,
-        probe_count=0,
-        steps=steps,
-        elapsed=perf_counter() - t0,
-    )
+    config = SearchConfig(algorithm=Algorithm.UNIDIRECTIONAL)
+    return _search(graph, initial, final, config, trace=trace)
 
 
 def bidir_balanced(
@@ -488,17 +407,8 @@ def bidir_balanced(
     trace: list[TraceEvent] | None = None,
 ) -> SearchResult:
     """Bidirectional search with no postponement and no metadata probes."""
-    return _bidir(
-        graph,
-        initial,
-        final,
-        delay_steps=0,
-        probe_only=False,
-        postpone_kinds=DEFAULT_POSTPONE_KINDS,
-        policy=frontier_policy,
-        postpone_enabled=False,
-        trace=trace,
-    )
+    config = SearchConfig(algorithm=Algorithm.BIDIR_BALANCED, frontier_policy=frontier_policy)
+    return _search(graph, initial, final, config, trace=trace)
 
 
 def bidir_postpone(
@@ -521,17 +431,7 @@ def bidir_postpone(
         config = SearchConfig()
     if config.algorithm is not Algorithm.BIDIR_POSTPONE:
         raise ValueError(f"bidir_postpone called with algorithm {config.algorithm}")
-    return _bidir(
-        graph,
-        initial,
-        final,
-        delay_steps=config.delay_steps,
-        probe_only=config.probe_only,
-        postpone_kinds=config.postpone_kinds,
-        policy=config.frontier_policy,
-        postpone_enabled=True,
-        trace=trace,
-    )
+    return _search(graph, initial, final, config, trace=trace)
 
 
 def run_search(
@@ -542,9 +442,5 @@ def run_search(
     *,
     trace: list[TraceEvent] | None = None,
 ) -> SearchResult:
-    """Dispatch on ``config.algorithm``; the single entry point used by bench and CLI."""
-    if config.algorithm is Algorithm.UNIDIRECTIONAL:
-        return unidirectional_shortest_path(graph, initial, final, trace=trace)
-    if config.algorithm is Algorithm.BIDIR_BALANCED:
-        return bidir_balanced(graph, initial, final, config.frontier_policy, trace=trace)
-    return bidir_postpone(graph, initial, final, config, trace=trace)
+    """Run ``config`` on one query; the single entry point used by bench and CLI."""
+    return _search(graph, initial, final, config, trace=trace)

@@ -37,6 +37,7 @@ scan happens before any access accounting starts.
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import struct
@@ -84,8 +85,8 @@ class CacheConfig:
     def __post_init__(self) -> None:
         if self.max_cached_nodes < 1:
             raise ValueError("max_cached_nodes must be at least 1")
-        if self.latency_per_miss < 0:
-            raise ValueError("latency_per_miss must be non-negative")
+        if not 0 <= self.latency_per_miss < math.inf:  # also rejects NaN
+            raise ValueError("latency_per_miss must be finite and non-negative")
 
 
 @dataclass

@@ -79,3 +79,49 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> InMemoryGraph:
     draws = rng.random((n, n))
     edges = [(u, v) for u in range(n) for v in range(n) if draws[u, v] < p]
     return InMemoryGraph(metas, edges)
+
+
+def layered_bfs(graph, initial: int, final: int) -> dict:
+    """Counter reference for the ``uni`` search: a layered forward BFS.
+
+    Each round expands the whole frontier in ascending node-id order
+    (one visit per expanded node) and sorts the next frontier after the
+    round; the search stops the moment ``final`` is first relaxed. The
+    result holds ``path`` as (caller, callee) pairs (None when no path
+    exists), ``visited``, ``steps`` (rounds, including the last one that
+    ran dry) and ``trace``, one (step, node) per expansion.
+    """
+    if initial == final:
+        return {"path": [], "visited": 0, "steps": 0, "trace": []}
+    prev: list[int | None] = [None] * graph.node_count
+    dist: list[float] = [inf] * graph.node_count
+    dist[initial] = 0
+    todo = [initial]
+    steps = visited = 0
+    trace: list[tuple[int, int]] = []
+    found = False
+    while todo and not found:
+        steps += 1
+        todo2: list[int] = []
+        for u in todo:
+            visited += 1
+            trace.append((steps, u))
+            for v in graph.successors(u):
+                if dist[v] > dist[u] + 1:
+                    prev[v] = u
+                    dist[v] = dist[u] + 1
+                    if v == final:
+                        found = True
+                        break
+                    todo2.append(v)
+            if found:
+                break
+        todo = sorted(todo2)
+    path = None
+    if found:
+        chain = [final]
+        while chain[-1] != initial:
+            chain.append(prev[chain[-1]])
+        chain.reverse()
+        path = list(zip(chain, chain[1:]))
+    return {"path": path, "visited": visited, "steps": steps, "trace": trace}

@@ -22,7 +22,7 @@ import pytest
 
 from callpath.bench import CSV_COLUMNS, TIMING_COLUMNS, emit_report, load_scenario, run_scenario
 from callpath.fixtures import postponement_pathology_graph
-from callpath.ingest import Regime, classify_pair
+from callpath.ingest import Regime, SyntheticSpec, classify_pair, generate_synthetic
 from callpath.model import ClassKind, InMemoryGraph, MethodMeta
 from callpath.search import (
     Algorithm,
@@ -51,6 +51,18 @@ SWEEP_NODE_COUNT = 6
 FROZEN_BALANCED_MAX_GAP = {
     FrontierPolicy.PAPER_LITERAL: 0,
     FrontierPolicy.SMALLER_FIRST: 0,
+}
+
+# Largest (found length - true distance) of the postponing search over
+# the seeded hub-graph family in test_postpone_gap_regression, per
+# (frontier policy, delay). Postponement trades exactness for visits;
+# this pins how inexact it is.
+POSTPONE_GAP_SEED = 2016
+FROZEN_POSTPONE_MAX_GAP = {
+    (FrontierPolicy.PAPER_LITERAL, 3): 5,
+    (FrontierPolicy.PAPER_LITERAL, 6): 7,
+    (FrontierPolicy.SMALLER_FIRST, 3): 3,
+    (FrontierPolicy.SMALLER_FIRST, 6): 5,
 }
 
 # Extra backward visits of postpone-3 over balanced on the shipped
@@ -388,4 +400,41 @@ def test_criterion_11_balanced_gap_regression(sweep):
         "11 balanced optimality-gap regression "
         f"(paper={observed[FrontierPolicy.PAPER_LITERAL]}, "
         f"smaller={observed[FrontierPolicy.SMALLER_FIRST]})"
+    )
+
+
+def test_postpone_gap_regression():
+    # 60 hub graphs of 30-200 nodes (out-degree 1-3, one interface hub
+    # per 20 nodes with n/10 extra callers), 3 sources each, every
+    # reachable target, checked against BFS distances
+    rng = np.random.default_rng(POSTPONE_GAP_SEED)
+    observed = {key: 0 for key in FROZEN_POSTPONE_MAX_GAP}
+    queries = 0
+    for _ in range(60):
+        n = int(rng.integers(30, 201))
+        spec = SyntheticSpec(
+            node_count=n,
+            out_degree=int(rng.integers(1, 4)),
+            hub_count=n // 20,
+            hub_indegree=n // 10,
+            seed=int(rng.integers(2**31)),
+        )
+        graph = generate_synthetic(spec)
+        for s in rng.choice(n, size=3, replace=False):
+            dist = bfs_distances(graph, int(s))
+            for t in range(n):
+                if t == s or dist[t] is inf:
+                    continue
+                for policy, delay in observed:
+                    config = SearchConfig(delay_steps=delay, frontier_policy=policy)
+                    result = run_search(graph, int(s), t, config)
+                    assert result.found
+                    gap = result.length - int(dist[t])
+                    observed[policy, delay] = max(observed[policy, delay], gap)
+                queries += 1
+    assert observed == FROZEN_POSTPONE_MAX_GAP
+    _passed(
+        "postpone gap regression ("
+        + ", ".join(f"{p.value}/{d}={g}" for (p, d), g in observed.items())
+        + f"; {queries} reachable pairs)"
     )

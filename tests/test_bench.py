@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -283,17 +284,6 @@ def test_disk_condition_uses_prebuilt_store(tmp_path):
     assert report.rows[0].adjacency_reads > 0
 
 
-def test_parallel_mode_counts_match_sequential():
-    scenario = load_scenario(DATA / "scenarios" / "regimes.json")
-    sequential = run_scenario(scenario)
-    parallel = run_scenario(scenario, parallel=True)
-    assert all(not row.timing_valid for row in parallel.rows)
-    for seq_row, par_row in zip(sequential.rows, parallel.rows):
-        assert seq_row.visited_total == par_row.visited_total
-        assert seq_row.status == par_row.status
-        assert par_row.mean_elapsed_s == 0.0
-
-
 # ---------------------------------------------------------------------------
 # scenario file parsing
 # ---------------------------------------------------------------------------
@@ -342,6 +332,71 @@ def test_load_scenario_rejects_bad_algorithm(tmp_path):
     )
     with pytest.raises(ScenarioError):
         load_scenario(path)
+
+
+_VALID_DOC = {
+    "graph": {"synthetic": {"node_count": 10, "out_degree": 1, "seed": 1}},
+    "pairs": [{"initial": 0, "final": 5, "regime": "P2"}],
+    "algorithms": [{"algorithm": "postpone", "delay_steps": 3}],
+    "condition": {"storage": "disk", "cache": {"max_cached_nodes": 8, "latency_per_miss_ms": 2}},
+    "repetitions": 2,
+}
+
+
+def _edited(path, value):
+    """_VALID_DOC with the field at ``path`` (a key/index tuple) set to ``value``."""
+    doc = json.loads(json.dumps(_VALID_DOC))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (_edited(("graph", "synthetic", "nodes"), 10), "nodes"),
+        (_edited(("graph", "synthetic", "node_count"), "10"), "graph.synthetic.node_count"),
+        (_edited(("graph", "synthetic", "acyclic"), 1), "graph.synthetic.acyclic"),
+        (_edited(("graph",), {"jsonl": 3}), "graph.jsonl"),
+        (_edited(("pairs",), 5), "pairs"),
+        (_edited(("pairs", 0), [0, 5]), "pairs[0]"),
+        (_edited(("pairs", 0), {"initial": 0}), "pairs[0].final"),
+        (_edited(("pairs", 0, "regime"), "P9"), "pairs[0].regime"),
+        (_edited(("algorithms", 0, "algorithm"), ["uni"]), "algorithms[0].algorithm"),
+        (_edited(("algorithms", 0, "delay_steps"), "3"), "algorithms[0].delay_steps"),
+        (_edited(("algorithms", 0, "delay_steps"), True), "algorithms[0].delay_steps"),
+        (_edited(("algorithms", 0, "delay_steps"), -1), "algorithms[0]"),
+        (_edited(("algorithms", 0, "probe_only"), 1), "algorithms[0].probe_only"),
+        (_edited(("algorithms", 0, "postpone_kinds"), "interface"), "algorithms[0].postpone_kinds"),
+        (_edited(("condition",), "disk"), "condition"),
+        (_edited(("condition", "cache", "max_cached_nodes"), 0), "max_cached_nodes"),
+        (_edited(("condition", "cache", "max_cached_nodes"), 8.0), "max_cached_nodes"),
+        (_edited(("condition", "cache", "latency_per_miss_ms"), "5"), "latency_per_miss_ms"),
+        (_edited(("condition", "cache", "latency_per_miss_ms"), float("inf")), "latency_per_miss_ms"),
+        (_edited(("condition", "cache", "latency_per_miss_ms"), -1), "latency_per_miss"),
+        (_edited(("condition", "cache", "mode"), "hot"), "condition.cache.mode"),
+        (_edited(("repetitions",), "2"), "repetitions"),
+        (_edited(("repetitions",), True), "repetitions"),
+        (_edited(("repetitions",), 0), "repetitions"),
+    ],
+)
+def test_load_scenario_rejects_malformed_fields(tmp_path, doc, field):
+    # json.dumps writes float("inf") as the JSON extension Infinity,
+    # which json.loads reads back as a float
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=re.escape(field)):
+        load_scenario(path)
+
+
+def test_load_scenario_accepts_valid_doc(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(_VALID_DOC))
+    scenario = load_scenario(path)
+    assert scenario.pairs == (PairSpec(0, 5, Regime.P2),)
+    assert scenario.condition.cache.latency_per_miss == pytest.approx(0.002)
 
 
 def test_load_scenario_relative_jsonl(tmp_path):

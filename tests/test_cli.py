@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,7 +85,8 @@ def test_path_flag_conflicts_exit_two():
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--delay", "-1"), ("--cache-nodes", "0"), ("--latency-ms", "-1")]
+    "flag, value",
+    [("--delay", "-1"), ("--cache-nodes", "0"), ("--latency-ms", "-1"), ("--latency-ms", "inf")],
 )
 def test_path_out_of_range_numbers_exit_two(capsys, flag, value):
     with pytest.raises(SystemExit) as excinfo:
@@ -207,6 +211,29 @@ def test_bench_rejects_text_format():
     with pytest.raises(SystemExit) as excinfo:
         run_cli("--format", "text", "bench", "--scenario", "x.json")
     assert excinfo.value.code == 2
+
+
+def test_bench_parallel_flag_is_gone():
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("bench", "--scenario", str(DATA / "scenarios" / "regimes.json"), "--parallel")
+    assert excinfo.value.code == 2
+
+
+def test_bench_malformed_scenario_exits_one_without_traceback(tmp_path):
+    doc = json.loads((DATA / "scenarios" / "regimes.json").read_text())
+    doc["algorithms"][0]["delay_steps"] = "3"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "callpath.cli", "bench", "--scenario", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert "algorithms[0].delay_steps" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_graph_file_exits_one(capsys):

@@ -96,6 +96,29 @@ def test_import_rejects_non_scalar_edge_ids_and_bool_lines(record):
     assert excinfo.value.lineno == 2
 
 
+def test_import_edge_ids_match_by_json_type():
+    # true == 1 == 1.0 in Python, but they are three different JSON ids
+    lines = [
+        '{"record": "node", "id": 1, "method": "a", "class": "A", "kind": "concrete"}',
+        '{"record": "node", "id": 2, "method": "b", "class": "B", "kind": "concrete"}',
+        '{"record": "edge", "caller": true, "callee": 2.0}',
+    ]
+    with pytest.raises(JsonlFormatError, match="undeclared caller id True") as excinfo:
+        import_jsonl(lines)
+    assert excinfo.value.lineno == 3
+
+
+def test_import_int_and_bool_ids_are_distinct_nodes():
+    lines = [
+        '{"record": "node", "id": 1, "method": "a", "class": "A", "kind": "concrete"}',
+        '{"record": "node", "id": true, "method": "b", "class": "B", "kind": "concrete"}',
+        '{"record": "edge", "caller": true, "callee": 1}',
+    ]
+    graph = import_jsonl(lines)
+    assert graph.node_count == 2
+    assert graph.successors(1) == (0,)
+
+
 def test_import_missing_kind_defaults_concrete_with_warning():
     lines = ['{"record": "node", "id": 0, "method": "a", "class": "A"}']
     with pytest.warns(UserWarning, match="defaulting to concrete"):

@@ -20,7 +20,9 @@ from callpath.search import (
     unidirectional_shortest_path,
 )
 
-from oracles import bfs_distances, is_valid_path, random_graph
+from callpath.store import build_store, open_store
+
+from oracles import bfs_distances, is_valid_path, layered_bfs, random_graph
 
 POLICIES = (FrontierPolicy.PAPER_LITERAL, FrontierPolicy.SMALLER_FIRST)
 
@@ -75,6 +77,49 @@ def test_uni_matches_bfs_oracle_all_pairs():
                 assert result.found
                 assert result.length == dist[t]
                 assert is_valid_path(graph, s, t, result.path)
+
+
+def _assert_uni_matches_layered_bfs(graph, s, t):
+    trace = []
+    result = unidirectional_shortest_path(graph, s, t, trace=trace)
+    expected = layered_bfs(graph, s, t)
+    if expected["path"] is None:
+        assert result.status is SearchStatus.NO_PATH
+        assert result.meeting_point is None
+        assert result.path == ()
+    else:
+        assert result.found
+        assert result.meeting_point == t
+        assert [tuple(edge) for edge in result.path] == expected["path"]
+    assert result.visited_forward == expected["visited"]
+    assert result.visited_backward == 0
+    assert result.postponements == result.probe_count == 0
+    assert result.steps == expected["steps"]
+    assert all(event.forward and event.action == "expanded" for event in trace)
+    assert [(event.step, event.node) for event in trace] == expected["trace"]
+
+
+@pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+def test_uni_counters_match_layered_bfs_reference(on_disk, hub_graph, tmp_path):
+    # uni is the shared kernel with an empty backward frontier; its path,
+    # visit count, rounds, meeting point and trace must equal a plain
+    # layered BFS, including on no-path queries
+    rng = np.random.default_rng(2016)
+    cases = []
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        graph = random_graph(rng, n, float(rng.uniform(0.02, 0.2)))
+        cases.append((graph, [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(4)]))
+    cases.append((hub_graph, [tuple(int(x) for x in rng.integers(1000, size=2)) for _ in range(24)]))
+    for i, (graph, pairs) in enumerate(cases):
+        if on_disk:
+            build_store(graph, tmp_path / f"g{i}.cgs")
+            with open_store(tmp_path / f"g{i}.cgs") as handle:
+                for s, t in pairs:
+                    _assert_uni_matches_layered_bfs(handle, s, t)
+        else:
+            for s, t in pairs:
+                _assert_uni_matches_layered_bfs(graph, s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +472,7 @@ def test_chain_with_extra_callers_postpones_without_extra_visits():
 def test_meeting_accounting_for_delay_free_variants(policy):
     # white-box: when no node is ever delayed, the realized path length
     # equals dist_forward[meeting] + dist_backward[meeting]
-    from callpath.search import _bidir, DEFAULT_POSTPONE_KINDS
+    from callpath.search import _search
 
     rng = np.random.default_rng(64)
     met = 0
@@ -436,17 +481,11 @@ def test_meeting_accounting_for_delay_free_variants(policy):
         graph = random_graph(rng, n, 0.2)
         s, t = int(rng.integers(n)), int(rng.integers(n))
         for probe_only in (False, True):
-            result, state = _bidir(
-                graph,
-                s,
-                t,
-                delay_steps=0,
-                probe_only=probe_only,
-                postpone_kinds=DEFAULT_POSTPONE_KINDS,
-                policy=policy,
-                postpone_enabled=probe_only,
-                return_state=True,
+            algorithm = Algorithm.BIDIR_POSTPONE if probe_only else Algorithm.BIDIR_BALANCED
+            config = SearchConfig(
+                algorithm=algorithm, delay_steps=0, probe_only=probe_only, frontier_policy=policy
             )
+            result, state = _search(graph, s, t, config, return_state=True)
             if result.found and s != t:
                 met += 1
                 mp = result.meeting_point
@@ -459,24 +498,15 @@ def test_postponement_can_shorten_path_below_distance_sum():
     # an ancestor's distance after a descendant recorded it, so the
     # realized path can undercut the recorded distance sum; length must
     # report the real edge count
-    from callpath.search import _bidir, DEFAULT_POSTPONE_KINDS
+    from callpath.search import _search
 
     graph = generate_synthetic(
         SyntheticSpec(
             node_count=1000, out_degree=2, hub_count=10, hub_indegree=40, seed=7, acyclic=True
         )
     )
-    result, state = _bidir(
-        graph,
-        670,
-        973,
-        delay_steps=3,
-        probe_only=False,
-        postpone_kinds=DEFAULT_POSTPONE_KINDS,
-        policy=FrontierPolicy.PAPER_LITERAL,
-        postpone_enabled=True,
-        return_state=True,
-    )
+    config = SearchConfig(delay_steps=3, frontier_policy=FrontierPolicy.PAPER_LITERAL)
+    result, state = _search(graph, 670, 973, config, return_state=True)
     assert result.found
     assert result.length == len(result.path) == 7
     assert is_valid_path(graph, 670, 973, result.path)

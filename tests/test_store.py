@@ -201,6 +201,12 @@ def test_probe_only_reads_metadata(fig_store):
         assert stats.meta_reads == result.probe_count
 
 
+@pytest.mark.parametrize("latency", [float("nan"), float("inf"), -0.001])
+def test_cache_config_rejects_non_finite_or_negative_latency(latency):
+    with pytest.raises(ValueError, match="latency_per_miss"):
+        CacheConfig(latency_per_miss=latency)
+
+
 def test_latency_injection_lower_bound(tmp_path):
     graph = generate_synthetic(SyntheticSpec(node_count=120, out_degree=2, seed=9))
     path = tmp_path / "lat.cgs"
