@@ -189,6 +189,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def _parse_scenario(doc, base: Path) -> Scenario:
     _typed(doc, dict, "scenario")
+    _known(doc, _SCENARIO_KEYS, "scenario")
     schema = doc.get("schema", SCENARIO_SCHEMA)
     if schema != SCENARIO_SCHEMA:
         raise ScenarioError(f"unsupported schema {schema!r}")
@@ -201,9 +202,7 @@ def _parse_scenario(doc, base: Path) -> Scenario:
         graph_jsonl = (base / _field(graph, "jsonl", str, "graph")).resolve()
     elif "synthetic" in graph:
         spec = _field(graph, "synthetic", dict, "graph")
-        unknown = sorted(set(spec) - set(_SYNTHETIC_TYPES))
-        if unknown:
-            raise ScenarioError(f"unknown graph.synthetic field(s) {unknown}")
+        _known(spec, _SYNTHETIC_TYPES, "graph.synthetic")
         synthetic = SyntheticSpec(
             **{k: _field(spec, k, _SYNTHETIC_TYPES[k], "graph.synthetic") for k in spec}
         )
@@ -216,6 +215,7 @@ def _parse_scenario(doc, base: Path) -> Scenario:
     for i, entry in enumerate(_field(doc, "pairs", list, "", [])):
         where = f"pairs[{i}]"
         _typed(entry, dict, where)
+        _known(entry, ("initial", "final", "regime"), where)
         for key in ("initial", "final"):
             if key not in entry:
                 raise ScenarioError(f"{where}.{key} is required")
@@ -229,10 +229,12 @@ def _parse_scenario(doc, base: Path) -> Scenario:
 
     condition = StorageCondition()
     cond = _field(doc, "condition", dict, "", {})
+    _known(cond, ("storage", "cache"), "condition")
+    cache_doc = _field(cond, "cache", dict, "condition", {})
+    where = "condition.cache"
+    _known(cache_doc, ("max_cached_nodes", "latency_per_miss_ms", "mode"), where)
     storage = cond.get("storage", "memory")
     if storage == "disk":
-        cache_doc = _field(cond, "cache", dict, "condition", {})
-        where = "condition.cache"
         try:
             cache = CacheConfig(
                 max_cached_nodes=_field(cache_doc, "max_cached_nodes", int, where, 1024),
@@ -258,6 +260,7 @@ def _parse_scenario(doc, base: Path) -> Scenario:
 
 def _parse_algorithm(entry, where: str) -> SearchConfig:
     _typed(entry, dict, where)
+    _known(entry, _ALGORITHM_TYPES, where)
     if "algorithm" not in entry:
         raise ScenarioError(f"{where}.algorithm is required")
     kwargs = {key: _field(entry, key, kind, where) for key, kind in _ALGORITHM_TYPES.items()}
@@ -272,6 +275,8 @@ def _parse_algorithm(entry, where: str) -> SearchConfig:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+#: Top-level fields of a scenario document.
+_SCENARIO_KEYS = ("schema", "graph", "pairs", "algorithms", "condition", "repetitions")
 #: JSON type of every field a scenario may set, for SyntheticSpec and SearchConfig.
 _SYNTHETIC_TYPES = {
     "node_count": int,
@@ -294,6 +299,13 @@ _TYPE_NAMES = {
     int: "an integer", float: "a finite number", str: "a string",
     bool: "a boolean", dict: "an object", list: "a list",
 }
+
+
+def _known(obj: dict, keys, where: str) -> None:
+    """Reject fields outside ``keys``, so a misspelt one is not silently ignored."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ScenarioError(f"{where}: unknown field(s) {unknown}")
 
 
 def _field(obj: dict, key: str, kind: type, where: str, default=None):

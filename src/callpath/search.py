@@ -36,6 +36,17 @@ very different amounts of the graph:
   genuinely advance.
 
 The benchmark module reports both so their behavior can be compared.
+
+A query costs the nodes it touches, not ``node_count``. The prev/dist
+lists are taken from tables that earlier queries handed back, under a
+distance offset that makes their old entries read as "not reached"
+(``_Tables``), so nothing is allocated, filled or reset per query;
+delays and postponements live in a dict and a set of a few entries.
+Tables of length ``node_count`` are built only on first use, when the
+graph size changes, every ~2**30 / node_count queries when the offset
+runs out, and for ``return_state=True``, which always gets fresh tables
+holding plain distances. Each thread searching at the same time keeps
+one spare set, about 32 * node_count bytes.
 """
 
 from __future__ import annotations
@@ -121,6 +132,13 @@ class SearchState:
     initial node; ``prev_backward[v]`` is the node *through which the
     backward search reached v*, i.e. v's successor on the way to the
     final node. Distances default to infinity; the endpoints start at 0.
+    ``delay`` maps each node still sitting out rounds to the rounds
+    left, and ``postponed`` holds the nodes whose postponement fired.
+
+    ``_search(..., return_state=True)`` builds fresh prev/dist lists of
+    length ``node_count`` for the state it returns, so they hold plain
+    distances. Without it the kernel reuses tables from earlier queries
+    (see ``_Tables``) and a query costs only the nodes it touches.
     """
 
     todo_forward: list[NodeId]
@@ -129,8 +147,8 @@ class SearchState:
     prev_backward: list[NodeId | None]
     dist_forward: list[float]
     dist_backward: list[float]
-    delay: list[int]
-    postponed: list[bool]
+    delay: dict[NodeId, int]
+    postponed: set[NodeId]
     intermed: NodeId | None
 
 
@@ -206,6 +224,48 @@ def reconstruct_path(state: SearchState, initial: NodeId, final: NodeId) -> list
     return edges
 
 
+class _Tables:
+    """The prev/dist lists of one query, kept for the next one.
+
+    Distances are stored as ``base + d``. Each reuse lowers ``base`` by
+    ``n + 2``, more than any distance a query can record (a recorded
+    distance is the length of a simple path, at most ``n - 1``), so
+    every entry left by an earlier query compares larger than any
+    distance of the current one and reads as "not reached": nothing is
+    reset between queries. Only the endpoints' prev entries are cleared;
+    every other node on a prev chain was relaxed by the current query.
+    """
+
+    __slots__ = ("prev_f", "prev_b", "dist_f", "dist_b", "base")
+
+    def __init__(self, n: int) -> None:
+        self.prev_f: list[NodeId | None] = [None] * n
+        self.prev_b: list[NodeId | None] = [None] * n
+        self.dist_f: list[float] = [inf] * n
+        self.dist_b: list[float] = [inf] * n
+        self.base = 0
+
+
+#: Tables handed back by finished queries. ``pop`` and ``append`` are
+#: atomic, so concurrent searches each take their own set.
+_SPARE_TABLES: list[_Tables] = []
+#: Lowest ``base`` before the tables are rebuilt: it keeps every stored
+#: distance a one-digit CPython int (magnitude below 2**30).
+_BASE_FLOOR = 1 - 2**30
+
+
+def _take_tables(n: int) -> _Tables:
+    """Reuse spare tables of length ``n`` under a lowered base, or build fresh ones."""
+    try:
+        tables = _SPARE_TABLES.pop()
+    except IndexError:
+        return _Tables(n)
+    if len(tables.dist_f) != n or tables.base - (n + 2) < _BASE_FLOOR:
+        return _Tables(n)
+    tables.base -= n + 2
+    return tables
+
+
 def _choose_forward(policy: FrontierPolicy, n_fwd: int, n_bwd: int) -> bool:
     """Pick the direction to expand; caller guarantees one frontier is non-empty."""
     if policy is FrontierPolicy.PAPER_LITERAL:
@@ -256,15 +316,15 @@ def _search(
         )
         return (result, None) if return_state else result
 
-    n = graph.node_count
-    prev_f: list[NodeId | None] = [None] * n
-    prev_b: list[NodeId | None] = [None] * n
-    dist_f: list[float] = [inf] * n
-    dist_b: list[float] = [inf] * n
-    delay = [0] * n
-    postponed = [False] * n
-    dist_f[initial] = 0
-    dist_b[final] = 0
+    tables = _Tables(graph.node_count) if return_state else _take_tables(graph.node_count)
+    prev_f, prev_b = tables.prev_f, tables.prev_b
+    dist_f, dist_b = tables.dist_f, tables.dist_b
+    prev_f[initial] = prev_b[final] = None
+    dist_f[initial] = dist_b[final] = tables.base
+    # Nodes sitting out rounds -> rounds left (never 0), and the nodes
+    # whose postponement fired; both stay a handful of entries.
+    delay: dict[NodeId, int] = {}
+    postponed: set[NodeId] = set()
     todo_f: list[NodeId] = [initial]
     todo_b: list[NodeId] = [] if config.algorithm is Algorithm.UNIDIRECTIONAL else [final]
     # Membership sets for the meeting test, built only when the opposite
@@ -276,7 +336,9 @@ def _search(
     # skipping it entirely makes the reduction to the balanced variant
     # exact, probes included.
     delay_steps = config.delay_steps
-    postpone_kinds = config.postpone_kinds
+    # A tuple tests membership by identity in C; a frozenset of Enum
+    # members would call the Python-level Enum.__hash__ on every probe.
+    postpone_kinds = tuple(config.postpone_kinds)
     may_postpone = (
         config.algorithm is Algorithm.BIDIR_POSTPONE
         and not config.probe_only
@@ -291,6 +353,7 @@ def _search(
     postponements = 0
     probes = 0
 
+    last_du = alt = None
     while todo_f or todo_b:
         forward = _choose_forward(config.frontier_policy, len(todo_f), len(todo_b))
         steps += 1
@@ -305,18 +368,22 @@ def _search(
         todo2: list[NodeId] = []
         met = False
         for u in todo:
-            if delay[u] > 0:
-                delay[u] -= 1
+            if delay and u in delay:
+                if delay[u] == 1:
+                    del delay[u]
+                else:
+                    delay[u] -= 1
                 todo2.append(u)
                 if trace is not None:
                     trace.append(TraceEvent(steps, forward, u, "delayed"))
                 continue
-            if probing and not forward and not postponed[u]:
+            if probing and not forward and u not in postponed:
                 kind = graph.method_meta(u).class_kind
                 probes += 1
                 if may_postpone and kind in postpone_kinds:
-                    postponed[u] = True
-                    delay[u] = delay_steps - 1
+                    postponed.add(u)
+                    if delay_steps > 1:
+                        delay[u] = delay_steps - 1
                     postponements += 1
                     todo2.append(u)
                     if trace is not None:
@@ -329,7 +396,12 @@ def _search(
                 visited_b += 1
             if trace is not None:
                 trace.append(TraceEvent(steps, forward, u, "expanded"))
-            alt = dist[u] + 1
+            # One ``alt`` object per distance: a level's nodes share it,
+            # so no expansion allocates an int, and the entries that later
+            # queries find stale point at a few objects that stay cached.
+            du = dist[u]
+            if du is not last_du:
+                last_du, alt = du, du + 1
             for v in neighbors:
                 if dist[v] > alt:
                     prev[v] = u
@@ -378,7 +450,10 @@ def _search(
         steps=steps,
         elapsed=perf_counter() - t0,
     )
-    return (result, state) if return_state else result
+    if return_state:
+        return result, state
+    _SPARE_TABLES.append(tables)
+    return result
 
 
 def unidirectional_shortest_path(

@@ -380,6 +380,15 @@ def _edited(path, value):
         (_edited(("repetitions",), "2"), "repetitions"),
         (_edited(("repetitions",), True), "repetitions"),
         (_edited(("repetitions",), 0), "repetitions"),
+        (_edited(("repetition",), 1), "scenario: unknown field(s) ['repetition']"),
+        (_edited(("pairs", 0, "regim"), "P2"), "pairs[0]: unknown field(s) ['regim']"),
+        (_edited(("algorithms", 0, "delay"), 6), "algorithms[0]: unknown field(s) ['delay']"),
+        (_edited(("condition", "latency_ms"), 2), "condition: unknown field(s) ['latency_ms']"),
+        (_edited(("condition", "cache", "size"), 8), "condition.cache: unknown field(s) ['size']"),
+        (
+            _edited(("condition",), {"storage": "memory", "cache": {"mod": "warm"}}),
+            "condition.cache: unknown field(s) ['mod']",
+        ),
     ],
 )
 def test_load_scenario_rejects_malformed_fields(tmp_path, doc, field):

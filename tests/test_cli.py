@@ -236,6 +236,26 @@ def test_bench_malformed_scenario_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_bench_unknown_scenario_field_exits_one_without_traceback(tmp_path):
+    # a misspelt field must fail, not fall back to a default: "delay"
+    # would run postpone-3 and "repetition" three repetitions
+    doc = json.loads((DATA / "scenarios" / "regimes.json").read_text())
+    doc["algorithms"][5]["delay"] = doc["algorithms"][5].pop("delay_steps")
+    doc["repetition"] = doc.pop("repetitions")
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "callpath.cli", "bench", "--scenario", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert "unknown field(s) ['repetition']" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_graph_file_exits_one(capsys):
     code = run_cli("import", "--graph", "/nonexistent/g.jsonl")
     assert code == 1

@@ -1,8 +1,13 @@
+import sys
+import threading
 from math import inf
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from callpath import search
+from callpath.bench import load_scenario
 from callpath.errors import InternalSearchError, InvalidNodeError
 from callpath.fixtures import postponement_pathology_graph
 from callpath.ingest import SyntheticSpec, generate_synthetic
@@ -512,3 +517,146 @@ def test_postponement_can_shorten_path_below_distance_sum():
     assert is_valid_path(graph, 670, 973, result.path)
     mp = result.meeting_point
     assert state.dist_forward[mp] + state.dist_backward[mp] == 9  # stale, longer than the path
+
+
+# ---------------------------------------------------------------------------
+# prev/dist table reuse across queries
+# ---------------------------------------------------------------------------
+
+REGIME_CONFIGS = load_scenario(
+    Path(__file__).parent.parent / "data" / "scenarios" / "regimes.json"
+).algorithms
+
+
+def _fresh(graph, s, t, config):
+    """The reference: ``return_state=True`` always builds fresh tables."""
+    return search._search(graph, s, t, config, return_state=True)[0]
+
+
+def _reuse_graphs(hub_graph):
+    small = generate_synthetic(
+        SyntheticSpec(node_count=300, out_degree=2, hub_count=5, hub_indegree=30, seed=3)
+    )
+    return [hub_graph, small]
+
+
+def _pairs(rng, graph, count):
+    return [tuple(int(x) for x in rng.integers(graph.node_count, size=2)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+def test_reused_tables_match_fresh_tables_across_graph_sizes(on_disk, hub_graph, tmp_path):
+    # runs of queries on one graph reuse the tables; every switch between
+    # the two graph sizes rebuilds them. On disk, a second handle on the
+    # same store serves the reference, so the I/O counts must agree too
+    rng = np.random.default_rng(404)
+    graphs = _reuse_graphs(hub_graph)
+    handles = []
+    if on_disk:
+        for i, graph in enumerate(graphs):
+            build_store(graph, tmp_path / f"g{i}.cgs")
+            handles.append(
+                (open_store(tmp_path / f"g{i}.cgs"), open_store(tmp_path / f"g{i}.cgs"))
+            )
+    else:
+        handles = [(graph, graph) for graph in graphs]
+    try:
+        for config in REGIME_CONFIGS:
+            for graph, (reused, reference) in zip(graphs, handles):
+                for s, t in _pairs(rng, graph, 6):
+                    got = run_search(reused, s, t, config)
+                    assert got.same_traversal(_fresh(reference, s, t, config))
+                    if on_disk:
+                        assert reused.access_stats() == reference.access_stats()
+        assert search._SPARE_TABLES and search._SPARE_TABLES[-1].base < 0
+    finally:
+        if on_disk:
+            for reused, reference in handles:
+                reused.close()
+                reference.close()
+
+
+def test_tables_refilled_when_the_offset_runs_out(hub_graph, monkeypatch):
+    # a floor of three offsets rebuilds the tables every third reuse
+    rng = np.random.default_rng(405)
+    for graph in _reuse_graphs(hub_graph):
+        monkeypatch.setattr(search, "_BASE_FLOOR", -3 * (graph.node_count + 2))
+        bases = []
+        for config in REGIME_CONFIGS:
+            for s, t in _pairs(rng, graph, 4):
+                assert run_search(graph, s, t, config).same_traversal(
+                    _fresh(graph, s, t, config)
+                )
+                if s != t:
+                    bases.append(search._SPARE_TABLES[-1].base)
+        # rebuilt at base 0, lowered three times, rebuilt again
+        step = graph.node_count + 2
+        first = bases.index(0)
+        assert bases[first:] == [-(i % 4) * step for i in range(len(bases) - first)]
+
+
+class _FailingGraph:
+    """Delegates to ``graph`` but raises on the ``fail_at``-th ``successors`` call."""
+
+    def __init__(self, graph, fail_at):
+        self._graph = graph
+        self.node_count = graph.node_count
+        self._calls_left = fail_at
+
+    def successors(self, u):
+        self._calls_left -= 1
+        if self._calls_left == 0:
+            raise OSError("injected read failure")
+        return self._graph.successors(u)
+
+    def predecessors(self, u):
+        return self._graph.predecessors(u)
+
+    def method_meta(self, u):
+        return self._graph.method_meta(u)
+
+
+def test_query_after_a_failed_query_is_exact(hub_graph):
+    # a query that raises midway leaves half-written tables behind; the
+    # next query on the real graph must not see any of it
+    rng = np.random.default_rng(406)
+    configs = [c for c in REGIME_CONFIGS if c.algorithm is Algorithm.UNIDIRECTIONAL]
+    configs += [c for c in REGIME_CONFIGS if c.frontier_policy is FrontierPolicy.SMALLER_FIRST]
+    failures = 0
+    for config in configs:
+        for s, t in _pairs(rng, hub_graph, 8):
+            for fail_at in (1, 2, 5):
+                try:
+                    run_search(_FailingGraph(hub_graph, fail_at), s, t, config)
+                except OSError:
+                    failures += 1
+                assert run_search(hub_graph, s, t, config).same_traversal(
+                    _fresh(hub_graph, s, t, config)
+                )
+    assert failures > 0
+
+
+def test_concurrent_searches_on_one_graph_match_sequential(hub_graph):
+    rng = np.random.default_rng(407)
+    queries = [(s, t, config) for config in REGIME_CONFIGS for s, t in _pairs(rng, hub_graph, 5)]
+    expected = [_fresh(hub_graph, s, t, config) for s, t, config in queries]
+    results = {}
+
+    def worker(k):
+        order = [int(i) for i in np.random.default_rng(k).permutation(len(queries))]
+        results[k] = {i: run_search(hub_graph, *queries[i]) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for got in results.values():
+        assert all(got[i].same_traversal(want) for i, want in enumerate(expected))
