@@ -7,8 +7,17 @@ class) that the postponing search variants consult.
 
 Any object with ``node_count``, ``successors``, ``predecessors`` and
 ``method_meta`` satisfies the graph-access contract; :class:`InMemoryGraph`
-here and ``store.DiskGraph`` are the two backends. Graphs are immutable
-once built, so concurrent readers are safe.
+here and ``store.DiskGraph`` are the two backends. Two methods are
+optional, and the search kernel looks each up once per query:
+
+* ``begin_query()`` is called when a search starts (the disk backend
+  empties a cold cache there); without it nothing is called.
+* ``class_kind(u)`` returns ``method_meta(u).class_kind`` and is what a
+  postponement probe calls; the disk backend then reads one byte
+  instead of decoding the whole record. Without it a probe calls
+  ``method_meta(u)`` and reads the field, with the same result.
+
+Graphs are immutable once built, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -150,6 +159,10 @@ class InMemoryGraph:
 
     def method_meta(self, u: NodeId) -> MethodMeta:
         return self._nodes[check_node(u, len(self._nodes))]
+
+    def class_kind(self, u: NodeId) -> ClassKind:
+        """``method_meta(u).class_kind``: the one field a search probe reads."""
+        return self._nodes[check_node(u, len(self._nodes))].class_kind
 
     # ---- helpers -------------------------------------------------------------
 

@@ -345,6 +345,9 @@ def _search(
         and delay_steps > 0
     )
     probing = config.probe_only or may_postpone
+    # ``class_kind`` is optional in the access contract; without it a
+    # probe reads the kind off ``method_meta``.
+    class_kind = getattr(graph, "class_kind", None) or (lambda u: graph.method_meta(u).class_kind)
 
     intermed: NodeId | None = None
     steps = 0
@@ -378,7 +381,7 @@ def _search(
                     trace.append(TraceEvent(steps, forward, u, "delayed"))
                 continue
             if probing and not forward and u not in postponed:
-                kind = graph.method_meta(u).class_kind
+                kind = class_kind(u)
                 probes += 1
                 if may_postpone and kind in postpone_kinds:
                     postponed.add(u)

@@ -33,6 +33,13 @@ straight from the map; the file must not be modified while a handle is
 open. ``open_store`` verifies every checksum up front (a corrupt or
 truncated file fails naming the damaged section); the verification
 scan happens before any access accounting starts.
+
+A miss decodes only what the call returns. An adjacency miss unpacks
+one id run. ``class_kind``, the call a search probe makes, reads the
+single kind byte of the node's meta record; ``method_meta`` counts as
+the same meta read (a hit once either call has read the record) and
+decodes the record's strings into a ``MethodMeta`` on its first call
+while the record stays cached.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIIQ" + "QQ" * 4 + "Q")
 _TRAILER = struct.Struct("<IIIII")
 _META_RECORD = struct.Struct("<QQQBI")
+_KIND_OFFSET = struct.calcsize("<QQQ")  # the class-kind byte within a meta record
 _U32 = struct.Struct("<I")
 _U64x2 = struct.Struct("<QQ")
 
@@ -197,11 +205,16 @@ def is_store_file(path: str | Path) -> bool:
 
 
 class _NodeRecord:
-    """One LRU cache entry; sections fill in lazily as they are first read."""
+    """One LRU cache entry; sections fill in lazily as they are first read.
 
-    __slots__ = ("meta", "fwd", "bwd")
+    The meta section counts as read once ``kind`` is set; ``meta`` is
+    decoded from the map on the first ``method_meta`` call after that.
+    """
+
+    __slots__ = ("kind", "meta", "fwd", "bwd")
 
     def __init__(self) -> None:
+        self.kind: ClassKind | None = None
         self.meta: MethodMeta | None = None
         self.fwd: tuple[int, ...] | None = None
         self.bwd: tuple[int, ...] | None = None
@@ -227,6 +240,10 @@ class DiskGraph:
             raise
         (self._node_count, self._edge_count, self._section_offsets) = layout
         self._lru: OrderedDict[int, _NodeRecord] = OrderedDict()
+        # With room for every node nothing is ever evicted, so recency
+        # order is never read and hits skip maintaining it.
+        self._evicts = cache.max_cached_nodes < self._node_count
+        self._run_structs: dict[int, struct.Struct] = {}
         self._stats = AccessStats()
 
     # ---- access contract ---------------------------------------------------
@@ -247,14 +264,15 @@ class DiskGraph:
 
     def method_meta(self, u: NodeId) -> MethodMeta:
         u = check_node(u, self._node_count)
-        record = self._entry(u)
-        self._stats.meta_reads += 1
-        if record.meta is not None:
-            self._stats.cache_hits += 1
-            return record.meta
-        self._miss()
-        record.meta = self._read_meta(u)
+        record = self._meta_entry(u)
+        if record.meta is None:
+            record.meta = self._read_meta(u, record.kind)
         return record.meta
+
+    def class_kind(self, u: NodeId) -> ClassKind:
+        """``method_meta(u).class_kind``, counted as the same meta read,
+        but a miss reads only the record's kind byte."""
+        return self._meta_entry(check_node(u, self._node_count)).kind
 
     # ---- query/statistics management ----------------------------------------
 
@@ -294,8 +312,23 @@ class DiskGraph:
             self._lru[u] = record
             while len(self._lru) > self._cache_config.max_cached_nodes:
                 self._lru.popitem(last=False)
-        else:
+        elif self._evicts:
             self._lru.move_to_end(u)
+        return record
+
+    def _meta_entry(self, u: int) -> _NodeRecord:
+        """Count one meta read of ``u``; on a miss read its kind byte."""
+        record = self._entry(u)
+        self._stats.meta_reads += 1
+        if record.kind is not None:
+            self._stats.cache_hits += 1
+            return record
+        self._miss()
+        offset = self._section_offsets[0] + _META_RECORD.size * u + _KIND_OFFSET
+        kind_byte = self._map[offset]
+        record.kind = _BYTE_TO_KIND.get(kind_byte)
+        if record.kind is None:
+            raise StoreFormatError(f"node {u}: unknown class-kind byte {kind_byte}")
         return record
 
     def _miss(self) -> None:
@@ -325,15 +358,15 @@ class DiskGraph:
         prefix = self._section_offsets[2 if forward else 3]
         start, end = _U64x2.unpack_from(self._map, prefix + 8 * u)
         ids = prefix + 8 * (self._node_count + 1)
-        return struct.unpack_from(f"<{end - start}I", self._map, ids + 4 * start)
+        run = self._run_structs.get(end - start)
+        if run is None:
+            run = self._run_structs[end - start] = struct.Struct(f"<{end - start}I")
+        return run.unpack_from(self._map, ids + 4 * start)
 
-    def _read_meta(self, u: int) -> MethodMeta:
-        name_off, class_off, file_off, kind_byte, line = _META_RECORD.unpack_from(
+    def _read_meta(self, u: int, kind: ClassKind) -> MethodMeta:
+        name_off, class_off, file_off, _, line = _META_RECORD.unpack_from(
             self._map, self._section_offsets[0] + _META_RECORD.size * u
         )
-        kind = _BYTE_TO_KIND.get(kind_byte)
-        if kind is None:
-            raise StoreFormatError(f"node {u}: unknown class-kind byte {kind_byte}")
         return MethodMeta(
             node=u,
             method_name=self._read_string(name_off),

@@ -185,6 +185,7 @@ def test_node_id_check_shared_by_backends_search_and_closure(tmp_path, fig_graph
                 lambda: graph.successors(node),
                 lambda: graph.predecessors(node),
                 lambda: graph.method_meta(node),
+                lambda: graph.class_kind(node),
                 lambda: reachable_set(graph, node, Direction.FORWARD),
             ] + [
                 lambda config=config: run_search(graph, node, np.int64(3), config)
@@ -201,7 +202,8 @@ def test_node_id_check_shared_by_backends_search_and_closure(tmp_path, fig_graph
                 continue
             assert graph.successors(node) == (1, 2, 3)
             assert reachable_set(graph, node, Direction.FORWARD) == {1, 2, 3}
-            for call in calls[4:]:
+            assert graph.class_kind(node) is ClassKind.CONCRETE
+            for call in calls[5:]:
                 result = call()
                 assert result.path == (Edge(0, 3),)
                 assert all(type(v) is int for edge in result.path for v in edge)

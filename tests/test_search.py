@@ -25,7 +25,7 @@ from callpath.search import (
     unidirectional_shortest_path,
 )
 
-from callpath.store import build_store, open_store
+from callpath.store import CacheConfig, build_store, open_store
 
 from oracles import bfs_distances, is_valid_path, layered_bfs, random_graph
 
@@ -660,3 +660,47 @@ def test_concurrent_searches_on_one_graph_match_sequential(hub_graph):
     assert sorted(results) == [0, 1, 2, 3]
     for got in results.values():
         assert all(got[i].same_traversal(want) for i, want in enumerate(expected))
+
+
+# ---------------------------------------------------------------------------
+# the optional class_kind method
+# ---------------------------------------------------------------------------
+
+
+class _RequiredMethodsOnly:
+    """A backend without ``class_kind``: the kernel's probes fall back to
+    ``method_meta``."""
+
+    def __init__(self, inner):
+        self.node_count = inner.node_count
+        self.successors = inner.successors
+        self.predecessors = inner.predecessors
+        self.method_meta = inner.method_meta
+        self.begin_query = inner.begin_query
+        self.access_stats = inner.access_stats
+        self.reset_stats = inner.reset_stats
+
+
+def test_probes_without_class_kind_give_the_same_traversal_and_io(hub_graph, tmp_path):
+    # a 64-node cold cache, so records are evicted and read again
+    path = tmp_path / "hub.cgs"
+    build_store(hub_graph, path)
+    cache = CacheConfig(max_cached_nodes=64)
+    pairs = _pairs(np.random.default_rng(505), hub_graph, 12)
+    with open_store(path, cache) as bare, open_store(path, cache) as inner:
+        wrapped = _RequiredMethodsOnly(inner)
+        assert not hasattr(wrapped, "class_kind")
+        probes = 0
+        for config in REGIME_CONFIGS:
+            for s, t in pairs:
+                got = run_search(wrapped, s, t, config)
+                assert got.same_traversal(run_search(bare, s, t, config))
+                assert wrapped.access_stats() == bare.access_stats()
+                probes += got.probe_count
+        stats = bare.access_stats()
+    assert probes > 0 and stats.meta_reads == probes
+    assert stats.cache_misses > len(REGIME_CONFIGS) * len(pairs) * 64
+    assert all(
+        hub_graph.class_kind(u) is hub_graph.method_meta(u).class_kind
+        for u in range(hub_graph.node_count)
+    )

@@ -1,6 +1,12 @@
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import time
+from collections import OrderedDict
+from pathlib import Path
+from zlib import crc32
 
 import numpy as np
 import pytest
@@ -231,25 +237,56 @@ def test_reset_stats(fig_store):
 
 
 def test_stats_counter_identity_under_fuzzing(fig_store):
-    rng = np.random.default_rng(101)
-    with open_store(fig_store, CacheConfig(max_cached_nodes=2)) as handle:
-        for _ in range(500):
-            op = int(rng.integers(6))
-            node = int(rng.integers(4))
-            if op == 0:
-                handle.successors(node)
-            elif op == 1:
-                handle.predecessors(node)
-            elif op == 2:
-                handle.method_meta(node)
-            elif op == 3:
-                handle.begin_query()
-            elif op == 4 and rng.random() < 0.1:
-                handle.reset_stats()
-            stats = handle.access_stats()
-            assert stats.cache_hits + stats.cache_misses == (
-                stats.meta_reads + stats.adjacency_reads
-            )
+    # A reference LRU of node records, each holding the sections read so
+    # far, predicts every hit and miss. At capacity 4, the node count,
+    # nothing can be evicted and the handle keeps no recency order.
+    for capacity in (2, 4):
+        rng = np.random.default_rng(101)
+        model: OrderedDict[int, set[str]] = OrderedDict()
+        hits = misses = 0
+        with open_store(fig_store, CacheConfig(max_cached_nodes=capacity)) as handle:
+            reads = {
+                0: ("fwd", handle.successors),
+                1: ("bwd", handle.predecessors),
+                2: ("meta", handle.method_meta),
+                3: ("meta", handle.class_kind),
+            }
+            for _ in range(500):
+                op = int(rng.integers(7))
+                node = int(rng.integers(4))
+                if op in reads:
+                    section, read = reads[op]
+                    read(node)
+                    sections = model.pop(node, set())
+                    if section in sections:
+                        hits += 1
+                    else:
+                        misses += 1
+                    sections.add(section)
+                    model[node] = sections
+                    while len(model) > capacity:
+                        model.popitem(last=False)
+                elif op == 4:
+                    handle.begin_query()
+                    model.clear()
+                elif op == 5 and rng.random() < 0.1:
+                    handle.reset_stats()
+                    hits = misses = 0
+                stats = handle.access_stats()
+                assert stats.cache_hits + stats.cache_misses == (
+                    stats.meta_reads + stats.adjacency_reads
+                )
+                assert (stats.cache_hits, stats.cache_misses) == (hits, misses)
+
+
+def test_class_kind_is_a_meta_read_and_method_meta_then_hits(fig_store, fig_graph):
+    with open_store(fig_store) as handle:
+        for u in range(fig_graph.node_count):
+            assert handle.class_kind(u) is fig_graph.method_meta(u).class_kind
+            assert handle.method_meta(u) == fig_graph.method_meta(u)
+        stats = handle.access_stats()
+    n = fig_graph.node_count
+    assert (stats.meta_reads, stats.cache_misses, stats.cache_hits) == (2 * n, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +334,38 @@ def test_malformed_length_is_format_error(tmp_path, fig_graph, mangle, message):
     path.write_bytes(mangle(path.read_bytes()))
     with pytest.raises(StoreFormatError, match=message):
         open_store(path)
+
+
+def test_unknown_class_kind_byte_is_format_error(tmp_path, fig_graph):
+    # node 3's kind byte becomes 7 and the meta CRC is recomputed, so the
+    # file opens and only reading that record can notice
+    path = tmp_path / "kind.cgs"
+    build_store(fig_graph, path)
+    data = bytearray(path.read_bytes())
+    header = struct.unpack_from("<4sIIQ" + "QQ" * 4 + "Q", data)
+    meta_offset, meta_size, trailer_offset = header[4], header[5], header[12]
+    data[meta_offset + 29 * 3 + 24] = 7  # <QQQBI record; the kind byte follows three u64
+    struct.pack_into("<I", data, trailer_offset + 4, crc32(data[meta_offset : meta_offset + meta_size]))
+    path.write_bytes(bytes(data))
+    message = "node 3: unknown class-kind byte 7"
+    with open_store(path) as handle:
+        with pytest.raises(StoreFormatError, match=message):
+            handle.class_kind(3)
+        with pytest.raises(StoreFormatError, match=message):
+            handle.method_meta(3)
+        assert handle.method_meta(0) == fig_graph.method_meta(0)
+    # the postponing search probes node 3 first, from its backward frontier
+    proc = subprocess.run(
+        [sys.executable, "-m", "callpath.cli", "path", "--graph", str(path),
+         "--from", "0", "--to", "3", "--algo", "postpone"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_magic(tmp_path, fig_graph):
