@@ -179,7 +179,9 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except RecursionError as exc:
+        raise ScenarioError(f"cannot read scenario {path}: JSON nesting too deep") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     try:
         return _parse_scenario(doc, path.parent)

@@ -17,7 +17,22 @@ benchmarks need: a random background digraph (fixed edge probability or
 fixed out-degree) plus a configurable number of high-indegree "hub"
 nodes flagged interface/abstract, mimicking how widely-implemented
 interface methods accumulate callers. Output is a pure function of the
-spec: the random source is numpy's PCG64 stream seeded from ``seed``.
+spec: the random source is numpy's PCG64 stream seeded from ``seed``,
+and the stream is read in a fixed order, which is what fixes the graph:
+
+1. one ``choice(pool length, hub_count, replace=False)`` for the hubs;
+2. the background: with ``out_degree``, one ``choice(pool length, k,
+   replace=False)`` per node whose pool is not empty, in id order;
+   with ``edge_probability``, ``node_count`` uniforms per node, in id
+   order;
+3. one ``choice(pool length, hub_indegree, replace=False)`` per hub, in
+   id order, over the nodes that may still call it.
+
+Every draw is of indices into a pool, never of the pool itself, and an
+index maps to a node id arithmetically. ``choice(array)`` is
+``array[choice(len(array))]`` for the same stream, so these are the
+draws a per-node pool array would make; tests/test_generator_golden.py
+pins the graphs they give.
 """
 
 from __future__ import annotations
@@ -31,7 +46,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import JsonlFormatError, SyntheticSpecError
+from .errors import CallpathError, JsonlFormatError, SyntheticSpecError
 from .model import ClassKind, Direction, InMemoryGraph, MethodMeta, NodeId, check_node
 
 _KIND_NAMES = {kind.value: kind for kind in ClassKind}
@@ -53,28 +68,56 @@ def import_jsonl(lines: Iterable[str] | IO[str]) -> InMemoryGraph:
     Raises JsonlFormatError (with the line number) on malformed JSON,
     unknown record or kind values, duplicate node ids, or edges that
     reference an id not yet declared. Duplicate edges are deduplicated.
+    A text file whose bytes are not UTF-8 raises a CallpathError naming
+    the file.
     """
     metas: list[MethodMeta] = []
     id_map: dict[object, int] = {}  # keyed by _id_key
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise JsonlFormatError(lineno, f"invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise JsonlFormatError(lineno, "record must be a JSON object")
-        record = obj.get("record")
-        if record == "node":
-            metas.append(_parse_node(obj, lineno, id_map, len(metas)))
-        elif record == "edge":
-            edges.append(_parse_edge(obj, lineno, id_map))
-        else:
-            raise JsonlFormatError(lineno, f"unknown record type {record!r}")
-    return InMemoryGraph(metas, edges)
+    callers: list[int] = []
+    callees: list[int] = []
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(line):
+                obj = _decode(line, lineno)
+            if not isinstance(obj, dict):
+                raise JsonlFormatError(lineno, "record must be a JSON object")
+            record = obj.get("record")
+            if record == "node":
+                metas.append(_parse_node(obj, lineno, id_map, len(metas)))
+            elif record == "edge":
+                caller, callee = _parse_edge(obj, lineno, id_map)
+                callers.append(caller)
+                callees.append(callee)
+            else:
+                raise JsonlFormatError(lineno, f"unknown record type {record!r}")
+    except UnicodeDecodeError as exc:  # from a text file's line iterator
+        name = getattr(lines, "name", "input")
+        raise CallpathError(f"{name}: not UTF-8 text ({exc.reason})") from exc
+    return InMemoryGraph(metas, np.array([callers, callees], dtype=np.int64).T)
+
+
+# The C scanner behind json.loads, without its per-call wrapping. A line
+# decodes when it scans to its end; any other line goes to _decode,
+# which names the fault exactly as json.loads does.
+_scan_once = json.decoder.JSONDecoder().scan_once
+
+
+def _decode(line: str, lineno: int) -> object:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise JsonlFormatError(lineno, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise JsonlFormatError(lineno, "invalid JSON: nesting too deep") from exc
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise JsonlFormatError(lineno, f"invalid JSON: {exc}") from exc
 
 
 def _id_key(value) -> object:
@@ -232,16 +275,15 @@ def generate_synthetic(spec: SyntheticSpec) -> InMemoryGraph:
     # late nodes qualify.
     if spec.hub_count > 0:
         first_ok = spec.hub_indegree if spec.acyclic else 0
-        candidates = np.arange(first_ok, n)
-        if len(candidates) < spec.hub_count:
+        if n - first_ok < spec.hub_count:
             raise SyntheticSpecError(
                 f"cannot place {spec.hub_count} acyclic hubs of indegree "
                 f"{spec.hub_indegree} in {n} nodes"
             )
-        hubs = sorted(int(h) for h in rng.choice(candidates, size=spec.hub_count, replace=False))
+        hubs = np.sort(rng.choice(n - first_ok, size=spec.hub_count, replace=False) + first_ok)
     else:
-        hubs = []
-    hub_set = set(hubs)
+        hubs = np.empty(0, dtype=np.int64)
+    hub_set = set(hubs.tolist())
 
     metas = [
         MethodMeta(
@@ -253,52 +295,68 @@ def generate_synthetic(spec: SyntheticSpec) -> InMemoryGraph:
         for u in range(n)
     ]
 
-    edges: set[tuple[int, int]] = set()
     if spec.edge_probability is not None:
-        p = spec.edge_probability
-        if p > 0.0:
-            for u in range(n):
-                draws = rng.random(n)
-                targets = np.flatnonzero(draws < p)
-                for v in targets:
-                    v = int(v)
-                    if v == u:
-                        continue
-                    if spec.acyclic and v < u:
-                        continue
-                    edges.add((u, v))
+        src, dst = _bernoulli_edges(rng, n, spec.edge_probability, spec.acyclic)
     else:
-        d = spec.out_degree or 0
-        if d > 0:
-            for u in range(n):
-                if spec.acyclic:
-                    pool = np.arange(u + 1, n)
-                else:
-                    pool = np.concatenate([np.arange(0, u), np.arange(u + 1, n)])
-                if len(pool) == 0:
-                    continue
-                k = min(d, len(pool))
-                for v in rng.choice(pool, size=k, replace=False):
-                    edges.add((u, int(v)))
+        src, dst = _out_degree_edges(rng, n, spec.out_degree or 0, spec.acyclic)
 
     # Hub wiring happens after the background edges and never replaces
     # one: callers are drawn from nodes not already calling the hub, so
     # each hub gains exactly hub_indegree new incoming edges.
-    for h in hubs:
-        limit = h if spec.acyclic else n
-        existing = {u for (u, v) in edges if v == h}
-        pool = np.array(
-            [u for u in range(limit) if u != h and u not in existing], dtype=np.int64
-        )
+    hub_src = []
+    for h in hubs.tolist():
+        eligible = np.ones(h if spec.acyclic else n, dtype=bool)
+        eligible[src[dst == h]] = False
+        if not spec.acyclic:
+            eligible[h] = False
+        pool = np.flatnonzero(eligible)
         if len(pool) < spec.hub_indegree:
             raise SyntheticSpecError(
                 f"hub {h}: only {len(pool)} eligible callers for indegree "
                 f"{spec.hub_indegree}"
             )
-        for u in rng.choice(pool, size=spec.hub_indegree, replace=False):
-            edges.add((int(u), h))
+        hub_src.append(pool[rng.choice(len(pool), size=spec.hub_indegree, replace=False)])
 
-    return InMemoryGraph(metas, sorted(edges))
+    callers = np.concatenate([src, *hub_src])
+    callees = np.concatenate([dst, np.repeat(hubs, spec.hub_indegree)])
+    return InMemoryGraph(metas, np.column_stack([callers, callees]))
+
+
+# Uniforms drawn per block of Bernoulli rows; bounds the block's memory.
+_DRAW_BLOCK = 1 << 20
+
+
+def _bernoulli_edges(rng, n: int, p: float, acyclic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Edge u -> v for every ordered pair whose uniform draw is below p.
+    Row u draws n uniforms in turn, so a block of rows takes from the
+    stream what one ``rng.random(n)`` per row would."""
+    src, dst = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    if p > 0.0:
+        rows = max(1, _DRAW_BLOCK // n)
+        for first in range(0, n, rows):
+            u, v = np.nonzero(rng.random((min(rows, n - first), n)) < p)
+            u += first
+            keep = v > u if acyclic else v != u
+            src.append(u[keep])
+            dst.append(v[keep])
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def _out_degree_edges(rng, n: int, d: int, acyclic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """min(d, pool) distinct callees per node: the later nodes when
+    acyclic, every other node otherwise. In id order, each node with a
+    non-zero count draws that many indices into its pool; index i of
+    node u's pool is node u + 1 + i when acyclic, else i below u and
+    i + 1 from u on."""
+    sizes = n - 1 - np.arange(n) if acyclic else np.full(n, n - 1)
+    counts = np.minimum(d, sizes)
+    choice = rng.choice
+    idx = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [choice(size, size=k, replace=False) for size, k in zip(sizes.tolist(), counts.tolist()) if k]
+    )
+    src = np.repeat(np.arange(n), counts)
+    return src, idx + src + 1 if acyclic else idx + (idx >= src)
 
 
 # ---------------------------------------------------------------------------

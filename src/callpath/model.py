@@ -113,27 +113,39 @@ class InMemoryGraph:
     serves. Node ids are dense, assigned in construction order.
     """
 
-    def __init__(self, nodes: Sequence[MethodMeta], edges: Iterable[tuple[int, int]]):
+    def __init__(
+        self, nodes: Sequence[MethodMeta], edges: Iterable[tuple[int, int]] | np.ndarray
+    ):
+        """``edges`` is an iterable of (caller, callee) pairs or an
+        ``(m, 2)`` integer array; duplicates are dropped."""
         n = len(nodes)
         for i, meta in enumerate(nodes):
             if meta.node != i:
                 raise ValueError(f"node record {i} carries id {meta.node}; ids must be dense")
-        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+        if isinstance(edges, np.ndarray):
+            if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+                raise ValueError(f"edge array must be (m, 2) integers, got {edges.shape} {edges.dtype}")
+            pairs = edges
+        else:
+            pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
         bad = np.flatnonzero((pairs < 0) | (pairs >= n))
         if len(bad):
             raise InvalidNodeError(int(pairs.flat[bad[0]]), n)
-        pairs = np.unique(pairs, axis=0)  # sorted by (caller, callee), duplicates dropped
-        callers, callees = pairs[:, 0], pairs[:, 1]
-        by_callee = np.lexsort((callers, callees))
+        # One packed key per edge sorts by (caller, callee) and drops
+        # duplicates; max(n, 1) keeps the unpacking defined on no nodes.
+        pairs = pairs.astype(np.int64, copy=False)
+        width = max(n, 1)
+        callers, callees = np.divmod(np.unique(pairs[:, 0] * width + pairs[:, 1]), width)
+        by_callee = np.divmod(np.sort(callees * width + callers), width)
         self._csr = {
             Direction.FORWARD: _csr(callers, callees, n),
-            Direction.BACKWARD: _csr(callees[by_callee], callers[by_callee], n),
+            Direction.BACKWARD: _csr(*by_callee, n),
         }
         node_ids = list(range(n))
         self._fwd = _rows(*self._csr[Direction.FORWARD], node_ids)
         self._bwd = _rows(*self._csr[Direction.BACKWARD], node_ids)
         self._nodes: tuple[MethodMeta, ...] = tuple(nodes)
-        self._edge_count = len(pairs)
+        self._edge_count = len(callers)
         index: dict[str, list[int]] = {}
         for meta in self._nodes:
             index.setdefault(meta.qualified_name, []).append(meta.node)

@@ -281,3 +281,34 @@ def test_path_postpone_kinds_flag(tmp_path, capsys):
     narrowed_doc = json.loads(capsys.readouterr().out)
     assert default_doc["postponements"] == 1
     assert narrowed_doc["postponements"] == 0
+
+
+def _cli_subprocess(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "callpath.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+_NOT_UTF8 = b"\xff\xfe" + (DATA / "transceiver.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "content, argv, message",
+    [
+        (b"[" * 200_000, ["import", "--graph"], "line 1: invalid JSON: nesting too deep"),
+        (b'{"a":' * 100_000, ["bench", "--scenario"], "{path}: JSON nesting too deep"),
+        (_NOT_UTF8, ["import", "--graph"], "{path}: not UTF-8 text"),
+        (_NOT_UTF8, ["reach", "0", "--graph"], "{path}: not UTF-8 text"),
+        (b"\xff\xfe{}", ["bench", "--scenario"], "{path}: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["jsonl-deep", "scenario-deep", "jsonl-not-utf8", "reach-not-utf8", "scenario-not-utf8"],
+)
+def test_hostile_input_exits_one_without_traceback(tmp_path, content, argv, message):
+    path = tmp_path / "input"
+    path.write_bytes(content + b"\n")
+    proc = _cli_subprocess(*argv, str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert message.format(path=path) in proc.stderr

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from callpath.errors import JsonlFormatError, SyntheticSpecError
+from callpath.errors import CallpathError, JsonlFormatError, SyntheticSpecError
 from callpath.ingest import (
     Regime,
     SyntheticSpec,
@@ -72,6 +72,52 @@ def test_import_malformed_json_names_line():
     with pytest.raises(JsonlFormatError) as excinfo:
         import_jsonl(lines)
     assert excinfo.value.lineno == 2
+
+
+_NODE0 = '{"record": "node", "id": 0, "method": "a", "class": "A", "kind": "concrete"}'
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "{oops",
+        '{"record": "node"} {}',
+        '{"record": "node"}}',
+        '{"record": "node",}',
+        '{"record": "no',
+        "\ufeff{}",
+        "[1, 2",
+        "nul",
+        '{"a": "\x01"}',
+    ],
+)
+def test_import_invalid_json_message_is_json_loads_message(bad):
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(bad)
+    with pytest.raises(JsonlFormatError) as excinfo:
+        import_jsonl([_NODE0, bad])
+    assert str(excinfo.value) == f"line 2: invalid JSON: {expected.value.msg}"
+
+
+def test_import_deep_nesting_is_a_format_error():
+    with pytest.raises(JsonlFormatError) as excinfo:
+        import_jsonl([_NODE0, "[" * 200_000])
+    assert str(excinfo.value) == "line 2: invalid JSON: nesting too deep"
+
+
+def test_import_overlong_integer_is_a_format_error():
+    with pytest.raises(JsonlFormatError) as excinfo:
+        import_jsonl([_NODE0, '{"record": "edge", "caller": 0, "callee": ' + "9" * 5000 + "}"])
+    assert excinfo.value.lineno == 2
+    assert "invalid JSON: Exceeds the limit" in str(excinfo.value)
+
+
+def test_import_non_utf8_file_names_the_file(tmp_path):
+    path = tmp_path / "g.jsonl"
+    path.write_bytes(b"\xff\xfe" + FIG_JSONL.encode())
+    with path.open(encoding="utf-8") as fh, pytest.raises(CallpathError) as excinfo:
+        import_jsonl(fh)
+    assert str(excinfo.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
 
 def test_import_unknown_kind_rejected():

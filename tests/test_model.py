@@ -95,6 +95,66 @@ def test_self_loops_are_stored():
     assert graph.predecessors(0) == (0,)
 
 
+def _same_graph(a: InMemoryGraph, b: InMemoryGraph) -> None:
+    assert a.edge_count == b.edge_count
+    for direction in Direction:
+        for x, y in zip(a.csr(direction), b.csr(direction)):
+            assert x.dtype == y.dtype == np.int64
+            np.testing.assert_array_equal(x, y)
+    for u in range(a.node_count):
+        assert a.successors(u) == b.successors(u)
+        assert a.predecessors(u) == b.predecessors(u)
+
+
+def _metas(n: int) -> list[MethodMeta]:
+    return [MethodMeta(u, f"m{u}", f"C{u}", ClassKind.CONCRETE) for u in range(n)]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (0, []),
+        (3, []),
+        (1, [(0, 0), (0, 0)]),
+        (4, [(3, 0), (0, 1), (2, 2), (0, 1), (3, 0), (1, 3), (0, 3), (1, 0)]),
+    ],
+    ids=["no-nodes", "no-edges", "self-loop-twice", "duplicates-unsorted"],
+)
+def test_edge_array_builds_the_graph_of_the_pair_list(n, edges, dtype):
+    from_pairs = InMemoryGraph(_metas(n), edges)
+    from_array = InMemoryGraph(_metas(n), np.array(edges, dtype=dtype).reshape(-1, 2))
+    _same_graph(from_array, from_pairs)
+
+
+def test_edge_array_matches_pair_list_on_random_graph():
+    rng = np.random.default_rng(3)
+    n = 300
+    edges = rng.integers(0, n, size=(2_000, 2))  # duplicates and self-loops included
+    _same_graph(
+        InMemoryGraph(_metas(n), edges),
+        InMemoryGraph(_metas(n), [tuple(e) for e in edges.tolist()]),
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("bad", [-1, 4, 2**31 - 1])
+def test_edge_array_out_of_range_id_raises_with_that_id(bad, dtype):
+    edges = np.array([(0, 1), (2, bad), (bad, 3)], dtype=dtype)
+    for given in (edges, edges.tolist()):
+        with pytest.raises(InvalidNodeError) as excinfo:
+            InMemoryGraph(_metas(4), given)
+        assert excinfo.value.node == bad
+
+
+@pytest.mark.parametrize(
+    "edges", [np.zeros((2, 3), dtype=np.int64), np.zeros(4, dtype=np.int64), np.zeros((2, 2))]
+)
+def test_edge_array_must_be_m_by_2_integers(edges):
+    with pytest.raises(ValueError, match="edge array"):
+        InMemoryGraph(_metas(4), edges)
+
+
 def test_invalid_node_errors(fig_graph):
     for bad in (-1, 4, 10_000):
         with pytest.raises(InvalidNodeError):
