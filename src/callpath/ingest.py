@@ -322,23 +322,16 @@ def generate_synthetic(spec: SyntheticSpec) -> InMemoryGraph:
     return InMemoryGraph(metas, np.column_stack([callers, callees]))
 
 
-# Uniforms drawn per block of Bernoulli rows; bounds the block's memory.
-_DRAW_BLOCK = 1 << 20
-
-
 def _bernoulli_edges(rng, n: int, p: float, acyclic: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Edge u -> v for every ordered pair whose uniform draw is below p.
-    Row u draws n uniforms in turn, so a block of rows takes from the
-    stream what one ``rng.random(n)`` per row would."""
+    """Edge u -> v for every ordered pair whose uniform draw is below p;
+    row u draws its n uniforms with one ``rng.random(n)``, in id order."""
     src, dst = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     if p > 0.0:
-        rows = max(1, _DRAW_BLOCK // n)
-        for first in range(0, n, rows):
-            u, v = np.nonzero(rng.random((min(rows, n - first), n)) < p)
-            u += first
-            keep = v > u if acyclic else v != u
-            src.append(u[keep])
-            dst.append(v[keep])
+        for u in range(n):
+            v = np.flatnonzero(rng.random(n) < p)
+            v = v[v > u] if acyclic else v[v != u]
+            src.append(np.full(len(v), u, dtype=np.int64))
+            dst.append(v)
     return np.concatenate(src), np.concatenate(dst)
 
 

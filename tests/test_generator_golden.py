@@ -58,16 +58,6 @@ GOLDEN = {
         ),
         "f9d05369609a1cac1b38d555ba168b376621e2fff058c629e6b8f3eb71778897",
     ),
-    # Past 1,024 nodes the uniforms are drawn in blocks of rows; the
-    # last block of the 2,500-node graph is a partial one.
-    "cyclic-prob-hubs-blocks": (
-        SyntheticSpec(node_count=1500, edge_probability=0.002, hub_count=3, hub_indegree=20, seed=11),
-        "eb049776d3b29f87e5e754a1418fda56fbac60515f0287bd4a6148c3d2a8ddfe",
-    ),
-    "acyclic-prob-blocks": (
-        SyntheticSpec(node_count=2500, edge_probability=0.001, seed=12, acyclic=True),
-        "ec131307410a3894ce315347ab4b895e969fa7105aa5de1c9bdb459b8af59580",
-    ),
     # out_degree above the pool: every node calls all the others.
     "cyclic-degree-over-pool": (
         SyntheticSpec(node_count=6, out_degree=9, seed=9),
