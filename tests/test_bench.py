@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from callpath.bench import (
     CSV_COLUMNS,
     TIMING_COLUMNS,
     PairSpec,
+    ReportRow,
     Scenario,
     ScenarioReport,
     StorageCondition,
@@ -141,6 +143,18 @@ def test_empty_report_is_header_only_csv():
     assert lines[0] == ",".join(CSV_COLUMNS)
 
 
+def test_csv_header_is_frozen():
+    # The column order is append-only: this is the header as first shipped.
+    text = emit_report(ScenarioReport(environment={}, rows=()), "csv")
+    assert text == (
+        "initial,final,initial_name,final_name,forward_reach,backward_reach,regime,"
+        "algorithm,frontier_policy,status,path_length,visited_forward,visited_backward,"
+        "visited_total,postponements,probe_count,steps,repetitions,mean_elapsed_s,"
+        "stddev_elapsed_s,timing_valid,meta_reads,adjacency_reads,cache_hits,"
+        "cache_misses,injected_latency_s\n"
+    )
+
+
 def test_csv_row_count_is_pairs_times_algorithms():
     scenario = Scenario(
         graph_jsonl=DATA / "transceiver.jsonl",
@@ -185,6 +199,91 @@ def test_markdown_report_tables():
         assert heading in text
     assert "1.00x" in text  # the baseline column is unity
     assert "postpone-3[paper]" in text
+
+
+_ROW = ReportRow(
+    initial=0, final=3, initial_name="A.a", final_name="B.b",
+    forward_reach=3, backward_reach=2, regime="P2-like",
+    algorithm="postpone-3", frontier_policy="paper", status="found", path_length=2,
+    visited_forward=1, visited_backward=3, visited_total=4, postponements=1,
+    probe_count=3, steps=4, repetitions=2, mean_elapsed_s=0.000125, stddev_elapsed_s=0.0,
+    timing_valid=True, meta_reads=0, adjacency_reads=0, cache_hits=0, cache_misses=0,
+    injected_latency_s=0.0,
+)
+_BALANCED = dict(algorithm="balanced", postponements=0, probe_count=0)
+
+#: Markdown of the report below, byte for byte. A.a -> C.c has a zero
+#: elapsed baseline and A.a -> D.d no balanced cell; both print "-".
+_GOLDEN_MARKDOWN = """\
+# Scenario report
+
+- node_count: 4
+- edge_count: 3
+- condition: memory
+- repetitions: 2
+
+## Mean elapsed (s)
+
+| pair | postpone-3[paper] | balanced[paper] |
+|---|---|---|
+| A.a -> B.b (P2-like) | 0.000125 | 0.000250 |
+| A.a -> C.c (P2-like) | 0.000000 | 0.000500 |
+| A.a -> D.d (P1-like) | 0.000125 | - |
+
+## Visited nodes (total)
+
+| pair | postpone-3[paper] | balanced[paper] |
+|---|---|---|
+| A.a -> B.b (P2-like) | 4 | 6 |
+| A.a -> C.c (P2-like) | 4 | 4 |
+| A.a -> D.d (P1-like) | 5 | - |
+
+## Visited forward
+
+| pair | postpone-3[paper] | balanced[paper] |
+|---|---|---|
+| A.a -> B.b (P2-like) | 1 | 1 |
+| A.a -> C.c (P2-like) | 1 | 1 |
+| A.a -> D.d (P1-like) | 2 | - |
+
+## Visited backward
+
+| pair | postpone-3[paper] | balanced[paper] |
+|---|---|---|
+| A.a -> B.b (P2-like) | 3 | 5 |
+| A.a -> C.c (P2-like) | 3 | 3 |
+| A.a -> D.d (P1-like) | 3 | - |
+
+## Mean elapsed relative to postpone-3[paper]
+
+| pair | postpone-3[paper] | balanced[paper] |
+|---|---|---|
+| A.a -> B.b (P2-like) | 1.00x | 2.00x |
+| A.a -> C.c (P2-like) | - | - |
+| A.a -> D.d (P1-like) | 1.00x | - |
+
+## Visited total relative to postpone-3[paper]
+
+| pair | postpone-3[paper] | balanced[paper] |
+|---|---|---|
+| A.a -> B.b (P2-like) | 1.00x | 1.50x |
+| A.a -> C.c (P2-like) | 1.00x | 1.00x |
+| A.a -> D.d (P1-like) | 1.00x | - |
+"""
+
+
+def test_markdown_report_golden():
+    report = ScenarioReport(
+        environment={"node_count": 4, "edge_count": 3, "condition": "memory", "repetitions": 2},
+        rows=(
+            _ROW,
+            replace(_ROW, **_BALANCED, visited_backward=5, visited_total=6, mean_elapsed_s=0.00025),
+            replace(_ROW, final=1, final_name="C.c", mean_elapsed_s=0.0),
+            replace(_ROW, final=1, final_name="C.c", **_BALANCED, mean_elapsed_s=0.0005),
+            replace(_ROW, final=2, final_name="D.d", regime="P1-like", visited_forward=2, visited_total=5),
+        ),
+    )
+    assert emit_report(report, "markdown") == _GOLDEN_MARKDOWN
 
 
 def test_unknown_format_rejected():
