@@ -9,14 +9,7 @@ algorithms on the same query.
 
 from pathlib import Path
 
-from callpath import (
-    SearchConfig,
-    bidir_balanced,
-    bidir_postpone,
-    import_jsonl,
-    resolve_name,
-    unidirectional_shortest_path,
-)
+from callpath import Algorithm, SearchConfig, import_jsonl, resolve_name, run_search
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -33,11 +26,12 @@ for callee in graph.successors(transmit):
 print(f"callers of send(): {[graph.method_meta(u).qualified_name for u in graph.predecessors(send)]}")
 
 print("\nsame query, three algorithms:")
-for name, result in [
-    ("unidirectional", unidirectional_shortest_path(graph, transmit, send)),
-    ("balanced bidirectional", bidir_balanced(graph, transmit, send)),
-    ("postponing bidirectional", bidir_postpone(graph, transmit, send, SearchConfig(delay_steps=3))),
+for name, config in [
+    ("unidirectional", SearchConfig(algorithm=Algorithm.UNIDIRECTIONAL)),
+    ("balanced bidirectional", SearchConfig(algorithm=Algorithm.BIDIR_BALANCED)),
+    ("postponing bidirectional", SearchConfig(delay_steps=3)),
 ]:
+    result = run_search(graph, transmit, send, config)
     edges = " ".join(
         f"{graph.method_meta(e.caller).qualified_name}->{graph.method_meta(e.callee).qualified_name}"
         for e in result.path
@@ -48,5 +42,5 @@ for name, result in [
     )
 
 print("\na pair with no connecting path:")
-reverse = bidir_balanced(graph, send, transmit)
+reverse = run_search(graph, send, transmit, SearchConfig(algorithm=Algorithm.BIDIR_BALANCED))
 print(f"  send -> transmit: {reverse.status.value}")

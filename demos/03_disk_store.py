@@ -11,16 +11,19 @@ import tempfile
 from pathlib import Path
 
 from callpath import (
+    Algorithm,
     CacheConfig,
     CacheMode,
     SearchConfig,
     SyntheticSpec,
-    bidir_balanced,
-    bidir_postpone,
     build_store,
     generate_synthetic,
     open_store,
+    run_search,
 )
+
+BALANCED = SearchConfig(algorithm=Algorithm.BIDIR_BALANCED)
+PROBE_ONLY = SearchConfig(probe_only=True)
 
 graph = generate_synthetic(
     SyntheticSpec(node_count=1000, out_degree=3, hub_count=10, hub_indegree=50, seed=7)
@@ -35,7 +38,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print("\ncold cache per query (the default): every query re-reads from disk")
     with open_store(store_path, CacheConfig(max_cached_nodes=256)) as handle:
         for run in (1, 2):
-            bidir_balanced(handle, 983, 348)
+            run_search(handle, 983, 348, BALANCED)
             stats = handle.access_stats()
             print(f"  after query {run}: adjacency_reads={stats.adjacency_reads} "
                   f"hits={stats.cache_hits} misses={stats.cache_misses}")
@@ -43,25 +46,25 @@ with tempfile.TemporaryDirectory() as tmp:
     print("\nwarm cache across queries: the second query is almost free")
     with open_store(store_path, CacheConfig(max_cached_nodes=256, mode=CacheMode.WARM_ACROSS_QUERIES)) as handle:
         for run in (1, 2):
-            bidir_balanced(handle, 983, 348)
+            run_search(handle, 983, 348, BALANCED)
             stats = handle.access_stats()
             print(f"  after query {run}: adjacency_reads={stats.adjacency_reads} "
                   f"hits={stats.cache_hits} misses={stats.cache_misses}")
 
     print("\nmetadata probes are their own reads: the probing variant pays for them")
     with open_store(store_path, CacheConfig(max_cached_nodes=2048)) as handle:
-        bidir_balanced(handle, 983, 348)
+        run_search(handle, 983, 348, BALANCED)
         print(f"  balanced:   meta_reads={handle.access_stats().meta_reads}")
         handle.reset_stats()
-        result = bidir_postpone(handle, 983, 348, SearchConfig(probe_only=True))
+        result = run_search(handle, 983, 348, PROBE_ONLY)
         stats = handle.access_stats()
         print(f"  probe-only: meta_reads={stats.meta_reads} (probe_count={result.probe_count})")
 
     print("\nwith 1 ms of injected latency per miss, probe cost becomes wall-clock time")
     cache = CacheConfig(max_cached_nodes=2048, latency_per_miss=0.001)
     with open_store(store_path, cache) as handle:
-        balanced = bidir_balanced(handle, 983, 348)
-        probing = bidir_postpone(handle, 983, 348, SearchConfig(probe_only=True))
+        balanced = run_search(handle, 983, 348, BALANCED)
+        probing = run_search(handle, 983, 348, PROBE_ONLY)
         print(f"  balanced:   {balanced.elapsed * 1000:7.1f} ms")
         print(f"  probe-only: {probing.elapsed * 1000:7.1f} ms "
               f"(+{(probing.elapsed - balanced.elapsed) * 1000:.1f} ms for "

@@ -12,15 +12,17 @@ Both cases below are deterministic fixtures the regression suite pins
 exact numbers on.
 """
 
-from callpath import SearchConfig, bidir_balanced, bidir_postpone, generate_synthetic
+from callpath import Algorithm, SearchConfig, generate_synthetic, run_search
 from callpath.fixtures import hub_fixture_spec, postponement_pathology_graph
+
+BALANCED = SearchConfig(algorithm=Algorithm.BIDIR_BALANCED)
 
 print("case 1: the pathology fixture (postponement hurts)")
 graph, s, t = postponement_pathology_graph()
 print(f"  {graph}; only path runs through an interface-kind handler next to the start")
-balanced = bidir_balanced(graph, s, t)
+balanced = run_search(graph, s, t, BALANCED)
 for delay in (3, 6):
-    postponed = bidir_postpone(graph, s, t, SearchConfig(delay_steps=delay))
+    postponed = run_search(graph, s, t, SearchConfig(delay_steps=delay))
     extra = postponed.visited_backward - balanced.visited_backward
     print(
         f"  delay {delay}: visited_backward {postponed.visited_backward:>4} vs "
@@ -31,8 +33,8 @@ for delay in (3, 6):
 print("\ncase 2: the hub fixture, dual-heavy pair (postponement helps)")
 hub_graph = generate_synthetic(hub_fixture_spec())
 s, t = 983, 348
-balanced = bidir_balanced(hub_graph, s, t)
-postponed = bidir_postpone(hub_graph, s, t, SearchConfig(delay_steps=3))
+balanced = run_search(hub_graph, s, t, BALANCED)
+postponed = run_search(hub_graph, s, t, SearchConfig(delay_steps=3))
 total_b = balanced.visited_forward + balanced.visited_backward
 total_p = postponed.visited_forward + postponed.visited_backward
 print(f"  balanced:  visited {total_b:>4} nodes, path length {balanced.length}")

@@ -71,11 +71,8 @@ from .search import (
     SearchState,
     SearchStatus,
     TraceEvent,
-    bidir_balanced,
-    bidir_postpone,
     reconstruct_path,
     run_search,
-    unidirectional_shortest_path,
 )
 from .store import (
     AccessStats,
@@ -119,9 +116,6 @@ __all__ = [
     "SearchStatus",
     "TraceEvent",
     "DEFAULT_POSTPONE_KINDS",
-    "unidirectional_shortest_path",
-    "bidir_balanced",
-    "bidir_postpone",
     "run_search",
     "reconstruct_path",
     # store

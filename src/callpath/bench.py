@@ -25,7 +25,7 @@ import math
 import statistics
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -46,36 +46,6 @@ from .store import CacheConfig, CacheMode, build_store, open_store
 
 SCENARIO_SCHEMA = "callpath-scenario@1"
 REPORT_SCHEMA = "callpath-report@1"
-
-#: Column order of the CSV emitter; frozen, append-only.
-CSV_COLUMNS = (
-    "initial",
-    "final",
-    "initial_name",
-    "final_name",
-    "forward_reach",
-    "backward_reach",
-    "regime",
-    "algorithm",
-    "frontier_policy",
-    "status",
-    "path_length",
-    "visited_forward",
-    "visited_backward",
-    "visited_total",
-    "postponements",
-    "probe_count",
-    "steps",
-    "repetitions",
-    "mean_elapsed_s",
-    "stddev_elapsed_s",
-    "timing_valid",
-    "meta_reads",
-    "adjacency_reads",
-    "cache_hits",
-    "cache_misses",
-    "injected_latency_s",
-)
 
 #: Columns whose values are wall-clock noise; everything else is deterministic.
 TIMING_COLUMNS = ("mean_elapsed_s", "stddev_elapsed_s")
@@ -157,6 +127,10 @@ class ReportRow:
     cache_hits: int
     cache_misses: int
     injected_latency_s: float
+
+
+#: Column order of the CSV emitter: ReportRow's fields. Frozen, append-only.
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 @dataclass(frozen=True)
@@ -483,9 +457,7 @@ def _emit_csv(report: ScenarioReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
-        data = asdict(row)
-        writer.writerow([data[col] for col in CSV_COLUMNS])
+    writer.writerows(astuple(row) for row in report.rows)
     return buf.getvalue()
 
 
@@ -503,10 +475,9 @@ def parse_report_json(text: str) -> ScenarioReport:
     doc = json.loads(text)
     if doc.get("schema") != REPORT_SCHEMA:
         raise ScenarioError(f"unsupported report schema {doc.get('schema')!r}")
-    row_fields = {f.name for f in fields(ReportRow)}
     rows = []
     for raw in doc["rows"]:
-        unknown = set(raw) - row_fields
+        unknown = set(raw) - set(CSV_COLUMNS)
         if unknown:
             raise ScenarioError(f"unknown report row fields {sorted(unknown)}")
         rows.append(ReportRow(**raw))
@@ -518,63 +489,52 @@ def _emit_markdown(report: ScenarioReport) -> str:
     for key, value in report.environment.items():
         out.append(f"- {key}: {value}")
     out.append("")
-    metrics = (
-        ("Mean elapsed (s)", lambda r: f"{r.mean_elapsed_s:.6f}"),
-        ("Visited nodes (total)", lambda r: str(r.visited_total)),
-        ("Visited forward", lambda r: str(r.visited_forward)),
-        ("Visited backward", lambda r: str(r.visited_backward)),
-    )
-    pair_labels: list[str] = []
-    algo_labels: list[str] = []
-    for row in report.rows:
-        pair = f"{row.initial_name} -> {row.final_name} ({row.regime})"
-        algo = f"{row.algorithm}[{row.frontier_policy}]"
-        if pair not in pair_labels:
-            pair_labels.append(pair)
-        if algo not in algo_labels:
-            algo_labels.append(algo)
     cells = {
         (f"{r.initial_name} -> {r.final_name} ({r.regime})", f"{r.algorithm}[{r.frontier_policy}]"): r
         for r in report.rows
     }
-    for title, render in metrics:
+    pair_labels = list(dict.fromkeys(pair for pair, _ in cells))
+    algo_labels = list(dict.fromkeys(algo for _, algo in cells))
+    # Each table renders a cell from its row and the pair's row in the
+    # first algorithm column; a missing cell prints "-".
+    tables = [
+        ("Mean elapsed (s)", lambda r, base: f"{r.mean_elapsed_s:.6f}"),
+        ("Visited nodes (total)", lambda r, base: str(r.visited_total)),
+        ("Visited forward", lambda r, base: str(r.visited_forward)),
+        ("Visited backward", lambda r, base: str(r.visited_backward)),
+    ]
+    if algo_labels:
+        # Ratio tables relative to the first algorithm column, so runs on
+        # different machines stay comparable.
+        baseline = algo_labels[0]
+        tables += [
+            (f"Mean elapsed relative to {baseline}", _ratio(lambda r: r.mean_elapsed_s)),
+            (f"Visited total relative to {baseline}", _ratio(lambda r: r.visited_total)),
+        ]
+    for title, render in tables:
         out.append(f"## {title}")
         out.append("")
         out.append("| pair | " + " | ".join(algo_labels) + " |")
         out.append("|---" * (len(algo_labels) + 1) + "|")
         for pair in pair_labels:
+            base = cells.get((pair, algo_labels[0]))
             values = []
             for algo in algo_labels:
                 row = cells.get((pair, algo))
-                values.append(render(row) if row is not None else "-")
+                values.append(render(row, base) if row is not None else "-")
             out.append(f"| {pair} | " + " | ".join(values) + " |")
         out.append("")
-    # Ratio tables relative to the first algorithm column, so runs on
-    # different machines stay comparable.
-    baseline = algo_labels[0] if algo_labels else None
-    ratio_metrics = (
-        (f"Mean elapsed relative to {baseline}", lambda r: r.mean_elapsed_s, "{:.2f}x"),
-        (f"Visited total relative to {baseline}", lambda r: r.visited_total, "{:.2f}x"),
-    )
-    if baseline is not None:
-        for title, value, fmt in ratio_metrics:
-            out.append(f"## {title}")
-            out.append("")
-            out.append("| pair | " + " | ".join(algo_labels) + " |")
-            out.append("|---" * (len(algo_labels) + 1) + "|")
-            for pair in pair_labels:
-                base_row = cells.get((pair, baseline))
-                base = value(base_row) if base_row is not None else 0.0
-                values = []
-                for algo in algo_labels:
-                    row = cells.get((pair, algo))
-                    if row is None or not base:
-                        values.append("-")
-                    else:
-                        values.append(fmt.format(value(row) / base))
-                out.append(f"| {pair} | " + " | ".join(values) + " |")
-            out.append("")
     return "\n".join(out)
+
+
+def _ratio(value):
+    """A cell renderer printing ``value(row) / value(base)``, or "-" when
+    the pair has no baseline row or its value is zero."""
+
+    def render(row: ReportRow, base: ReportRow | None) -> str:
+        return f"{value(row) / value(base):.2f}x" if base is not None and value(base) else "-"
+
+    return render
 
 
 # ---------------------------------------------------------------------------

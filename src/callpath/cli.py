@@ -136,7 +136,7 @@ def _node_ref(graph, text: str) -> int:
     return resolve_name(graph, text)
 
 
-def _cmd_import(args) -> int:
+def _cmd_import(args, parser: argparse.ArgumentParser) -> int:
     graph = _load_graph(args.graph, args)
     if args.out:
         Path(args.out).write_text(export_jsonl(graph), encoding="utf-8")
@@ -145,7 +145,7 @@ def _cmd_import(args) -> int:
     return 0
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args, parser: argparse.ArgumentParser) -> int:
     spec = SyntheticSpec(
         node_count=args.nodes,
         edge_probability=args.edge_probability,
@@ -167,7 +167,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_build_store(args) -> int:
+def _cmd_build_store(args, parser: argparse.ArgumentParser) -> int:
     graph = _load_graph(args.graph, args)
     summary = build_store(graph, args.out)
     if not args.quiet:
@@ -178,7 +178,7 @@ def _cmd_build_store(args) -> int:
     return 0
 
 
-def _cmd_reach(args) -> int:
+def _cmd_reach(args, parser: argparse.ArgumentParser) -> int:
     graph = _load_graph(args.graph, args)
     u = _node_ref(graph, args.node)
     fmt = args.format or "text"
@@ -317,12 +317,9 @@ def _cmd_path(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
-    fmt = args.format or "csv"
-    if fmt not in ("csv", "json", "markdown"):
-        parser.error(f"bench only emits csv|json|markdown, not {fmt!r}")
     scenario = load_scenario(args.scenario)
     report = run_scenario(scenario)
-    text = emit_report(report, fmt)
+    text = emit_report(report, args.format or "csv")
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         if not args.quiet:
@@ -332,42 +329,28 @@ def _cmd_bench(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-_FORMATS = {
-    "import": (None,),
-    "generate": (None,),
-    "build-store": (None,),
-    "reach": (None, "text", "json"),
-    "path": (None, "text", "json"),
-    "bench": (None, "csv", "json", "markdown"),
+#: Each command's handler and the ``--format`` values it accepts.
+_COMMANDS = {
+    "import": (_cmd_import, (None,)),
+    "generate": (_cmd_generate, (None,)),
+    "build-store": (_cmd_build_store, (None,)),
+    "reach": (_cmd_reach, (None, "text", "json")),
+    "path": (_cmd_path, (None, "text", "json")),
+    "bench": (_cmd_bench, (None, "csv", "json", "markdown")),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format not in _FORMATS[args.command]:
+    handler, formats = _COMMANDS[args.command]
+    if args.format not in formats:
         parser.error(f"--format {args.format!r} not supported for {args.command}")
     try:
-        if args.command == "import":
-            return _cmd_import(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "build-store":
-            return _cmd_build_store(args)
-        if args.command == "reach":
-            return _cmd_reach(args)
-        if args.command == "path":
-            return _cmd_path(args, parser)
-        if args.command == "bench":
-            return _cmd_bench(args, parser)
-        parser.error(f"unknown command {args.command!r}")
-    except CallpathError as exc:
+        return handler(args, parser)
+    except (CallpathError, OSError) as exc:
         print(f"callpath: error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"callpath: error: {exc}", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

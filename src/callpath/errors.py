@@ -42,11 +42,14 @@ class AmbiguousNameError(CallpathError):
 
 
 class JsonlFormatError(CallpathError):
-    """A graph JSONL stream is malformed; carries the offending line number."""
+    """A graph JSONL stream is malformed; carries the offending line number
+    and, when the stream has one, the file name (``source``)."""
 
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno: int, message: str, source: str | None = None):
+        where = f"line {lineno}" if source is None else f"{source}: line {lineno}"
+        super().__init__(f"{where}: {message}")
         self.lineno = lineno
+        self.detail = message
 
 
 class SyntheticSpecError(CallpathError):

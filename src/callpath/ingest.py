@@ -68,8 +68,9 @@ def import_jsonl(lines: Iterable[str] | IO[str]) -> InMemoryGraph:
     Raises JsonlFormatError (with the line number) on malformed JSON,
     unknown record or kind values, duplicate node ids, or edges that
     reference an id not yet declared. Duplicate edges are deduplicated.
-    A text file whose bytes are not UTF-8 raises a CallpathError naming
-    the file.
+    Both errors name the file when the stream has a ``name`` (an open
+    text file does); a text file whose bytes are not UTF-8 raises a
+    CallpathError.
     """
     metas: list[MethodMeta] = []
     id_map: dict[object, int] = {}  # keyed by _id_key
@@ -97,6 +98,11 @@ def import_jsonl(lines: Iterable[str] | IO[str]) -> InMemoryGraph:
                 callees.append(callee)
             else:
                 raise JsonlFormatError(lineno, f"unknown record type {record!r}")
+    except JsonlFormatError as exc:
+        name = getattr(lines, "name", None)
+        if name is None:
+            raise
+        raise JsonlFormatError(exc.lineno, exc.detail, source=name) from exc
     except UnicodeDecodeError as exc:  # from a text file's line iterator
         name = getattr(lines, "name", "input")
         raise CallpathError(f"{name}: not UTF-8 text ({exc.reason})") from exc

@@ -146,10 +146,6 @@ class InMemoryGraph:
         self._bwd = _rows(*self._csr[Direction.BACKWARD], node_ids)
         self._nodes: tuple[MethodMeta, ...] = tuple(nodes)
         self._edge_count = len(callers)
-        index: dict[str, list[int]] = {}
-        for meta in self._nodes:
-            index.setdefault(meta.qualified_name, []).append(meta.node)
-        self.name_index: dict[str, list[int]] = index
 
     # ---- access contract ---------------------------------------------------
 
@@ -222,18 +218,14 @@ def resolve_name(graph, qualified_name: str) -> NodeId:
 
     Raises NameNotFoundError when nothing matches and AmbiguousNameError
     (listing the candidate ids) when imported overloads collapsed onto
-    one name. Works against any backend: uses the in-memory name index
-    when present, otherwise scans node metadata.
+    one name. Works against any backend: it scans the node metadata
+    once, so it costs one ``method_meta`` call per node.
     """
-    index = getattr(graph, "name_index", None)
-    if index is not None:
-        candidates = index.get(qualified_name, [])
-    else:
-        candidates = [
-            u
-            for u in range(graph.node_count)
-            if graph.method_meta(u).qualified_name == qualified_name
-        ]
+    candidates = [
+        u
+        for u in range(graph.node_count)
+        if graph.method_meta(u).qualified_name == qualified_name
+    ]
     if not candidates:
         raise NameNotFoundError(qualified_name)
     if len(candidates) > 1:

@@ -1,11 +1,12 @@
 """Shortest call-path search: unidirectional baseline, balanced
 bidirectional search, and the postponing bidirectional variant.
 
-All four variants run one kernel, ``_search``, configured by
-``SearchConfig``. It treats every edge as weight one and runs layered
-frontier expansion: each round picks one direction, processes that
-direction's entire frontier in ascending node-id order, and commits the
-next frontier only after the round finishes. The search stops the
+``run_search(graph, initial, final, config)`` is the one search call:
+``SearchConfig`` names the variant and its knobs, and every variant
+runs one kernel, ``_search``. It treats every edge as weight one and
+runs layered frontier expansion: each round picks one direction,
+processes that direction's entire frontier in ascending node-id order,
+and commits the next frontier only after the round finishes. The search stops the
 moment a relaxation lands on a node currently sitting in the *opposite*
 frontier (not merely the opposite visited set), which keeps visited
 counts and meeting points reproducible at the cost of sometimes
@@ -459,59 +460,6 @@ def _search(
     return result
 
 
-def unidirectional_shortest_path(
-    graph,
-    initial: NodeId,
-    final: NodeId,
-    *,
-    trace: list[TraceEvent] | None = None,
-) -> SearchResult:
-    """Forward layered breadth-first search; the naive baseline.
-
-    Unit edge weights make plain BFS exact, so the returned length is
-    always the true shortest distance. Stops the moment the final node
-    is first relaxed.
-    """
-    config = SearchConfig(algorithm=Algorithm.UNIDIRECTIONAL)
-    return _search(graph, initial, final, config, trace=trace)
-
-
-def bidir_balanced(
-    graph,
-    initial: NodeId,
-    final: NodeId,
-    frontier_policy: FrontierPolicy = FrontierPolicy.PAPER_LITERAL,
-    *,
-    trace: list[TraceEvent] | None = None,
-) -> SearchResult:
-    """Bidirectional search with no postponement and no metadata probes."""
-    config = SearchConfig(algorithm=Algorithm.BIDIR_BALANCED, frontier_policy=frontier_policy)
-    return _search(graph, initial, final, config, trace=trace)
-
-
-def bidir_postpone(
-    graph,
-    initial: NodeId,
-    final: NodeId,
-    config: SearchConfig | None = None,
-    *,
-    trace: list[TraceEvent] | None = None,
-) -> SearchResult:
-    """Bidirectional search that postpones backward expansion of
-    interface/abstract-class methods for ``config.delay_steps`` rounds.
-
-    With ``delay_steps=0`` and ``probe_only=False`` this is exactly
-    ``bidir_balanced``. With ``probe_only=True`` the traversal is also
-    identical to the balanced one, but every backward-processed node
-    costs one metadata probe.
-    """
-    if config is None:
-        config = SearchConfig()
-    if config.algorithm is not Algorithm.BIDIR_POSTPONE:
-        raise ValueError(f"bidir_postpone called with algorithm {config.algorithm}")
-    return _search(graph, initial, final, config, trace=trace)
-
-
 def run_search(
     graph,
     initial: NodeId,
@@ -520,5 +468,13 @@ def run_search(
     *,
     trace: list[TraceEvent] | None = None,
 ) -> SearchResult:
-    """Run ``config`` on one query; the single entry point used by bench and CLI."""
+    """Run ``config`` on one query from ``initial`` to ``final``: the one search call.
+
+    ``config.algorithm`` picks the variant (uni, balanced or postpone)
+    and the other fields its knobs. A postpone config with
+    ``delay_steps=0`` traverses exactly as balanced; with
+    ``probe_only=True`` it also traverses as balanced, but pays one
+    metadata probe per backward-processed node. ``trace``, if given,
+    receives one TraceEvent per frontier event.
+    """
     return _search(graph, initial, final, config, trace=trace)

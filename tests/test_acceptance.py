@@ -14,6 +14,7 @@ import csv
 import io
 import statistics
 import time
+from dataclasses import replace
 from math import inf
 from pathlib import Path
 
@@ -29,10 +30,7 @@ from callpath.search import (
     FrontierPolicy,
     SearchConfig,
     SearchStatus,
-    bidir_balanced,
-    bidir_postpone,
     run_search,
-    unidirectional_shortest_path,
 )
 from callpath.store import CacheConfig, CacheMode, build_store, open_store
 
@@ -70,6 +68,8 @@ FROZEN_POSTPONE_MAX_GAP = {
 FROZEN_PATHOLOGY_EXTRA_BACKWARD = 127
 
 HUB_P4_PAIR = (983, 348)
+
+BALANCED = SearchConfig(algorithm=Algorithm.BIDIR_BALANCED)
 
 _KINDS = (ClassKind.CONCRETE, ClassKind.INTERFACE, ClassKind.ABSTRACT)
 
@@ -172,7 +172,9 @@ def test_criterion_02_unidirectional_optimality():
         for s in range(graph.node_count):
             dist = bfs_distances(graph, s)
             for t in range(graph.node_count):
-                result = unidirectional_shortest_path(graph, s, t)
+                result = run_search(
+                    graph, s, t, SearchConfig(algorithm=Algorithm.UNIDIRECTIONAL)
+                )
                 checked += 1
                 if s == t or dist[t] is not inf:
                     assert result.found
@@ -193,8 +195,8 @@ def test_criterion_03_reduction_identity():
             s, t = int(s), int(t)
             instances += 1
             for policy in FrontierPolicy:
-                balanced = bidir_balanced(graph, s, t, policy)
-                reduced = bidir_postpone(
+                balanced = run_search(graph, s, t, replace(BALANCED, frontier_policy=policy))
+                reduced = run_search(
                     graph, s, t, SearchConfig(delay_steps=0, frontier_policy=policy)
                 )
                 assert balanced.path == reduced.path
@@ -217,8 +219,10 @@ def test_criterion_04_probe_only_traversal_equivalence():
         instances += 1
         for policy in FrontierPolicy:
             trace_bal, trace_probe = [], []
-            balanced = bidir_balanced(graph, s, t, policy, trace=trace_bal)
-            probed = bidir_postpone(
+            balanced = run_search(
+                graph, s, t, replace(BALANCED, frontier_policy=policy), trace=trace_bal
+            )
+            probed = run_search(
                 graph, s, t, SearchConfig(probe_only=True, frontier_policy=policy),
                 trace=trace_probe,
             )
@@ -245,8 +249,8 @@ def test_criterion_05_p4_improvement(hub_graph):
     profile = classify_pair(hub_graph, s, t)
     assert profile.regime is Regime.P4
     t0 = time.perf_counter()
-    postponed = bidir_postpone(hub_graph, s, t, SearchConfig(delay_steps=3))
-    balanced = bidir_balanced(hub_graph, s, t)
+    postponed = run_search(hub_graph, s, t, SearchConfig(delay_steps=3))
+    balanced = run_search(hub_graph, s, t, BALANCED)
     elapsed = time.perf_counter() - t0
     total_postponed = postponed.visited_forward + postponed.visited_backward
     total_balanced = balanced.visited_forward + balanced.visited_backward
@@ -264,8 +268,8 @@ def test_criterion_06_p3_pathology_regression():
     graph, s, t = postponement_pathology_graph()
     meta = graph.method_meta(graph.successors(s)[0])
     assert meta.class_kind is ClassKind.INTERFACE  # node forward-adjacent to the meeting point
-    postponed = bidir_postpone(graph, s, t, SearchConfig(delay_steps=3))
-    balanced = bidir_balanced(graph, s, t)
+    postponed = run_search(graph, s, t, SearchConfig(delay_steps=3))
+    balanced = run_search(graph, s, t, BALANCED)
     assert postponed.postponements >= 1
     assert postponed.visited_backward > balanced.visited_backward
     extra = postponed.visited_backward - balanced.visited_backward
@@ -351,7 +355,7 @@ def test_criterion_08_probe_overhead_measurable(hub_graph, tmp_path):
 def test_criterion_09_delay_accounting(delay):
     graph, s, t = postponement_pathology_graph()
     trace = []
-    result = bidir_postpone(graph, s, t, SearchConfig(delay_steps=delay), trace=trace)
+    result = run_search(graph, s, t, SearchConfig(delay_steps=delay), trace=trace)
     assert result.postponements >= 1
     by_node: dict[int, list[str]] = {}
     for event in trace:

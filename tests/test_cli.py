@@ -290,6 +290,26 @@ def _cli_subprocess(*argv):
     )
 
 
+def test_bench_graph_jsonl_error_names_the_graph_file(tmp_path):
+    graph = tmp_path / "graph.jsonl"
+    graph.write_text('{"record": "edge", "caller": 0, "callee": 1}\n')
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "graph": {"jsonl": "graph.jsonl"},
+                "pairs": [{"initial": 0, "final": 1}],
+                "algorithms": [{"algorithm": "uni"}],
+            }
+        )
+    )
+    proc = _cli_subprocess("bench", "--scenario", str(scenario))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert f"{graph.resolve()}: line 1: " in proc.stderr
+
+
 _NOT_UTF8 = b"\xff\xfe" + (DATA / "transceiver.jsonl").read_bytes()
 
 

@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 from math import inf
 from pathlib import Path
 
@@ -18,11 +19,8 @@ from callpath.search import (
     SearchConfig,
     SearchState,
     SearchStatus,
-    bidir_balanced,
-    bidir_postpone,
     reconstruct_path,
     run_search,
-    unidirectional_shortest_path,
 )
 
 from callpath.store import CacheConfig, build_store, open_store
@@ -30,6 +28,8 @@ from callpath.store import CacheConfig, build_store, open_store
 from oracles import bfs_distances, is_valid_path, layered_bfs, random_graph
 
 POLICIES = (FrontierPolicy.PAPER_LITERAL, FrontierPolicy.SMALLER_FIRST)
+UNI = SearchConfig(algorithm=Algorithm.UNIDIRECTIONAL)
+BALANCED = SearchConfig(algorithm=Algorithm.BIDIR_BALANCED)
 
 
 def chain_graph(names_kinds, edges):
@@ -45,7 +45,7 @@ def chain_graph(names_kinds, edges):
 
 
 def test_uni_fig_direct_edge(fig_graph):
-    result = unidirectional_shortest_path(fig_graph, 0, 3)
+    result = run_search(fig_graph, 0, 3, UNI)
     assert result.found
     assert result.path == (Edge(0, 3),)
     assert result.length == 1
@@ -53,21 +53,21 @@ def test_uni_fig_direct_edge(fig_graph):
 
 
 def test_uni_same_node(fig_graph):
-    result = unidirectional_shortest_path(fig_graph, 2, 2)
+    result = run_search(fig_graph, 2, 2, UNI)
     assert result.found
     assert result.path == ()
     assert result.length == 0
 
 
 def test_uni_unreachable(fig_graph):
-    result = unidirectional_shortest_path(fig_graph, 3, 0)
+    result = run_search(fig_graph, 3, 0, UNI)
     assert result.status is SearchStatus.NO_PATH
     assert result.path == ()
 
 
 def test_uni_invalid_node(fig_graph):
     with pytest.raises(InvalidNodeError):
-        unidirectional_shortest_path(fig_graph, 0, 99)
+        run_search(fig_graph, 0, 99, UNI)
 
 
 def test_uni_matches_bfs_oracle_all_pairs():
@@ -75,7 +75,7 @@ def test_uni_matches_bfs_oracle_all_pairs():
     for s in range(graph.node_count):
         dist = bfs_distances(graph, s)
         for t in range(graph.node_count):
-            result = unidirectional_shortest_path(graph, s, t)
+            result = run_search(graph, s, t, UNI)
             if dist[t] is inf:
                 assert result.status is SearchStatus.NO_PATH
             else:
@@ -86,7 +86,7 @@ def test_uni_matches_bfs_oracle_all_pairs():
 
 def _assert_uni_matches_layered_bfs(graph, s, t):
     trace = []
-    result = unidirectional_shortest_path(graph, s, t, trace=trace)
+    result = run_search(graph, s, t, UNI, trace=trace)
     expected = layered_bfs(graph, s, t)
     if expected["path"] is None:
         assert result.status is SearchStatus.NO_PATH
@@ -128,12 +128,12 @@ def test_uni_counters_match_layered_bfs_reference(on_disk, hub_graph, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# bidir_balanced
+# balanced
 # ---------------------------------------------------------------------------
 
 
 def test_balanced_fig(fig_graph):
-    result = bidir_balanced(fig_graph, 0, 3)
+    result = run_search(fig_graph, 0, 3, BALANCED)
     assert result.found
     assert result.length == 1
     assert result.meeting_point in (0, 3)
@@ -142,7 +142,7 @@ def test_balanced_fig(fig_graph):
 
 
 def test_balanced_unreachable(fig_graph):
-    result = bidir_balanced(fig_graph, 3, 0)
+    result = run_search(fig_graph, 3, 0, BALANCED)
     assert result.status is SearchStatus.NO_PATH
     assert result.meeting_point is None
 
@@ -158,7 +158,7 @@ def test_balanced_exhaustive_small_sweep(policy):
         for s in range(n):
             dist = bfs_distances(graph, s)
             for t in range(n):
-                result = bidir_balanced(graph, s, t, policy)
+                result = run_search(graph, s, t, replace(BALANCED, frontier_policy=policy))
                 reachable = (dist[t] is not inf) or s == t
                 assert result.found == reachable
                 if result.found:
@@ -169,7 +169,9 @@ def test_balanced_exhaustive_small_sweep(policy):
 def test_balanced_paper_literal_is_backward_only(fig_graph):
     # under the literal frontier rule the forward frontier never grows
     # past the start node, so no forward expansion happens on found pairs
-    result = bidir_balanced(fig_graph, 0, 3, FrontierPolicy.PAPER_LITERAL)
+    result = run_search(
+        fig_graph, 0, 3, replace(BALANCED, frontier_policy=FrontierPolicy.PAPER_LITERAL)
+    )
     assert result.visited_forward == 0
     assert result.meeting_point == 0
 
@@ -180,19 +182,19 @@ def test_balanced_meeting_accounting():
         graph = random_graph(rng, 15, 0.15)
         s, t = int(rng.integers(15)), int(rng.integers(15))
         for policy in POLICIES:
-            result = bidir_balanced(graph, s, t, policy)
+            result = run_search(graph, s, t, replace(BALANCED, frontier_policy=policy))
             if result.found and s != t:
                 assert result.length == len(result.path)
                 assert result.meeting_point is not None
 
 
 # ---------------------------------------------------------------------------
-# bidir_postpone
+# postpone
 # ---------------------------------------------------------------------------
 
 
 def test_postpone_fig_no_interface_nodes(fig_graph):
-    result = bidir_postpone(fig_graph, 0, 3, SearchConfig(delay_steps=3))
+    result = run_search(fig_graph, 0, 3, SearchConfig(delay_steps=3))
     assert result.found
     assert result.length == 1
     assert result.postponements == 0
@@ -203,14 +205,12 @@ def test_postpone_config_validation(fig_graph):
         SearchConfig(algorithm=Algorithm.BIDIR_BALANCED, probe_only=True)
     with pytest.raises(ValueError):
         SearchConfig(delay_steps=-1)
-    with pytest.raises(ValueError):
-        bidir_postpone(fig_graph, 0, 3, SearchConfig(algorithm=Algorithm.UNIDIRECTIONAL))
 
 
 def test_postpone_pathology_visits_more_backward():
     graph, s, t = postponement_pathology_graph()
-    balanced = bidir_balanced(graph, s, t)
-    postponed = bidir_postpone(graph, s, t, SearchConfig(delay_steps=3))
+    balanced = run_search(graph, s, t, BALANCED)
+    postponed = run_search(graph, s, t, SearchConfig(delay_steps=3))
     assert postponed.postponements == 1
     assert postponed.visited_backward > balanced.visited_backward
     assert postponed.path == balanced.path  # same route, found later
@@ -219,8 +219,8 @@ def test_postpone_pathology_visits_more_backward():
 
 def test_postpone_hub_fixture_beats_balanced_on_dual_heavy_pair(hub_graph):
     s, t = 983, 348
-    balanced = bidir_balanced(hub_graph, s, t)
-    postponed = bidir_postpone(hub_graph, s, t, SearchConfig(delay_steps=3))
+    balanced = run_search(hub_graph, s, t, BALANCED)
+    postponed = run_search(hub_graph, s, t, SearchConfig(delay_steps=3))
     assert postponed.found and balanced.found
     total_postponed = postponed.visited_forward + postponed.visited_backward
     total_balanced = balanced.visited_forward + balanced.visited_backward
@@ -235,8 +235,8 @@ def test_delay_zero_reduces_to_balanced(policy):
         n = int(rng.integers(2, 40))
         graph = random_graph(rng, n, float(rng.random() * 0.3))
         s, t = int(rng.integers(n)), int(rng.integers(n))
-        a = bidir_balanced(graph, s, t, policy)
-        b = bidir_postpone(graph, s, t, config)
+        a = run_search(graph, s, t, replace(BALANCED, frontier_policy=policy))
+        b = run_search(graph, s, t, config)
         assert a.same_traversal(b)
         assert b.probe_count == 0
 
@@ -250,8 +250,8 @@ def test_probe_only_traversal_matches_balanced(policy):
         graph = random_graph(rng, n, float(rng.random() * 0.3))
         s, t = int(rng.integers(n)), int(rng.integers(n))
         trace_b, trace_p = [], []
-        a = bidir_balanced(graph, s, t, policy, trace=trace_b)
-        b = bidir_postpone(graph, s, t, config, trace=trace_p)
+        a = run_search(graph, s, t, replace(BALANCED, frontier_policy=policy), trace=trace_b)
+        b = run_search(graph, s, t, config, trace=trace_p)
         assert a.path == b.path and a.status == b.status
         assert (a.visited_forward, a.visited_backward, a.steps) == (
             b.visited_forward,
@@ -277,8 +277,8 @@ def test_no_postpone_kind_nodes_means_identical_to_balanced():
                 metas, [(u, v) for u in range(n) for v in range(n) if draws[u, v] < 0.2]
             )
             s, t = int(rng.integers(n)), int(rng.integers(n))
-            a = bidir_balanced(graph, s, t)
-            b = bidir_postpone(graph, s, t, SearchConfig(delay_steps=delay))
+            a = run_search(graph, s, t, BALANCED)
+            b = run_search(graph, s, t, SearchConfig(delay_steps=delay))
             assert a.path == b.path
             assert (a.visited_forward, a.visited_backward, a.steps) == (
                 b.visited_forward,
@@ -292,7 +292,7 @@ def test_no_postpone_kind_nodes_means_identical_to_balanced():
 def test_postponed_node_sits_out_exactly_delay_rounds(delay):
     graph, s, t = postponement_pathology_graph()
     trace = []
-    result = bidir_postpone(graph, s, t, SearchConfig(delay_steps=delay), trace=trace)
+    result = run_search(graph, s, t, SearchConfig(delay_steps=delay), trace=trace)
     assert result.postponements == 1
     by_node: dict[int, list[str]] = {}
     for event in trace:
@@ -313,7 +313,7 @@ def test_postponement_triggers_at_most_once_per_node():
         graph = random_graph(rng, n, 0.25)
         s, t = int(rng.integers(n)), int(rng.integers(n))
         trace = []
-        bidir_postpone(graph, s, t, SearchConfig(delay_steps=2), trace=trace)
+        run_search(graph, s, t, SearchConfig(delay_steps=2), trace=trace)
         triggers: dict[int, int] = {}
         for event in trace:
             if event.action == "postponed":
@@ -334,7 +334,7 @@ def test_completeness_matches_reachability_randomized():
                 SearchConfig(delay_steps=6, frontier_policy=policy),
                 SearchConfig(probe_only=True, frontier_policy=policy),
             ):
-                result = bidir_postpone(graph, s, t, config)
+                result = run_search(graph, s, t, config)
                 assert result.found == reachable
                 if result.found:
                     assert is_valid_path(graph, s, t, result.path)
@@ -345,9 +345,9 @@ def test_postpone_kinds_configurable():
     # set is restricted to interface only
     kinds = [ClassKind.CONCRETE, ClassKind.ABSTRACT, ClassKind.CONCRETE, ClassKind.CONCRETE]
     graph = chain_graph(kinds, [(0, 1), (1, 2), (2, 3)])
-    default = bidir_postpone(graph, 0, 3, SearchConfig(delay_steps=3))
+    default = run_search(graph, 0, 3, SearchConfig(delay_steps=3))
     assert default.postponements == 1
-    restricted = bidir_postpone(
+    restricted = run_search(
         graph, 0, 3, SearchConfig(delay_steps=3, postpone_kinds=frozenset({ClassKind.INTERFACE}))
     )
     assert restricted.postponements == 0
@@ -357,7 +357,7 @@ def test_postponement_only_applies_backward():
     # interface node on the forward side of the meeting: never postponed
     kinds = [ClassKind.INTERFACE, ClassKind.INTERFACE, ClassKind.CONCRETE]
     graph = chain_graph(kinds, [(0, 1), (1, 2)])
-    result = bidir_postpone(
+    result = run_search(
         graph, 0, 2, SearchConfig(delay_steps=3, frontier_policy=FrontierPolicy.SMALLER_FIRST)
     )
     assert result.found
@@ -442,8 +442,8 @@ def test_found_paths_pass_independent_validator_randomized():
 
 def test_search_determinism_same_counts_across_runs(hub_graph):
     config = SearchConfig(delay_steps=3)
-    first = bidir_postpone(hub_graph, 983, 348, config)
-    second = bidir_postpone(hub_graph, 983, 348, config)
+    first = run_search(hub_graph, 983, 348, config)
+    second = run_search(hub_graph, 983, 348, config)
     assert first.same_traversal(second)
 
 
@@ -465,8 +465,8 @@ def test_chain_with_extra_callers_postpones_without_extra_visits():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4)]  # s -> a -> i -> b -> t
     edges += [(5 + j, 2) for j in range(20)]  # 20 callers of i
     graph = chain_graph(kinds, edges)
-    balanced = bidir_balanced(graph, 0, 4)
-    postponed = bidir_postpone(graph, 0, 4, SearchConfig(delay_steps=3))
+    balanced = run_search(graph, 0, 4, BALANCED)
+    postponed = run_search(graph, 0, 4, SearchConfig(delay_steps=3))
     assert postponed.postponements == 1
     assert postponed.visited_backward == balanced.visited_backward
     assert postponed.steps == balanced.steps + 3  # the delay costs rounds, not visits

@@ -18,8 +18,6 @@ from callpath.search import (
     Algorithm,
     FrontierPolicy,
     SearchConfig,
-    bidir_balanced,
-    bidir_postpone,
     run_search,
 )
 from callpath.store import (
@@ -29,6 +27,8 @@ from callpath.store import (
     is_store_file,
     open_store,
 )
+
+BALANCED = SearchConfig(algorithm=Algorithm.BIDIR_BALANCED)
 
 
 @pytest.fixture()
@@ -175,9 +175,9 @@ def test_lru_eviction_bounds_cache(fig_store):
 
 def test_cold_mode_clears_cache_per_query(fig_store, fig_graph):
     with open_store(fig_store, CacheConfig(mode=CacheMode.COLD_PER_QUERY)) as handle:
-        bidir_balanced(handle, 0, 3)
+        run_search(handle, 0, 3, BALANCED)
         first = handle.access_stats()
-        bidir_balanced(handle, 0, 3)
+        run_search(handle, 0, 3, BALANCED)
         second = handle.access_stats()
         # identical cold traversal: the second query repeats every miss
         assert second.cache_misses == 2 * first.cache_misses
@@ -185,9 +185,9 @@ def test_cold_mode_clears_cache_per_query(fig_store, fig_graph):
 
 def test_warm_mode_keeps_cache_across_queries(fig_store):
     with open_store(fig_store, CacheConfig(mode=CacheMode.WARM_ACROSS_QUERIES)) as handle:
-        bidir_balanced(handle, 0, 3)
+        run_search(handle, 0, 3, BALANCED)
         first = handle.access_stats()
-        bidir_balanced(handle, 0, 3)
+        run_search(handle, 0, 3, BALANCED)
         second = handle.access_stats()
         assert second.cache_misses == first.cache_misses
         assert second.cache_hits > first.cache_hits
@@ -195,13 +195,13 @@ def test_warm_mode_keeps_cache_across_queries(fig_store):
 
 def test_balanced_never_reads_metadata(fig_store):
     with open_store(fig_store) as handle:
-        bidir_balanced(handle, 0, 3)
+        run_search(handle, 0, 3, BALANCED)
         assert handle.access_stats().meta_reads == 0
 
 
 def test_probe_only_reads_metadata(fig_store):
     with open_store(fig_store) as handle:
-        result = bidir_postpone(handle, 0, 3, SearchConfig(probe_only=True))
+        result = run_search(handle, 0, 3, SearchConfig(probe_only=True))
         stats = handle.access_stats()
         assert stats.meta_reads > 0
         assert stats.meta_reads == result.probe_count
