@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -131,7 +132,8 @@ def _load_graph(path: str, args) -> object:
 
 
 def _node_ref(graph, text: str) -> int:
-    if text.lstrip("-").isdigit():
+    """A node given as an id (ASCII digits, optionally negative) or a name."""
+    if re.fullmatch(r"-?[0-9]+", text):
         return int(text)
     return resolve_name(graph, text)
 

@@ -17,6 +17,13 @@ optional, and the search kernel looks each up once per query:
   instead of decoding the whole record. Without it a probe calls
   ``method_meta(u)`` and reads the field, with the same result.
 
+The search kernel reads an :class:`InMemoryGraph` through more than
+the contract. Rounds with a large frontier run as array operations over
+its CSR arrays (``csr``) and postponement tests over its per-node kind
+codes (``kind_codes``); rounds node by node index its decoded runs
+(``rows``) without the id check, since frontier ids are valid. Any other
+backend is searched through the contract alone.
+
 Graphs are immutable once built, so concurrent readers are safe.
 """
 
@@ -47,6 +54,9 @@ class ClassKind(Enum):
     INTERFACE = "interface"
     ABSTRACT = "abstract"
     CONCRETE = "concrete"
+
+
+_KIND_CODES = {kind: code for code, kind in enumerate(ClassKind)}
 
 
 class Edge(NamedTuple):
@@ -137,15 +147,14 @@ class InMemoryGraph:
         width = max(n, 1)
         callers, callees = np.divmod(np.unique(pairs[:, 0] * width + pairs[:, 1]), width)
         by_callee = np.divmod(np.sort(callees * width + callers), width)
-        self._csr = {
-            Direction.FORWARD: _csr(callers, callees, n),
-            Direction.BACKWARD: _csr(*by_callee, n),
-        }
+        self._csr_fwd = _csr(callers, callees, n)
+        self._csr_bwd = _csr(*by_callee, n)
         node_ids = list(range(n))
-        self._fwd = _rows(*self._csr[Direction.FORWARD], node_ids)
-        self._bwd = _rows(*self._csr[Direction.BACKWARD], node_ids)
+        self._fwd = _rows(*self._csr_fwd, node_ids)
+        self._bwd = _rows(*self._csr_bwd, node_ids)
         self._nodes: tuple[MethodMeta, ...] = tuple(nodes)
         self._edge_count = len(callers)
+        self._kind_codes: np.ndarray | None = None
 
     # ---- access contract ---------------------------------------------------
 
@@ -176,7 +185,22 @@ class InMemoryGraph:
 
     def csr(self, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
         """The read-only (offsets, ids) arrays of one direction."""
-        return self._csr[direction]
+        return self._csr_fwd if direction is Direction.FORWARD else self._csr_bwd
+
+    def rows(self, direction: Direction) -> tuple[tuple[int, ...], ...]:
+        """One direction's runs as tuples of Python ints, indexed by node id:
+        what ``successors``/``predecessors`` serve, without the id check."""
+        return self._fwd if direction is Direction.FORWARD else self._bwd
+
+    def kind_codes(self) -> np.ndarray:
+        """Each node's class kind as its index in ``tuple(ClassKind)``: a
+        read-only int8 array, built on the first call."""
+        if self._kind_codes is None:
+            kinds = (meta.class_kind for meta in self._nodes)
+            codes = np.fromiter(map(_KIND_CODES.__getitem__, kinds), np.int8, len(self._nodes))
+            codes.flags.writeable = False
+            self._kind_codes = codes
+        return self._kind_codes
 
     def edges(self) -> Iterable[Edge]:
         """All edges, sorted by (caller, callee)."""

@@ -38,6 +38,23 @@ very different amounts of the graph:
 
 The benchmark module reports both so their behavior can be compared.
 
+Each round runs one of two bodies; both do exactly the same thing to
+the frontier, so a round's body decides its speed, never the result.
+The per-node body walks the frontier in order and, for each node,
+applies its delay countdown, probe and postponement, then relaxes its
+neighbours one by one through the access contract. It runs on every
+backend. On an ``InMemoryGraph`` a round whose frontier holds at least
+``_ARRAY_ROUND_MIN`` nodes runs the array body, ``_array_round``,
+instead: it gathers every neighbour of the frontier at once from the
+graph's CSR arrays and relaxes them with numpy. An array round costs
+about 65 us before it does any work and about 0.15 us per frontier node
+in the largest rounds; node by node, a round costs about 1.5 us per
+node on the mem-hub benchmark graph and about 0.5 us on small sparse
+graphs. ``_ARRAY_ROUND_MIN`` is a constant set by timing both bodies
+(see its comment), not an option: it moves no counter, only time. The disk store and other backends have no CSR
+arrays and always run node by node, so their I/O accounting is the
+access contract's, call by call.
+
 A query costs the nodes it touches, not ``node_count``. The prev/dist
 lists are taken from tables that earlier queries handed back, under a
 distance offset that makes their old entries read as "not reached"
@@ -46,20 +63,29 @@ delays and postponements live in a dict and a set of a few entries.
 Tables of length ``node_count`` are built only on first use, when the
 graph size changes, every ~2**30 / node_count queries when the offset
 runs out, and for ``return_state=True``, which always gets fresh tables
-holding plain distances. Each thread searching at the same time keeps
-one spare set, about 32 * node_count bytes.
+holding plain distances. An in-memory query starts on those lists too;
+its first array round moves the entries it has written (those of the
+endpoints and of every frontier it committed) into int32 arrays,
+``_ArrayTables``, reused under the same falling offset, and the rest of
+the query runs on the arrays, its per-node rounds indexing them
+through memoryviews. Each thread searching at the same time keeps one
+spare set of lists, about 32 * node_count bytes, and once it has run an
+array round one set of arrays, about 28 * node_count bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from math import inf
 from time import perf_counter
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InternalSearchError
-from .model import ClassKind, Edge, NodeId, check_node
+from .model import ClassKind, Direction, Edge, InMemoryGraph, NodeId, check_node
 
 DEFAULT_POSTPONE_KINDS = frozenset({ClassKind.INTERFACE, ClassKind.ABSTRACT})
 DEFAULT_DELAY_STEPS = 3
@@ -136,10 +162,14 @@ class SearchState:
     ``delay`` maps each node still sitting out rounds to the rounds
     left, and ``postponed`` holds the nodes whose postponement fired.
 
-    ``_search(..., return_state=True)`` builds fresh prev/dist lists of
-    length ``node_count`` for the state it returns, so they hold plain
-    distances. Without it the kernel reuses tables from earlier queries
-    (see ``_Tables``) and a query costs only the nodes it touches.
+    ``_search(..., return_state=True)`` builds fresh tables of length
+    ``node_count`` for the state it returns and hands them over as lists
+    holding plain distances, ``None`` for no predecessor and ``inf`` for
+    not reached, whichever round bodies ran (the array tables of an
+    in-memory query are converted). Without it the kernel reuses tables
+    from earlier queries (see ``_Tables`` and ``_ArrayTables``) and a
+    query costs only the nodes it touches; ``reconstruct_path`` then
+    also reads an int32 memoryview, where -1 means no predecessor.
     """
 
     todo_forward: list[NodeId]
@@ -198,7 +228,7 @@ def reconstruct_path(state: SearchState, initial: NodeId, final: NodeId) -> list
     v = state.intermed
     for _ in range(limit):
         u = state.prev_forward[v]
-        if u is None:
+        if u is None or u < 0:
             break
         edges.append(Edge(u, v))
         v = u
@@ -212,7 +242,7 @@ def reconstruct_path(state: SearchState, initial: NodeId, final: NodeId) -> list
     v = state.intermed
     for _ in range(limit):
         w = state.prev_backward[v]
-        if w is None:
+        if w is None or w < 0:
             break
         edges.append(Edge(v, w))
         v = w
@@ -247,24 +277,105 @@ class _Tables:
         self.base = 0
 
 
-#: Tables handed back by finished queries. ``pop`` and ``append`` are
-#: atomic, so concurrent searches each take their own set.
+#: A dist entry no query has written: above every ``base + d``.
+_UNREACHED = 2**31 - 1
+
+
+class _ArrayTables:
+    """The tables of an in-memory query from its first array round on.
+
+    ``prev[forward]`` and ``dist[forward]`` are int32 arrays, read and
+    written by the array round; ``prev_f`` ... ``dist_b`` are memoryviews
+    on them, which the per-node round indexes like the lists of
+    ``_Tables``, under the same falling ``base``. A prev of -1 means no
+    predecessor, and an entry never written holds ``_UNREACHED``.
+    ``mark[v] == stamp`` says v sits in the opposite frontier; ``stamp``
+    only rises, so a new marking clears nothing. ``scratch`` holds
+    per-round working values.
+    """
+
+    __slots__ = ("prev", "dist", "prev_f", "prev_b", "dist_f", "dist_b", "mark", "stamp", "scratch", "base")
+
+    def __init__(self, n: int) -> None:
+        self.prev = {d: np.full(n, -1, np.int32) for d in (True, False)}
+        self.dist = {d: np.full(n, _UNREACHED, np.int32) for d in (True, False)}
+        self.prev_f, self.prev_b = memoryview(self.prev[True]), memoryview(self.prev[False])
+        self.dist_f, self.dist_b = memoryview(self.dist[True]), memoryview(self.dist[False])
+        self.mark = np.zeros(n, np.int32)
+        self.stamp = 0
+        self.scratch = np.empty(n, np.int64)
+        self.base = 0
+
+    def take_over(
+        self, lists: _Tables, initial: NodeId, final: NodeId, written: list[tuple[bool, list[NodeId]]]
+    ) -> None:
+        """Copy into these tables, under their own base, the entries a query
+        has written to ``lists``: those of its endpoints and of the nodes in
+        the frontiers it committed, ``written`` as (forward, frontier)."""
+        shift = self.base - lists.base
+        for forward, endpoint in ((True, initial), (False, final)):
+            self.dist[forward][endpoint] = self.base
+            self.prev[forward][endpoint] = -1
+            # A delayed endpoint can sit in later frontiers too; every
+            # other node in them was relaxed, so its prev is set.
+            frontiers = (frontier for way, frontier in written if way is forward)
+            nodes = np.fromiter(chain.from_iterable(frontiers), np.int64)
+            nodes = nodes[nodes != endpoint]
+            dist = lists.dist_f if forward else lists.dist_b
+            prev = lists.prev_f if forward else lists.prev_b
+            self.dist[forward][nodes] = np.fromiter(map(dist.__getitem__, nodes.tolist()), np.int64, len(nodes)) + shift
+            self.prev[forward][nodes] = np.fromiter(map(prev.__getitem__, nodes.tolist()), np.int64, len(nodes))
+
+    def mark_nodes(self, nodes) -> None:
+        """Make ``mark[v] == stamp`` hold for exactly the nodes given."""
+        if self.stamp == _UNREACHED:  # the last int32 stamp: start over
+            self.mark.fill(0)
+            self.stamp = 0
+        self.stamp += 1
+        self.mark[_as_array(nodes)] = self.stamp
+
+    def as_lists(self, forward: bool) -> tuple[list[NodeId | None], list[float]]:
+        """One direction's prev and dist tables as the lists of ``SearchState``."""
+        prev = [None if u < 0 else u for u in self.prev[forward].tolist()]
+        dist = [inf if d == _UNREACHED else d for d in self.dist[forward].tolist()]
+        return prev, dist
+
+
+#: Tables handed back by finished queries, lists and arrays apart.
+#: ``pop`` and ``append`` are atomic, so concurrent searches each take
+#: their own set.
 _SPARE_TABLES: list[_Tables] = []
+_SPARE_ARRAYS: list[_ArrayTables] = []
 #: Lowest ``base`` before the tables are rebuilt: it keeps every stored
-#: distance a one-digit CPython int (magnitude below 2**30).
+#: distance a one-digit CPython int (magnitude below 2**30) and inside int32.
 _BASE_FLOOR = 1 - 2**30
+#: Frontier size from which a round on an ``InMemoryGraph`` runs as array
+#: operations; smaller rounds run node by node. Timed round by round on
+#: the mem-hub benchmark queries, the array body wins from about 48
+#: nodes. Whole queries also pay for moving their tables at the first
+#: array round, and an array round that meets early still does the whole
+#: round's work; timed whole, mem-hub stays within about 1% of its least
+#: total up to 96, while smaller-first queries and small sparse graphs,
+#: where a node costs a third as much, are faster at 96 than below it.
+_ARRAY_ROUND_MIN = 96
 
 
-def _take_tables(n: int) -> _Tables:
-    """Reuse spare tables of length ``n`` under a lowered base, or build fresh ones."""
+def _take_tables(spare: list, make, n: int):
+    """Reuse spare tables of length ``n`` under a lowered base, or ``make`` fresh ones."""
     try:
-        tables = _SPARE_TABLES.pop()
+        tables = spare.pop()
     except IndexError:
-        return _Tables(n)
+        return make(n)
     if len(tables.dist_f) != n or tables.base - (n + 2) < _BASE_FLOOR:
-        return _Tables(n)
+        return make(n)
     tables.base -= n + 2
     return tables
+
+
+def _as_array(nodes) -> np.ndarray:
+    if isinstance(nodes, np.ndarray):
+        return nodes
+    return np.fromiter(nodes, np.int64, len(nodes))
 
 
 def _choose_forward(policy: FrontierPolicy, n_fwd: int, n_bwd: int) -> bool:
@@ -317,21 +428,41 @@ def _search(
         )
         return (result, None) if return_state else result
 
-    tables = _Tables(graph.node_count) if return_state else _take_tables(graph.node_count)
+    n = graph.node_count
+    tables = _Tables(n) if return_state else _take_tables(_SPARE_TABLES, _Tables, n)
     prev_f, prev_b = tables.prev_f, tables.prev_b
     dist_f, dist_b = tables.dist_f, tables.dist_b
     prev_f[initial] = prev_b[final] = None
     dist_f[initial] = dist_b[final] = tables.base
+    # The array tables of a query on an InMemoryGraph, from its first
+    # array round on; until then ``written`` lists the frontiers it
+    # committed, as (forward, frontier): with the endpoints they hold
+    # every node whose entries the query has written.
+    in_memory = isinstance(graph, InMemoryGraph)
+    arrays: _ArrayTables | None = None
+    written: list[tuple[bool, list[NodeId]]] | None = None
+    if in_memory:
+        written = []
+        # The per-node round reads the runs directly: frontier ids are valid.
+        successors = graph.rows(Direction.FORWARD).__getitem__
+        predecessors = graph.rows(Direction.BACKWARD).__getitem__
+    else:
+        successors, predecessors = graph.successors, graph.predecessors
     # Nodes sitting out rounds -> rounds left (never 0), and the nodes
     # whose postponement fired; both stay a handful of entries.
     delay: dict[NodeId, int] = {}
     postponed: set[NodeId] = set()
-    todo_f: list[NodeId] = [initial]
-    todo_b: list[NodeId] = [] if config.algorithm is Algorithm.UNIDIRECTIONAL else [final]
+    uni = config.algorithm is Algorithm.UNIDIRECTIONAL
+    # A frontier is a sorted list after a per-node round and a sorted
+    # int64 array after an array round.
+    todo_f: list[NodeId] | np.ndarray = [initial]
+    todo_b: list[NodeId] | np.ndarray = [] if uni else [final]
     # Membership sets for the meeting test, built only when the opposite
     # direction expands and dropped whenever their frontier is recommitted.
     set_f: set[NodeId] | None = {initial}
     set_b: set[NodeId] | None = {final}
+    # The direction whose frontier ``arrays.mark`` holds.
+    marked: bool | None = None
 
     # With delay 0 and probing off, the postpone branch can never fire;
     # skipping it entirely makes the reduction to the balanced variant
@@ -349,6 +480,8 @@ def _search(
     # ``class_kind`` is optional in the access contract; without it a
     # probe reads the kind off ``method_meta``.
     class_kind = getattr(graph, "class_kind", None) or (lambda u: graph.method_meta(u).class_kind)
+    # Array rounds test postponability by kind code; built on first use.
+    postponable = None
 
     intermed: NodeId | None = None
     steps = 0
@@ -358,76 +491,117 @@ def _search(
     probes = 0
 
     last_du = alt = None
-    while todo_f or todo_b:
-        forward = _choose_forward(config.frontier_policy, len(todo_f), len(todo_b))
+    while True:
+        n_f, n_b = len(todo_f), len(todo_b)
+        if not (n_f or n_b):
+            break
+        forward = _choose_forward(config.frontier_policy, n_f, n_b)
         steps += 1
-        if forward:
-            if set_b is None:
-                set_b = set(todo_b)
-            todo, other_set, dist, prev = todo_f, set_b, dist_f, prev_f
+        todo = todo_f if forward else todo_b
+        if in_memory and (n_f if forward else n_b) >= _ARRAY_ROUND_MIN:
+            if arrays is None:
+                arrays = _ArrayTables(n) if return_state else _take_tables(_SPARE_ARRAYS, _ArrayTables, n)
+                arrays.take_over(tables, initial, final, written)
+                written = None
+                prev_f, prev_b = arrays.prev_f, arrays.prev_b
+                dist_f, dist_b = arrays.dist_f, arrays.dist_b
+                if may_postpone:
+                    codes = np.array([kind in postpone_kinds for kind in ClassKind])
+                    postponable = graph.kind_codes(), codes
+            opposite = not forward
+            if marked is not opposite:
+                arrays.mark_nodes((final,) if uni else todo_b if forward else todo_f)
+                marked = opposite
+            csr = graph.csr(Direction.FORWARD if forward else Direction.BACKWARD)
+            todo2, intermed, visits, round_probes, round_postponements = _array_round(
+                _as_array(todo), forward, arrays, csr, delay, postponed,
+                probing and not forward, postponable, delay_steps, steps, trace,
+            )
+            if forward:
+                visited_f += visits
+            else:
+                visited_b += visits
+            probes += round_probes
+            postponements += round_postponements
+            if intermed is not None:
+                break
         else:
-            if set_f is None:
-                set_f = set(todo_f)
-            todo, other_set, dist, prev = todo_b, set_f, dist_b, prev_b
-        todo2: list[NodeId] = []
-        met = False
-        for u in todo:
-            if delay and u in delay:
-                if delay[u] == 1:
-                    del delay[u]
-                else:
-                    delay[u] -= 1
-                todo2.append(u)
-                if trace is not None:
-                    trace.append(TraceEvent(steps, forward, u, "delayed"))
-                continue
-            if probing and not forward and u not in postponed:
-                kind = class_kind(u)
-                probes += 1
-                if may_postpone and kind in postpone_kinds:
-                    postponed.add(u)
-                    if delay_steps > 1:
-                        delay[u] = delay_steps - 1
-                    postponements += 1
+            if type(todo) is not list:
+                todo = todo.tolist()
+            if forward:
+                if set_b is None:
+                    set_b = set(todo_b if type(todo_b) is list else todo_b.tolist())
+                other_set, dist, prev, neighbors_of = set_b, dist_f, prev_f, successors
+            else:
+                if set_f is None:
+                    set_f = set(todo_f if type(todo_f) is list else todo_f.tolist())
+                other_set, dist, prev, neighbors_of = set_f, dist_b, prev_b, predecessors
+            todo2 = []
+            met = False
+            for u in todo:
+                if delay and u in delay:
+                    if delay[u] == 1:
+                        del delay[u]
+                    else:
+                        delay[u] -= 1
                     todo2.append(u)
                     if trace is not None:
-                        trace.append(TraceEvent(steps, forward, u, "postponed"))
+                        trace.append(TraceEvent(steps, forward, u, "delayed"))
                     continue
-            neighbors = graph.successors(u) if forward else graph.predecessors(u)
-            if forward:
-                visited_f += 1
-            else:
-                visited_b += 1
-            if trace is not None:
-                trace.append(TraceEvent(steps, forward, u, "expanded"))
-            # One ``alt`` object per distance: a level's nodes share it,
-            # so no expansion allocates an int, and the entries that later
-            # queries find stale point at a few objects that stay cached.
-            du = dist[u]
-            if du is not last_du:
-                last_du, alt = du, du + 1
-            for v in neighbors:
-                if dist[v] > alt:
-                    prev[v] = u
-                    dist[v] = alt
-                    if v in other_set:
-                        intermed = v
-                        met = True
-                        break
-                    todo2.append(v)
+                if probing and not forward and u not in postponed:
+                    kind = class_kind(u)
+                    probes += 1
+                    if may_postpone and kind in postpone_kinds:
+                        postponed.add(u)
+                        if delay_steps > 1:
+                            delay[u] = delay_steps - 1
+                        postponements += 1
+                        todo2.append(u)
+                        if trace is not None:
+                            trace.append(TraceEvent(steps, forward, u, "postponed"))
+                        continue
+                neighbors = neighbors_of(u)
+                if forward:
+                    visited_f += 1
+                else:
+                    visited_b += 1
+                if trace is not None:
+                    trace.append(TraceEvent(steps, forward, u, "expanded"))
+                # One ``alt`` object per distance: a level's nodes share it,
+                # so no expansion allocates an int, and the entries that later
+                # queries find stale point at a few objects that stay cached.
+                du = dist[u]
+                if du is not last_du:
+                    last_du, alt = du, du + 1
+                for v in neighbors:
+                    if dist[v] > alt:
+                        prev[v] = u
+                        dist[v] = alt
+                        if v in other_set:
+                            intermed = v
+                            met = True
+                            break
+                        todo2.append(v)
+                if met:
+                    break
             if met:
                 break
-        if met:
-            break
-        todo2.sort()
+            todo2.sort()
+            if written is not None:
+                written.append((forward, todo2))
         if forward:
             todo_f, set_f = todo2, None
         else:
             todo_b, set_b = todo2, None
+        if marked is forward:
+            marked = None
 
+    if return_state and arrays is not None:
+        prev_f, dist_f = arrays.as_lists(True)
+        prev_b, dist_b = arrays.as_lists(False)
     state = SearchState(
-        todo_forward=todo_f,
-        todo_backward=todo_b,
+        todo_forward=todo_f if type(todo_f) is list else todo_f.tolist(),
+        todo_backward=todo_b if type(todo_b) is list else todo_b.tolist(),
         prev_forward=prev_f,
         prev_backward=prev_b,
         dist_forward=dist_f,
@@ -457,7 +631,237 @@ def _search(
     if return_state:
         return result, state
     _SPARE_TABLES.append(tables)
+    if arrays is not None:
+        _SPARE_ARRAYS.append(arrays)
     return result
+
+
+#: What an occurrence of an array round that does not expand does.
+_DELAYED, _POSTPONED = "delayed", "postponed"
+
+
+def _array_round(
+    frontier: np.ndarray,
+    forward: bool,
+    tables: _ArrayTables,
+    csr: tuple[np.ndarray, np.ndarray],
+    delay: dict[NodeId, int],
+    postponed: set[NodeId],
+    probing: bool,
+    postponable: tuple[np.ndarray, np.ndarray] | None,
+    delay_steps: int,
+    step: int,
+    trace: list[TraceEvent] | None,
+):
+    """One round of the frontier loop as array operations over the CSR arrays.
+
+    It does exactly what the per-node round does to the same frontier:
+    the same visits, probes, postponements, delay countdowns, trace
+    events, prev/dist writes, meeting node and next frontier. Returns
+    ``(next frontier, meeting node or None, visits, probes,
+    postponements)``. ``probing`` says whether this round probes (a
+    backward round of a probing config); ``postponable`` is the graph's
+    kind codes and, per code, whether a probe postpones the node, or
+    None when nothing can be postponed; the opposite frontier is
+    ``tables.mark``-ed with ``tables.stamp``.
+
+    The round takes three steps:
+
+    * classify each occurrence as delayed, postponed or expanded. Only
+      the occurrences of a node sitting out rounds, of a postponable node
+      and of a node that occurs twice ("irregular") are classified one by
+      one; their effect on ``delay`` and ``postponed`` is applied after
+      the meeting is known, up to the meeting node only;
+    * relax every neighbour of the expanded occurrences. A relaxation
+      offers ``dist[u] + 1`` and counts only when that is below
+      ``dist[v]`` and below every offer made to v earlier in the round;
+      ``prev[v]`` comes from the last such relaxation. ``dist[u]`` is
+      the value when u expands: an earlier node of the round can lower
+      it, which happens only when the expanded nodes span three or more
+      distances (a postponed node firing among newer ones);
+    * stop at the first counted relaxation, in processing order, that
+      lands on the opposite frontier.
+    """
+    offsets, ids = csr
+    dist, prev = tables.dist[forward], tables.prev[forward]
+    size = len(frontier)
+
+    # Step 1: classify. A node's delay and postponement depend only on
+    # its own earlier occurrences, so the irregular ones are replayed in
+    # order against a local overlay of ``delay`` and ``postponed``.
+    odd = _irregular(frontier, delay, postponable if probing else None)
+    actions: dict[int, str] = {}  # position -> action, for those not expanded
+    unprobed: list[int] = []  # positions a probing round does not probe
+    left: dict[NodeId, int] = {}
+    fired: set[NodeId] = set()
+    for p, u in zip(odd, frontier[odd].tolist() if odd else ()):
+        rounds = left[u] if u in left else delay.get(u, 0)
+        if rounds:
+            left[u] = rounds - 1
+            actions[p] = _DELAYED
+            unprobed.append(p)
+        elif probing:
+            if u in postponed or u in fired:
+                unprobed.append(p)
+            elif postponable is not None and postponable[1][postponable[0][u]]:
+                fired.add(u)
+                left[u] = delay_steps - 1
+                actions[p] = _POSTPONED
+    if actions:
+        expanding = np.ones(size, bool)
+        expanding[list(actions)] = False
+        expanding = np.flatnonzero(expanding)
+        nodes = frontier[expanding]
+    else:
+        expanding, nodes = None, frontier
+
+    # Step 2: relax. ``source`` is each relaxation's index in ``nodes``.
+    starts = offsets[nodes]
+    degrees = offsets[nodes + 1] - starts
+    source = np.repeat(np.arange(len(nodes)), degrees)
+    firsts = starts - np.cumsum(degrees) + degrees
+    targets = ids[np.arange(len(source)) + firsts[source]]
+    du = dist[nodes]
+    several = len(du) > 0 and du.min() != du.max()
+    kept, offers = _offers(du, several, source, targets, dist)
+    if several and int(du.max()) - int(du.min()) >= 2:
+        # An offer to a node that expands later in the round lowers the
+        # dist it expands with; settle those in processing order.
+        while True:
+            lowered = _lowered(du, nodes, source[kept], targets[kept], offers, tables.scratch)
+            if lowered is None:
+                break
+            du = lowered
+            kept, offers = _offers(du, several, source, targets, dist)
+    chosen = _counted(targets[kept], offers, several, tables.scratch)
+    counted = kept[chosen]
+    v, offers, source = targets[counted], offers[chosen], source[counted]
+
+    # Step 3: meet, then cut every count and effect at the meeting node.
+    meets = tables.mark[v] == tables.stamp
+    if meets.any():
+        k = int(meets.argmax()) + 1
+        v, offers, source = v[:k], offers[:k], source[:k]
+        meeting = int(v[-1])
+        visits = int(source[-1]) + 1
+        last = visits - 1 if expanding is None else int(expanding[visits - 1])
+    else:
+        meeting = None
+        visits = len(nodes)
+        last = size - 1
+    postponements = 0
+    for p, action in actions.items():
+        if p > last:
+            break
+        u = int(frontier[p])
+        if action is _DELAYED:
+            if delay[u] == 1:
+                del delay[u]
+            else:
+                delay[u] -= 1
+        else:
+            postponements += 1
+            postponed.add(u)
+            if delay_steps > 1:
+                delay[u] = delay_steps - 1
+    probes = last + 1 - sum(p <= last for p in unprobed) if probing else 0
+    if trace is not None:
+        for p, u in enumerate(frontier[: last + 1].tolist()):
+            trace.append(TraceEvent(step, forward, u, actions.get(p, "expanded")))
+    # With offers of several values a node can be counted more than
+    # once, at most once per value: writing the values in falling order
+    # leaves it its last, lowest offer.
+    for level in _levels(offers)[::-1] if several else (None,):
+        at = slice(None) if level is None else np.flatnonzero(offers == level)
+        dist[v[at]] = offers[at]
+        prev[v[at]] = nodes[source[at]]
+    if meeting is not None:
+        return None, meeting, visits, probes, postponements
+    todo = np.sort(np.concatenate((frontier[list(actions)], v)))
+    return todo, None, visits, probes, postponements
+
+
+def _irregular(frontier, delay, postponable) -> list[int]:
+    """Ascending positions of the occurrences an array round classifies
+    one by one: of a node that occurs twice, sits out rounds, or (when
+    ``postponable`` is given) may be postponed."""
+    odd: set[int] = set()
+    twice = frontier[1:] == frontier[:-1]
+    if twice.any():
+        twice = np.flatnonzero(twice)
+        odd.update(twice.tolist())
+        odd.update((twice + 1).tolist())
+    if delay:
+        waiting = np.fromiter(delay, np.int64, len(delay))
+        lo = np.searchsorted(frontier, waiting, "left").tolist()
+        hi = np.searchsorted(frontier, waiting, "right").tolist()
+        for a, b in zip(lo, hi):
+            odd.update(range(a, b))
+    if postponable is not None:
+        codes, postpones = postponable
+        odd.update(np.flatnonzero(postpones[codes[frontier]]).tolist())
+    return sorted(odd)
+
+
+def _offers(du, several, source, targets, dist):
+    """Indices of the relaxations whose offer ``du[source] + 1`` beats
+    the round-start ``dist`` of their target, and those offers.
+    ``several`` says ``du`` holds more than one value."""
+    if not several:
+        offer = du[0] + 1 if len(du) else 0
+        kept = np.flatnonzero(dist[targets] > offer)
+        return kept, np.full(len(kept), offer, dist.dtype)
+    offered = (du + 1)[source]
+    kept = np.flatnonzero(offered < dist[targets])
+    return kept, offered[kept]
+
+
+def _lowered(du, nodes, source, targets, offers, scratch):
+    """``du`` lowered by every offer to a node that expands later in the
+    round than the offer's source, or None when no offer lowers it."""
+    scratch[targets] = -1
+    scratch[nodes] = 0
+    hit = np.flatnonzero(scratch[targets] == 0)
+    if not len(hit):
+        return None
+    targets, source, offers = targets[hit], source[hit], offers[hit]
+    # The occurrences of a target in ``nodes`` that come after the source.
+    start = np.maximum(np.searchsorted(nodes, targets, "left"), source + 1)
+    count = np.maximum(np.searchsorted(nodes, targets, "right") - start, 0)
+    later = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+    lowered = du.copy()
+    np.minimum.at(lowered, later, np.repeat(offers, count))
+    return None if np.array_equal(lowered, du) else lowered
+
+
+def _counted(v, offers, several, scratch):
+    """Indices, in processing order, of the offers that lower ``dist[v]``
+    below every earlier offer to the same v (all of them beat the
+    round-start dist). ``several`` says they may differ in value.
+
+    An offer counts when it is the first offer to its node of a value
+    at most its own: value by value, ascending, ``scratch[v]`` keeps the
+    first index of such an offer.
+    """
+    scratch[v] = len(v)
+    order = np.arange(len(v))
+    if not several:
+        np.minimum.at(scratch, v, order)
+        return np.flatnonzero(scratch[v] == order)
+    counted = [order[:0]]
+    for level in _levels(offers):
+        at = np.flatnonzero(offers == level)
+        np.minimum.at(scratch, v[at], at)
+        counted.append(at[scratch[v[at]] == at])
+    return np.sort(np.concatenate(counted))
+
+
+def _levels(offers):
+    """The distinct values of ``offers``, ascending."""
+    if not len(offers):
+        return offers
+    low = int(offers.min())
+    return np.flatnonzero(np.bincount(offers - low)) + low
 
 
 def run_search(

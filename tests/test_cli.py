@@ -332,3 +332,26 @@ def test_hostile_input_exits_one_without_traceback(tmp_path, content, argv, mess
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
     assert message.format(path=path) in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["path", "--graph", FIG, "--from=--5", "--to", "3"], "--5"),
+        (["path", "--graph", FIG, "--from", "\u00b2", "--to", "3"], "\u00b2"),
+        (["path", "--graph", FIG, "--from", "0", "--to", "\u0663"], "\u0663"),
+        (["reach", "--graph", FIG, "--", "--5"], "--5"),
+        (["reach", "\u00b2", "--graph", FIG], "\u00b2"),
+        (["reach", "0", "\u0663", "--graph", FIG], "\u0663"),
+    ],
+    ids=["path-double-minus", "path-superscript", "path-arabic-indic", "reach-double-minus",
+         "reach-superscript", "reach-arabic-indic"],
+)
+def test_node_that_is_not_an_ascii_id_is_looked_up_by_name(argv, name):
+    # only -?[0-9]+ is an id: other digit-like text is a name, and an
+    # unknown name is one error line, never an int() traceback or the
+    # node an Arabic-Indic digit happens to spell
+    proc = _cli_subprocess(*argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"callpath: error: no node named {name!r}\n"

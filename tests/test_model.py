@@ -95,6 +95,19 @@ def test_self_loops_are_stored():
     assert graph.predecessors(0) == (0,)
 
 
+def test_rows_and_kind_codes_serve_what_the_contract_serves(hub_graph):
+    # the search reads these instead of successors/predecessors and
+    # class_kind; they must hold the same values, unchecked and as arrays
+    kinds = tuple(ClassKind)
+    codes = hub_graph.kind_codes()
+    assert codes.dtype == np.int8 and not codes.flags.writeable
+    assert hub_graph.kind_codes() is codes
+    for u in range(hub_graph.node_count):
+        assert hub_graph.rows(Direction.FORWARD)[u] == hub_graph.successors(u)
+        assert hub_graph.rows(Direction.BACKWARD)[u] == hub_graph.predecessors(u)
+        assert kinds[codes[u]] is hub_graph.class_kind(u)
+
+
 def _same_graph(a: InMemoryGraph, b: InMemoryGraph) -> None:
     assert a.edge_count == b.edge_count
     for direction in Direction:

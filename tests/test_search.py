@@ -544,13 +544,17 @@ def _pairs(rng, graph, count):
     return [tuple(int(x) for x in rng.integers(graph.node_count, size=2)) for _ in range(count)]
 
 
-@pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
-def test_reused_tables_match_fresh_tables_across_graph_sizes(on_disk, hub_graph, tmp_path):
+@pytest.mark.parametrize("backend", ["memory", "disk", "arrays"])
+def test_reused_tables_match_fresh_tables_across_graph_sizes(backend, hub_graph, tmp_path, monkeypatch):
     # runs of queries on one graph reuse the tables; every switch between
     # the two graph sizes rebuilds them. On disk, a second handle on the
-    # same store serves the reference, so the I/O counts must agree too
+    # same store serves the reference, so the I/O counts must agree too.
+    # "memory" goes through a wrapper without ``csr``, so every round runs
+    # node by node on the list tables; "arrays" runs every round of the
+    # bare InMemoryGraph as array operations on the array tables
     rng = np.random.default_rng(404)
     graphs = _reuse_graphs(hub_graph)
+    on_disk = backend == "disk"
     handles = []
     if on_disk:
         for i, graph in enumerate(graphs):
@@ -558,7 +562,10 @@ def test_reused_tables_match_fresh_tables_across_graph_sizes(on_disk, hub_graph,
             handles.append(
                 (open_store(tmp_path / f"g{i}.cgs"), open_store(tmp_path / f"g{i}.cgs"))
             )
+    elif backend == "memory":
+        handles = [(_RequiredMethodsOnly(graph), _RequiredMethodsOnly(graph)) for graph in graphs]
     else:
+        monkeypatch.setattr(search, "_ARRAY_ROUND_MIN", 0)
         handles = [(graph, graph) for graph in graphs]
     try:
         for config in REGIME_CONFIGS:
@@ -568,7 +575,8 @@ def test_reused_tables_match_fresh_tables_across_graph_sizes(on_disk, hub_graph,
                     assert got.same_traversal(_fresh(reference, s, t, config))
                     if on_disk:
                         assert reused.access_stats() == reference.access_stats()
-        assert search._SPARE_TABLES and search._SPARE_TABLES[-1].base < 0
+        spare = search._SPARE_ARRAYS if backend == "arrays" else search._SPARE_TABLES
+        assert spare and spare[-1].base < 0
     finally:
         if on_disk:
             for reused, reference in handles:
@@ -576,21 +584,40 @@ def test_reused_tables_match_fresh_tables_across_graph_sizes(on_disk, hub_graph,
                 reference.close()
 
 
-def test_tables_refilled_when_the_offset_runs_out(hub_graph, monkeypatch):
-    # a floor of three offsets rebuilds the tables every third reuse
+def _bases_after_each_query(hub_graph, monkeypatch, arrays):
+    """The base of the tables each query handed back, under a floor of
+    three offsets, while every answer matches fresh tables."""
     rng = np.random.default_rng(405)
+    runs = []
     for graph in _reuse_graphs(hub_graph):
         monkeypatch.setattr(search, "_BASE_FLOOR", -3 * (graph.node_count + 2))
+        backend = graph if arrays else _RequiredMethodsOnly(graph)
+        spare = search._SPARE_ARRAYS if arrays else search._SPARE_TABLES
         bases = []
         for config in REGIME_CONFIGS:
             for s, t in _pairs(rng, graph, 4):
-                assert run_search(graph, s, t, config).same_traversal(
-                    _fresh(graph, s, t, config)
+                assert run_search(backend, s, t, config).same_traversal(
+                    _fresh(backend, s, t, config)
                 )
                 if s != t:
-                    bases.append(search._SPARE_TABLES[-1].base)
+                    bases.append(spare[-1].base)
+        runs.append((graph.node_count + 2, bases))
+    return runs
+
+
+def test_tables_refilled_when_the_offset_runs_out(hub_graph, monkeypatch):
+    # a floor of three offsets rebuilds the tables every third reuse; the
+    # wrapper has no ``csr``, so only the list tables are in play
+    for step, bases in _bases_after_each_query(hub_graph, monkeypatch, arrays=False):
         # rebuilt at base 0, lowered three times, rebuilt again
-        step = graph.node_count + 2
+        first = bases.index(0)
+        assert bases[first:] == [-(i % 4) * step for i in range(len(bases) - first)]
+
+
+def test_array_tables_refilled_when_the_offset_runs_out(hub_graph, monkeypatch):
+    # every round an array round, so every query takes the array tables
+    monkeypatch.setattr(search, "_ARRAY_ROUND_MIN", 0)
+    for step, bases in _bases_after_each_query(hub_graph, monkeypatch, arrays=True):
         first = bases.index(0)
         assert bases[first:] == [-(i % 4) * step for i in range(len(bases) - first)]
 
@@ -668,17 +695,19 @@ def test_concurrent_searches_on_one_graph_match_sequential(hub_graph):
 
 
 class _RequiredMethodsOnly:
-    """A backend without ``class_kind``: the kernel's probes fall back to
-    ``method_meta``."""
+    """A backend with the required access methods and, when ``inner`` has
+    them, the store's ``begin_query`` and stats. Without ``class_kind``
+    the kernel's probes fall back to ``method_meta``; not being an
+    InMemoryGraph, it has every round run node by node."""
 
     def __init__(self, inner):
         self.node_count = inner.node_count
         self.successors = inner.successors
         self.predecessors = inner.predecessors
         self.method_meta = inner.method_meta
-        self.begin_query = inner.begin_query
-        self.access_stats = inner.access_stats
-        self.reset_stats = inner.reset_stats
+        for name in ("begin_query", "access_stats", "reset_stats"):
+            if hasattr(inner, name):
+                setattr(self, name, getattr(inner, name))
 
 
 def test_probes_without_class_kind_give_the_same_traversal_and_io(hub_graph, tmp_path):
