@@ -106,12 +106,12 @@ def _hub_graph(node_count, seed, acyclic):
 )
 def test_bodies_agree_on_generated_hub_graphs(node_count, seed, acyclic):
     # (30_000, 7, cyclic) is the hub30k graph of the mem-hub benchmark.
-    # Two pairs with a path, the final node drawn from the initial one's
+    # One pair with a path, the final node drawn from the initial one's
     # forward closure, and one uniform pair
     graph = _hub_graph(node_count, seed, acyclic)
     rng = np.random.default_rng(seed)
     pairs = []
-    while len(pairs) < 2:
+    while not pairs:
         s = int(rng.integers(node_count))
         reachable = sorted(bfs_reachable(graph, s))
         if reachable:
