@@ -307,19 +307,18 @@ class _ArrayTables:
         self.base = 0
 
     def take_over(
-        self, lists: _Tables, initial: NodeId, final: NodeId, written: list[tuple[bool, list[NodeId]]]
+        self, lists: _Tables, initial: NodeId, final: NodeId, written: tuple[list, list]
     ) -> None:
         """Copy into these tables, under their own base, the entries a query
         has written to ``lists``: those of its endpoints and of the nodes in
-        the frontiers it committed, ``written`` as (forward, frontier)."""
+        the frontiers it committed, ``written[forward]``."""
         shift = self.base - lists.base
         for forward, endpoint in ((True, initial), (False, final)):
             self.dist[forward][endpoint] = self.base
             self.prev[forward][endpoint] = -1
             # A delayed endpoint can sit in later frontiers too; every
             # other node in them was relaxed, so its prev is set.
-            frontiers = (frontier for way, frontier in written if way is forward)
-            nodes = np.fromiter(chain.from_iterable(frontiers), np.int64)
+            nodes = np.fromiter(chain.from_iterable(written[forward]), np.int64)
             nodes = nodes[nodes != endpoint]
             dist = lists.dist_f if forward else lists.dist_b
             prev = lists.prev_f if forward else lists.prev_b
@@ -435,14 +434,14 @@ def _search(
     prev_f[initial] = prev_b[final] = None
     dist_f[initial] = dist_b[final] = tables.base
     # The array tables of a query on an InMemoryGraph, from its first
-    # array round on; until then ``written`` lists the frontiers it
-    # committed, as (forward, frontier): with the endpoints they hold
-    # every node whose entries the query has written.
+    # array round on; until then ``written[forward]`` lists the frontiers
+    # it committed in that direction (False is 0, True is 1): with the
+    # endpoints they hold every node whose entries the query has written.
     in_memory = isinstance(graph, InMemoryGraph)
     arrays: _ArrayTables | None = None
-    written: list[tuple[bool, list[NodeId]]] | None = None
+    written: tuple[list[list[NodeId]], list[list[NodeId]]] | None = None
     if in_memory:
-        written = []
+        written = ([], [])
         # The per-node round reads the runs directly: frontier ids are valid.
         successors = graph.rows(Direction.FORWARD).__getitem__
         predecessors = graph.rows(Direction.BACKWARD).__getitem__
@@ -526,7 +525,7 @@ def _search(
             if intermed is not None:
                 break
         else:
-            if type(todo) is not list:
+            if arrays is not None and type(todo) is not list:
                 todo = todo.tolist()
             if forward:
                 if set_b is None:
@@ -588,7 +587,7 @@ def _search(
                 break
             todo2.sort()
             if written is not None:
-                written.append((forward, todo2))
+                written[forward].append(todo2)
         if forward:
             todo_f, set_f = todo2, None
         else:

@@ -79,7 +79,7 @@ def test_bodies_agree_on_the_criterion_1_sweep_graphs():
     # array rounds of one to six nodes hit every duplicate, delay and
     # meeting case the classification has
     rng = np.random.default_rng(SWEEP_SEED)
-    for _ in range(10):
+    for _ in range(6):
         graph = _sweep_graph(rng)
         for s in range(SWEEP_NODE_COUNT):
             for t in range(SWEEP_NODE_COUNT):

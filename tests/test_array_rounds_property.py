@@ -30,7 +30,7 @@ def _queries(draw):
     return graph, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), config
 
 
-@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
 @hypothesis.given(_queries())
 def test_bodies_agree_on_random_graphs(query):
     graph, s, t, config = query
