@@ -7,8 +7,8 @@ class) that the postponing search variants consult.
 
 Any object with ``node_count``, ``successors``, ``predecessors`` and
 ``method_meta`` satisfies the graph-access contract; :class:`InMemoryGraph`
-here and ``store.DiskGraph`` are the two backends. Two methods are
-optional, and the search kernel looks each up once per query:
+here and ``store.DiskGraph`` are the two backends. The search kernel
+looks up each optional method once per query:
 
 * ``begin_query()`` is called when a search starts (the disk backend
   empties a cold cache there); without it nothing is called.
@@ -16,13 +16,28 @@ optional, and the search kernel looks each up once per query:
   postponement probe calls; the disk backend then reads one byte
   instead of decoding the whole record. Without it a probe calls
   ``method_meta(u)`` and reads the field, with the same result.
+* ``readers()`` returns three ``(lookup, load)`` pairs, for forward
+  runs, backward runs and class kinds. The kernel reads node u as
+  ``lookup(u)``, and calls ``load(u)`` only when that returns None.
+  Neither checks u, since the kernel passes only ids it read from the
+  graph. Both backends have it: an ``InMemoryGraph`` lookup indexes a
+  per-node tuple and never misses; a store's lookup is a cache dict's
+  ``get`` (or, when its cache can evict, never hits) and its load
+  counts the read it makes.
+* ``count_hits(adjacency, meta)`` receives, once per query and even
+  when the query raised, the number of run and kind reads its
+  lookups served. Only the store has it: it counts those as hits.
+
+A backend without ``readers`` gets lookups that never hit and its
+contract methods (``class_kind``, or the ``method_meta`` fallback) as
+loads, so every read is one checked contract call, as any wrapper or
+proxy around a backend expects; without ``count_hits`` nothing is
+counted for it.
 
 The search kernel reads an :class:`InMemoryGraph` through more than
 the contract. Rounds with a large frontier run as array operations over
 its CSR arrays (``csr``) and postponement tests over its per-node kind
-codes (``kind_codes``); rounds node by node index its decoded runs
-(``rows``) without the id check, since frontier ids are valid. Any other
-backend is searched through the contract alone.
+codes (``kind_codes``). Any other backend is searched node by node.
 
 Graphs are immutable once built, so concurrent readers are safe.
 """
@@ -96,6 +111,10 @@ class MethodMeta:
         return f"{self.class_name}.{self.method_name}"
 
 
+#: A ``readers()`` lookup that never hits, so every read goes to the load.
+NO_LOOKUP = {}.get
+
+
 def check_node(u: object, node_count: int) -> int:
     """Return node id ``u`` as a Python ``int`` if it lies in ``[0, node_count)``.
 
@@ -153,6 +172,7 @@ class InMemoryGraph:
         self._fwd = _rows(*self._csr_fwd, node_ids)
         self._bwd = _rows(*self._csr_bwd, node_ids)
         self._nodes: tuple[MethodMeta, ...] = tuple(nodes)
+        self._kinds = tuple([meta.class_kind for meta in self._nodes])
         self._edge_count = len(callers)
         self._kind_codes: np.ndarray | None = None
 
@@ -179,7 +199,17 @@ class InMemoryGraph:
 
     def class_kind(self, u: NodeId) -> ClassKind:
         """``method_meta(u).class_kind``: the one field a search probe reads."""
-        return self._nodes[check_node(u, len(self._nodes))].class_kind
+        return self._kinds[check_node(u, len(self._nodes))]
+
+    def readers(self):
+        """The search kernel's unchecked reads: a ``(lookup, load)`` pair
+        each for forward runs, backward runs and class kinds. Each lookup
+        indexes a per-node tuple and never misses."""
+        return (
+            (self._fwd.__getitem__, self.successors),
+            (self._bwd.__getitem__, self.predecessors),
+            (self._kinds.__getitem__, self.class_kind),
+        )
 
     # ---- helpers -------------------------------------------------------------
 
@@ -196,8 +226,7 @@ class InMemoryGraph:
         """Each node's class kind as its index in ``tuple(ClassKind)``: a
         read-only int8 array, built on the first call."""
         if self._kind_codes is None:
-            kinds = (meta.class_kind for meta in self._nodes)
-            codes = np.fromiter(map(_KIND_CODES.__getitem__, kinds), np.int8, len(self._nodes))
+            codes = np.fromiter(map(_KIND_CODES.__getitem__, self._kinds), np.int8, len(self._nodes))
             codes.flags.writeable = False
             self._kind_codes = codes
         return self._kind_codes

@@ -42,8 +42,18 @@ Each round runs one of two bodies; both do exactly the same thing to
 the frontier, so a round's body decides its speed, never the result.
 The per-node body walks the frontier in order and, for each node,
 applies its delay countdown, probe and postponement, then relaxes its
-neighbours one by one through the access contract. It runs on every
-backend. On an ``InMemoryGraph`` a round whose frontier holds at least
+neighbours one by one. It runs on every backend and reads every one the
+same way, through the ``(lookup, load)`` pairs of ``graph.readers()``
+(see ``model``): a probe is ``kind_lookup(u)``, and an expansion
+``lookup(u)`` for u's run in that direction, each followed by the
+matching load only when the lookup returns None. Lookups of an
+``InMemoryGraph`` never miss; a store whose cache cannot evict serves
+its hits from C-level dicts; a backend without ``readers`` always goes
+to its checked contract methods. Each query hands the store its lookup
+hits once, in a ``finally``: its visits minus its run loads, and its
+probes minus its kind loads.
+
+On an ``InMemoryGraph`` a round whose frontier holds at least
 ``_ARRAY_ROUND_MIN`` nodes runs the array body, ``_array_round``,
 instead: it gathers every neighbour of the frontier at once from the
 graph's CSR arrays and relaxes them with numpy. An array round costs
@@ -51,9 +61,9 @@ about 65 us before it does any work and about 0.15 us per frontier node
 in the largest rounds; node by node, a round costs about 1.5 us per
 node on the mem-hub benchmark graph and about 0.5 us on small sparse
 graphs. ``_ARRAY_ROUND_MIN`` is a constant set by timing both bodies
-(see its comment), not an option: it moves no counter, only time. The disk store and other backends have no CSR
-arrays and always run node by node, so their I/O accounting is the
-access contract's, call by call.
+(see its comment), not an option: it moves no counter, only time. The
+disk store and other backends have no CSR arrays and always run node by
+node, so their I/O is accounted read by read, in processing order.
 
 A query costs the nodes it touches, not ``node_count``. The prev/dist
 lists are taken from tables that earlier queries handed back, under a
@@ -85,7 +95,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalSearchError
-from .model import ClassKind, Direction, Edge, InMemoryGraph, NodeId, check_node
+from .model import NO_LOOKUP, ClassKind, Direction, Edge, InMemoryGraph, NodeId, check_node
 
 DEFAULT_POSTPONE_KINDS = frozenset({ClassKind.INTERFACE, ClassKind.ABSTRACT})
 DEFAULT_DELAY_STEPS = 3
@@ -377,6 +387,18 @@ def _as_array(nodes) -> np.ndarray:
     return np.fromiter(nodes, np.int64, len(nodes))
 
 
+def _readers(graph):
+    """The ``(lookup, load)`` pairs of forward runs, backward runs and
+    class kinds. A backend without ``readers`` gets lookups that never hit
+    and its contract methods as loads; without ``class_kind`` a kind load
+    reads the field off ``method_meta``."""
+    readers = getattr(graph, "readers", None)
+    if readers is not None:
+        return readers()
+    class_kind = getattr(graph, "class_kind", None) or (lambda u: graph.method_meta(u).class_kind)
+    return (NO_LOOKUP, graph.successors), (NO_LOOKUP, graph.predecessors), (NO_LOOKUP, class_kind)
+
+
 def _choose_forward(policy: FrontierPolicy, n_fwd: int, n_bwd: int) -> bool:
     """Pick the direction to expand; caller guarantees one frontier is non-empty."""
     if policy is FrontierPolicy.PAPER_LITERAL:
@@ -442,11 +464,10 @@ def _search(
     written: tuple[list[list[NodeId]], list[list[NodeId]]] | None = None
     if in_memory:
         written = ([], [])
-        # The per-node round reads the runs directly: frontier ids are valid.
-        successors = graph.rows(Direction.FORWARD).__getitem__
-        predecessors = graph.rows(Direction.BACKWARD).__getitem__
-    else:
-        successors, predecessors = graph.successors, graph.predecessors
+    # A per-node read is ``lookup(u)``, then ``load(u)`` only when that
+    # returns None; frontier ids come from the graph, so neither checks them.
+    fwd_reads, bwd_reads, (kind_lookup, kind_load) = _readers(graph)
+    count_hits = getattr(graph, "count_hits", None)
     # Nodes sitting out rounds -> rounds left (never 0), and the nodes
     # whose postponement fired; both stay a handful of entries.
     delay: dict[NodeId, int] = {}
@@ -476,9 +497,6 @@ def _search(
         and delay_steps > 0
     )
     probing = config.probe_only or may_postpone
-    # ``class_kind`` is optional in the access contract; without it a
-    # probe reads the kind off ``method_meta``.
-    class_kind = getattr(graph, "class_kind", None) or (lambda u: graph.method_meta(u).class_kind)
     # Array rounds test postponability by kind code; built on first use.
     postponable = None
 
@@ -488,112 +506,125 @@ def _search(
     visited_b = 0
     postponements = 0
     probes = 0
+    # Reads served by ``load``; every other visit and probe was a lookup hit.
+    run_loads = kind_loads = 0
 
     last_du = alt = None
-    while True:
-        n_f, n_b = len(todo_f), len(todo_b)
-        if not (n_f or n_b):
-            break
-        forward = _choose_forward(config.frontier_policy, n_f, n_b)
-        steps += 1
-        todo = todo_f if forward else todo_b
-        if in_memory and (n_f if forward else n_b) >= _ARRAY_ROUND_MIN:
-            if arrays is None:
-                arrays = _ArrayTables(n) if return_state else _take_tables(_SPARE_ARRAYS, _ArrayTables, n)
-                arrays.take_over(tables, initial, final, written)
-                written = None
-                prev_f, prev_b = arrays.prev_f, arrays.prev_b
-                dist_f, dist_b = arrays.dist_f, arrays.dist_b
-                if may_postpone:
-                    codes = np.array([kind in postpone_kinds for kind in ClassKind])
-                    postponable = graph.kind_codes(), codes
-            opposite = not forward
-            if marked is not opposite:
-                arrays.mark_nodes((final,) if uni else todo_b if forward else todo_f)
-                marked = opposite
-            csr = graph.csr(Direction.FORWARD if forward else Direction.BACKWARD)
-            todo2, intermed, visits, round_probes, round_postponements = _array_round(
-                _as_array(todo), forward, arrays, csr, delay, postponed,
-                probing and not forward, postponable, delay_steps, steps, trace,
-            )
-            if forward:
-                visited_f += visits
-            else:
-                visited_b += visits
-            probes += round_probes
-            postponements += round_postponements
-            if intermed is not None:
+    try:
+        while True:
+            n_f, n_b = len(todo_f), len(todo_b)
+            if not (n_f or n_b):
                 break
-        else:
-            if arrays is not None and type(todo) is not list:
-                todo = todo.tolist()
-            if forward:
-                if set_b is None:
-                    set_b = set(todo_b if type(todo_b) is list else todo_b.tolist())
-                other_set, dist, prev, neighbors_of = set_b, dist_f, prev_f, successors
+            forward = _choose_forward(config.frontier_policy, n_f, n_b)
+            steps += 1
+            todo = todo_f if forward else todo_b
+            if in_memory and (n_f if forward else n_b) >= _ARRAY_ROUND_MIN:
+                if arrays is None:
+                    arrays = _ArrayTables(n) if return_state else _take_tables(_SPARE_ARRAYS, _ArrayTables, n)
+                    arrays.take_over(tables, initial, final, written)
+                    written = None
+                    prev_f, prev_b = arrays.prev_f, arrays.prev_b
+                    dist_f, dist_b = arrays.dist_f, arrays.dist_b
+                    if may_postpone:
+                        codes = np.array([kind in postpone_kinds for kind in ClassKind])
+                        postponable = graph.kind_codes(), codes
+                opposite = not forward
+                if marked is not opposite:
+                    arrays.mark_nodes((final,) if uni else todo_b if forward else todo_f)
+                    marked = opposite
+                csr = graph.csr(Direction.FORWARD if forward else Direction.BACKWARD)
+                todo2, intermed, visits, round_probes, round_postponements = _array_round(
+                    _as_array(todo), forward, arrays, csr, delay, postponed,
+                    probing and not forward, postponable, delay_steps, steps, trace,
+                )
+                if forward:
+                    visited_f += visits
+                else:
+                    visited_b += visits
+                probes += round_probes
+                postponements += round_postponements
+                if intermed is not None:
+                    break
             else:
-                if set_f is None:
-                    set_f = set(todo_f if type(todo_f) is list else todo_f.tolist())
-                other_set, dist, prev, neighbors_of = set_f, dist_b, prev_b, predecessors
-            todo2 = []
-            met = False
-            for u in todo:
-                if delay and u in delay:
-                    if delay[u] == 1:
-                        del delay[u]
-                    else:
-                        delay[u] -= 1
-                    todo2.append(u)
-                    if trace is not None:
-                        trace.append(TraceEvent(steps, forward, u, "delayed"))
-                    continue
-                if probing and not forward and u not in postponed:
-                    kind = class_kind(u)
-                    probes += 1
-                    if may_postpone and kind in postpone_kinds:
-                        postponed.add(u)
-                        if delay_steps > 1:
-                            delay[u] = delay_steps - 1
-                        postponements += 1
+                if arrays is not None and type(todo) is not list:
+                    todo = todo.tolist()
+                if forward:
+                    if set_b is None:
+                        set_b = set(todo_b if type(todo_b) is list else todo_b.tolist())
+                    other_set, dist, prev, (lookup, load) = set_b, dist_f, prev_f, fwd_reads
+                else:
+                    if set_f is None:
+                        set_f = set(todo_f if type(todo_f) is list else todo_f.tolist())
+                    other_set, dist, prev, (lookup, load) = set_f, dist_b, prev_b, bwd_reads
+                todo2 = []
+                met = False
+                for u in todo:
+                    if delay and u in delay:
+                        if delay[u] == 1:
+                            del delay[u]
+                        else:
+                            delay[u] -= 1
                         todo2.append(u)
                         if trace is not None:
-                            trace.append(TraceEvent(steps, forward, u, "postponed"))
+                            trace.append(TraceEvent(steps, forward, u, "delayed"))
                         continue
-                neighbors = neighbors_of(u)
-                if forward:
-                    visited_f += 1
-                else:
-                    visited_b += 1
-                if trace is not None:
-                    trace.append(TraceEvent(steps, forward, u, "expanded"))
-                # One ``alt`` object per distance: a level's nodes share it,
-                # so no expansion allocates an int, and the entries that later
-                # queries find stale point at a few objects that stay cached.
-                du = dist[u]
-                if du is not last_du:
-                    last_du, alt = du, du + 1
-                for v in neighbors:
-                    if dist[v] > alt:
-                        prev[v] = u
-                        dist[v] = alt
-                        if v in other_set:
-                            intermed = v
-                            met = True
-                            break
-                        todo2.append(v)
+                    if probing and not forward and u not in postponed:
+                        kind = kind_lookup(u)
+                        if kind is None:
+                            kind = kind_load(u)
+                            kind_loads += 1
+                        probes += 1
+                        if may_postpone and kind in postpone_kinds:
+                            postponed.add(u)
+                            if delay_steps > 1:
+                                delay[u] = delay_steps - 1
+                            postponements += 1
+                            todo2.append(u)
+                            if trace is not None:
+                                trace.append(TraceEvent(steps, forward, u, "postponed"))
+                            continue
+                    neighbors = lookup(u)
+                    if neighbors is None:
+                        neighbors = load(u)
+                        run_loads += 1
+                    if forward:
+                        visited_f += 1
+                    else:
+                        visited_b += 1
+                    if trace is not None:
+                        trace.append(TraceEvent(steps, forward, u, "expanded"))
+                    # One ``alt`` object per distance: a level's nodes share it,
+                    # so no expansion allocates an int, and the entries that later
+                    # queries find stale point at a few objects that stay cached.
+                    du = dist[u]
+                    if du is not last_du:
+                        last_du, alt = du, du + 1
+                    for v in neighbors:
+                        if dist[v] > alt:
+                            prev[v] = u
+                            dist[v] = alt
+                            if v in other_set:
+                                intermed = v
+                                met = True
+                                break
+                            todo2.append(v)
+                    if met:
+                        break
                 if met:
                     break
-            if met:
-                break
-            todo2.sort()
-            if written is not None:
-                written[forward].append(todo2)
-        if forward:
-            todo_f, set_f = todo2, None
-        else:
-            todo_b, set_b = todo2, None
-        if marked is forward:
-            marked = None
+                todo2.sort()
+                if written is not None:
+                    written[forward].append(todo2)
+            if forward:
+                todo_f, set_f = todo2, None
+            else:
+                todo_b, set_b = todo2, None
+            if marked is forward:
+                marked = None
+    finally:
+        # The lookup hits of this query, counted once, even when it raised.
+        if count_hits is not None:
+            count_hits(visited_f + visited_b - run_loads, probes - kind_loads)
 
     if return_state and arrays is not None:
         prev_f, dist_f = arrays.as_lists(True)

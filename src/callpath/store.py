@@ -2,10 +2,10 @@
 
 Models the environment where graph data lives on disk and is fetched
 on demand: every first touch of a node's metadata or adjacency costs a
-"disk access", optionally with injected latency, and an LRU cache of
-whole node records bounds what stays in memory. Searches running over
-this backend produce exactly the same results as over the in-memory
-backend; only timing and access statistics differ.
+"disk access", optionally with injected latency, and a cache of at most
+``max_cached_nodes`` node records bounds what stays in memory. Searches
+running over this backend produce exactly the same results as over the
+in-memory backend; only timing and access statistics differ.
 
 File format ``CGS1`` (all integers little-endian, strings UTF-8):
 
@@ -31,15 +31,32 @@ The fwd and bwd sections are the CSR adjacency layout of
 read-only once and decodes rows, metadata records and heap strings
 straight from the map; the file must not be modified while a handle is
 open. ``open_store`` verifies every checksum up front (a corrupt or
-truncated file fails naming the damaged section); the verification
-scan happens before any access accounting starts.
+truncated file fails naming the damaged section), then checks with
+numpy over the map that the adjacency sections are well formed: each
+prefix rises from 0 to ``edge_count``, every id is below
+``node_count``, each run is strictly ascending and bwd is the transpose
+of fwd. So a reader never indexes past a section, and the ids a search
+reads back are valid node ids. Class-kind bytes are checked when read.
+All of this happens before any access accounting starts.
 
-A miss decodes only what the call returns. An adjacency miss unpacks
-one id run. ``class_kind``, the call a search probe makes, reads the
-single kind byte of the node's meta record; ``method_meta`` counts as
-the same meta read (a hit once either call has read the record) and
-decodes the record's strings into a ``MethodMeta`` on its first call
-while the record stays cached.
+The cache holds one dict per record section, keyed by node id: forward
+runs, backward runs, class kinds and decoded ``MethodMeta``. A node is
+cached while any of them holds it, and an evicted node loses all four,
+so the cache behaves as an LRU of whole node records. Recency is kept
+in an ``OrderedDict`` of the cached ids only when the cache can evict,
+that is when ``max_cached_nodes < node_count``.
+
+A read is one cache hit or one miss. A miss decodes only what the call
+returns: an adjacency miss unpacks one id run, and ``class_kind``, the
+call a search probe makes, reads the single kind byte of the node's
+meta record. ``method_meta`` counts as the same meta read (a hit once
+either call has read the record) and decodes the record's strings on
+its first call while the record stays cached. The search kernel reads
+through ``readers()``: when nothing can be evicted, a hit there is one
+C-level ``dict.get`` that counts nothing, and the kernel hands the
+store the number of such hits once per query, through ``count_hits``,
+even when the query raises; every other read is counted by the load
+that serves it, in one Python frame and without the node-id check.
 """
 
 from __future__ import annotations
@@ -52,11 +69,14 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from zlib import crc32
 
+import numpy as np
+
 from .errors import ChecksumError, StoreFormatError, StoreLimitError
-from .model import ClassKind, Direction, InMemoryGraph, MethodMeta, NodeId, check_node, materialize
+from .model import NO_LOOKUP, ClassKind, Direction, InMemoryGraph, MethodMeta, NodeId, check_node, materialize
 
 MAGIC = b"CGS1"
 VERSION = 1
@@ -103,7 +123,8 @@ class AccessStats:
 
     Every metadata or adjacency read is classified as exactly one cache
     hit or miss, so ``cache_hits + cache_misses`` always equals
-    ``meta_reads + adjacency_reads``.
+    ``meta_reads + adjacency_reads``. The hits a search serves from
+    ``readers()`` lookups are added when the search returns or raises.
     """
 
     meta_reads: int = 0
@@ -204,22 +225,6 @@ def is_store_file(path: str | Path) -> bool:
         return False
 
 
-class _NodeRecord:
-    """One LRU cache entry; sections fill in lazily as they are first read.
-
-    The meta section counts as read once ``kind`` is set; ``meta`` is
-    decoded from the map on the first ``method_meta`` call after that.
-    """
-
-    __slots__ = ("kind", "meta", "fwd", "bwd")
-
-    def __init__(self) -> None:
-        self.kind: ClassKind | None = None
-        self.meta: MethodMeta | None = None
-        self.fwd: tuple[int, ...] | None = None
-        self.bwd: tuple[int, ...] | None = None
-
-
 class DiskGraph:
     """Graph-access handle over a CGS1 file.
 
@@ -239,10 +244,18 @@ class DiskGraph:
             self._map.close()
             raise
         (self._node_count, self._edge_count, self._section_offsets) = layout
-        self._lru: OrderedDict[int, _NodeRecord] = OrderedDict()
-        # With room for every node nothing is ever evicted, so recency
-        # order is never read and hits skip maintaining it.
-        self._evicts = cache.max_cached_nodes < self._node_count
+        # One cache dict per record section, keyed by node id; a node's
+        # record is its entries in the four, and eviction drops them all.
+        self._fwd: dict[int, tuple[int, ...]] = {}
+        self._bwd: dict[int, tuple[int, ...]] = {}
+        self._kinds: dict[int, ClassKind] = {}
+        self._metas: dict[int, MethodMeta] = {}
+        self._sections = (self._fwd, self._bwd, self._kinds, self._metas)
+        # The cached ids in recency order, kept only when the cache can
+        # evict; with room for every node nothing is ever evicted.
+        self._recency: OrderedDict[int, None] | None = (
+            OrderedDict() if cache.max_cached_nodes < self._node_count else None
+        )
         self._run_structs: dict[int, struct.Struct] = {}
         self._stats = AccessStats()
 
@@ -257,29 +270,58 @@ class DiskGraph:
         return self._edge_count
 
     def successors(self, u: NodeId) -> tuple[int, ...]:
-        return self._adjacency(u, forward=True)
+        return self._load_run(self._fwd, self._section_offsets[2], check_node(u, self._node_count))
 
     def predecessors(self, u: NodeId) -> tuple[int, ...]:
-        return self._adjacency(u, forward=False)
+        return self._load_run(self._bwd, self._section_offsets[3], check_node(u, self._node_count))
 
     def method_meta(self, u: NodeId) -> MethodMeta:
         u = check_node(u, self._node_count)
-        record = self._meta_entry(u)
-        if record.meta is None:
-            record.meta = self._read_meta(u, record.kind)
-        return record.meta
+        kind = self._load_kind(u)
+        meta = self._metas.get(u)
+        if meta is None:
+            meta = self._metas[u] = self._read_meta(u, kind)
+        return meta
 
     def class_kind(self, u: NodeId) -> ClassKind:
         """``method_meta(u).class_kind``, counted as the same meta read,
         but a miss reads only the record's kind byte."""
-        return self._meta_entry(check_node(u, self._node_count)).kind
+        return self._load_kind(check_node(u, self._node_count))
+
+    def readers(self):
+        """The search kernel's unchecked reads: a ``(lookup, load)`` pair
+        each for forward runs, backward runs and class kinds.
+
+        ``lookup(u)`` is the section dict's ``get`` when nothing can be
+        evicted: a hit costs one C call and is not counted until
+        ``count_hits``. When the cache can evict it never hits, so every
+        read goes through ``load(u)``, which counts itself, keeps recency
+        and reads the map on a miss. Ids must lie in ``[0, node_count)``.
+        """
+        offsets = self._section_offsets
+        fwd = partial(self._load_run, self._fwd, offsets[2])
+        bwd = partial(self._load_run, self._bwd, offsets[3])
+        if self._recency is not None:
+            return (NO_LOOKUP, fwd), (NO_LOOKUP, bwd), (NO_LOOKUP, self._load_kind)
+        return (self._fwd.get, fwd), (self._bwd.get, bwd), (self._kinds.get, self._load_kind)
+
+    def count_hits(self, adjacency: int, meta: int) -> None:
+        """Count reads that a ``readers()`` lookup served from the cache:
+        ``adjacency`` run reads and ``meta`` kind reads, all hits."""
+        stats = self._stats
+        stats.adjacency_reads += adjacency
+        stats.meta_reads += meta
+        stats.cache_hits += adjacency + meta
 
     # ---- query/statistics management ----------------------------------------
 
     def begin_query(self) -> None:
         """Searches call this on entry; in cold mode it empties the cache."""
         if self._cache_config.mode is CacheMode.COLD_PER_QUERY:
-            self._lru.clear()
+            for section in self._sections:
+                section.clear()
+            if self._recency is not None:
+                self._recency.clear()
 
     def access_stats(self) -> AccessStats:
         return self._stats.copy()
@@ -305,63 +347,71 @@ class DiskGraph:
 
     # ---- internals -------------------------------------------------------
 
-    def _entry(self, u: int) -> _NodeRecord:
-        record = self._lru.get(u)
-        if record is None:
-            record = _NodeRecord()
-            self._lru[u] = record
-            while len(self._lru) > self._cache_config.max_cached_nodes:
-                self._lru.popitem(last=False)
-        elif self._evicts:
-            self._lru.move_to_end(u)
-        return record
+    # The two loads below count one read of node ``u`` and, when the
+    # cache can evict, move ``u`` to the recent end, adding it and
+    # evicting the least recent node's whole record if it was not cached.
+    # Each runs in one frame, hit or miss: the recency and miss code is
+    # written out in both.
 
-    def _meta_entry(self, u: int) -> _NodeRecord:
-        """Count one meta read of ``u``; on a miss read its kind byte."""
-        record = self._entry(u)
-        self._stats.meta_reads += 1
-        if record.kind is not None:
-            self._stats.cache_hits += 1
-            return record
-        self._miss()
-        offset = self._section_offsets[0] + _META_RECORD.size * u + _KIND_OFFSET
-        kind_byte = self._map[offset]
-        record.kind = _BYTE_TO_KIND.get(kind_byte)
-        if record.kind is None:
-            raise StoreFormatError(f"node {u}: unknown class-kind byte {kind_byte}")
-        return record
-
-    def _miss(self) -> None:
-        self._stats.cache_misses += 1
+    def _load_run(self, runs: dict[int, tuple[int, ...]], prefix: int, u: int) -> tuple[int, ...]:
+        """One adjacency read of ``u`` from the section at ``prefix``."""
+        stats = self._stats
+        stats.adjacency_reads += 1
+        recency = self._recency
+        if recency is not None:
+            if u in recency:
+                recency.move_to_end(u)
+            else:
+                recency[u] = None
+                if len(recency) > self._cache_config.max_cached_nodes:
+                    evicted = recency.popitem(last=False)[0]
+                    for section in self._sections:
+                        section.pop(evicted, None)
+        run = runs.get(u)
+        if run is not None:
+            stats.cache_hits += 1
+            return run
+        stats.cache_misses += 1
         latency = self._cache_config.latency_per_miss
         if latency > 0:
             time.sleep(latency)
-            self._stats.injected_latency_total += latency
-
-    def _adjacency(self, u: NodeId, forward: bool) -> tuple[int, ...]:
-        u = check_node(u, self._node_count)
-        record = self._entry(u)
-        self._stats.adjacency_reads += 1
-        cached = record.fwd if forward else record.bwd
-        if cached is not None:
-            self._stats.cache_hits += 1
-            return cached
-        self._miss()
-        run = self._read_adjacency(u, forward)
-        if forward:
-            record.fwd = run
-        else:
-            record.bwd = run
+            stats.injected_latency_total += latency
+        start, end = _U64x2.unpack_from(self._map, prefix + 8 * u)
+        decode = self._run_structs.get(end - start)
+        if decode is None:
+            decode = self._run_structs[end - start] = struct.Struct(f"<{end - start}I")
+        run = runs[u] = decode.unpack_from(self._map, prefix + 8 * (self._node_count + 1) + 4 * start)
         return run
 
-    def _read_adjacency(self, u: int, forward: bool) -> tuple[int, ...]:
-        prefix = self._section_offsets[2 if forward else 3]
-        start, end = _U64x2.unpack_from(self._map, prefix + 8 * u)
-        ids = prefix + 8 * (self._node_count + 1)
-        run = self._run_structs.get(end - start)
-        if run is None:
-            run = self._run_structs[end - start] = struct.Struct(f"<{end - start}I")
-        return run.unpack_from(self._map, ids + 4 * start)
+    def _load_kind(self, u: int) -> ClassKind:
+        """One meta read of ``u``; a miss reads only its kind byte."""
+        stats = self._stats
+        stats.meta_reads += 1
+        recency = self._recency
+        if recency is not None:
+            if u in recency:
+                recency.move_to_end(u)
+            else:
+                recency[u] = None
+                if len(recency) > self._cache_config.max_cached_nodes:
+                    evicted = recency.popitem(last=False)[0]
+                    for section in self._sections:
+                        section.pop(evicted, None)
+        kind = self._kinds.get(u)
+        if kind is not None:
+            stats.cache_hits += 1
+            return kind
+        stats.cache_misses += 1
+        latency = self._cache_config.latency_per_miss
+        if latency > 0:
+            time.sleep(latency)
+            stats.injected_latency_total += latency
+        kind_byte = self._map[self._section_offsets[0] + _META_RECORD.size * u + _KIND_OFFSET]
+        kind = _BYTE_TO_KIND.get(kind_byte)
+        if kind is None:
+            raise StoreFormatError(f"node {u}: unknown class-kind byte {kind_byte}")
+        self._kinds[u] = kind
+        return kind
 
     def _read_meta(self, u: int, kind: ClassKind) -> MethodMeta:
         name_off, class_off, file_off, _, line = _META_RECORD.unpack_from(
@@ -453,4 +503,43 @@ def _verify(buf: mmap.mmap, path: Path) -> tuple[int, int, list[int]]:
             actual = crc32(view[offsets[idx] : offsets[idx] + sizes[idx]])
             if actual != crcs[idx + 1]:
                 raise ChecksumError.mismatch(_SECTION_NAMES[idx], crcs[idx + 1], actual)
+    problem = _adjacency_problem(buf, node_count, edge_count, offsets)
+    if problem is not None:
+        raise StoreFormatError(f"{path}: {problem}")
     return node_count, edge_count, offsets
+
+
+def _adjacency_problem(buf: mmap.mmap, n: int, m: int, offsets: list[int]) -> str | None:
+    """What makes the fwd and bwd sections other than the CSR layouts of
+    one edge set, naming the section, or None when nothing does.
+
+    The arrays are views of the map; they are gone when this returns, so
+    the map can still be closed if the caller raises.
+    """
+    runs = []
+    for idx in (2, 3):
+        name = _SECTION_NAMES[idx]
+        prefix = np.frombuffer(buf, "<u8", n + 1, offsets[idx])
+        ids = np.frombuffer(buf, "<u4", m, offsets[idx] + 8 * (n + 1))
+        if prefix[0] != 0 or prefix[-1] != m or (prefix[1:] < prefix[:-1]).any():
+            return f"{name}: prefix offsets do not rise from 0 to {m}"
+        prefix = prefix.astype(np.int64)  # at most m, which the file size bounds
+        if m and ids.max() >= n:
+            return f"{name}: node id {int(ids.max())} out of range for {n} nodes"
+        # Each id must exceed the one before it, except where a run starts.
+        rises = ids[1:] > ids[:-1]
+        starts = prefix[1:-1]
+        rises[starts[(starts > 0) & (starts < m)] - 1] = True
+        if not rises.all():
+            return f"{name}: a run of ids is not strictly ascending"
+        runs.append((prefix, ids))
+    # Both sections as (callee, caller) keys: the forward edges sorted by
+    # callee must be the backward runs, which are already in that order.
+    width = np.uint64(n)
+    keys = []
+    for (prefix, ids), ids_are_callees in zip(runs, (True, False)):
+        owners = np.repeat(np.arange(n, dtype=np.uint64), np.diff(prefix))
+        keys.append(ids * width + owners if ids_are_callees else owners * width + ids)
+    if not np.array_equal(np.sort(keys[0]), keys[1]):
+        return "backward-adjacency: not the transpose of forward-adjacency"
+    return None

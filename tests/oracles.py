@@ -7,12 +7,13 @@ code with the search implementations it judges.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from math import inf
 
 import numpy as np
 
 from callpath.model import InMemoryGraph, MethodMeta, ClassKind
+from callpath.store import AccessStats
 
 
 def bfs_distances(graph, source: int) -> list[float]:
@@ -125,3 +126,40 @@ def layered_bfs(graph, initial: int, final: int) -> dict:
         chain.reverse()
         path = list(zip(chain, chain[1:]))
     return {"path": path, "visited": visited, "steps": steps, "trace": trace}
+
+
+class LruRecordModel:
+    """Reference read accounting of a store handle: an LRU of whole node
+    records, each holding the sections read so far.
+
+    A read of ``section`` ("fwd", "bwd" or "meta") of node u is a hit when
+    u's record holds that section and a miss otherwise; either way u
+    becomes the most recent record and the section is added to it. A new
+    record beyond ``capacity`` evicts the least recent record whole.
+    ``begin_query`` empties the cache in cold mode.
+    """
+
+    def __init__(self, capacity: int, cold: bool) -> None:
+        self.capacity = capacity
+        self.cold = cold
+        self.records: OrderedDict[int, set[str]] = OrderedDict()
+        self.stats = AccessStats()
+
+    def read(self, section: str, u: int) -> None:
+        if section == "meta":
+            self.stats.meta_reads += 1
+        else:
+            self.stats.adjacency_reads += 1
+        sections = self.records.pop(u, set())
+        if section in sections:
+            self.stats.cache_hits += 1
+        else:
+            self.stats.cache_misses += 1
+            sections.add(section)
+        self.records[u] = sections
+        while len(self.records) > self.capacity:
+            self.records.popitem(last=False)
+
+    def begin_query(self) -> None:
+        if self.cold:
+            self.records.clear()

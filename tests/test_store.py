@@ -368,6 +368,75 @@ def test_unknown_class_kind_byte_is_format_error(tmp_path, fig_graph):
     assert "Traceback" not in proc.stderr
 
 
+def _patched_store(path, graph, patch):
+    """Build ``graph``'s store at ``path``, let ``patch(fwd, bwd)`` edit the
+    adjacency sections, each a writable ``(prefix, ids)`` pair of arrays
+    over the file's bytes, and recompute every CRC so the file passes
+    the checksum scan."""
+    build_store(graph, path)
+    data = bytearray(path.read_bytes())
+    header = struct.unpack_from("<4sIIQ" + "QQ" * 4 + "Q", data)
+    n, m = header[2], header[3]
+    sections = [(header[4 + 2 * i], header[5 + 2 * i]) for i in range(4)]
+    fwd, bwd = (
+        (np.frombuffer(data, "<u8", n + 1, offset), np.frombuffer(data, "<u4", m, offset + 8 * (n + 1)))
+        for offset, _ in sections[2:]
+    )
+    patch(fwd, bwd)
+    del fwd, bwd
+    crcs = [crc32(data[:92])] + [crc32(data[offset : offset + size]) for offset, size in sections]
+    struct.pack_into("<IIIII", data, header[12], *crcs)
+    path.write_bytes(bytes(data))
+
+
+def _set(array, index, value):
+    array[index] = value
+
+
+# The transceiver store: forward 0 -> (1, 2, 3), backward 1, 2, 3 -> (0,).
+_BROKEN_STRUCTURE = {
+    "prefix-start": (lambda fwd, bwd: _set(fwd[0], 0, 1), "forward-adjacency: prefix offsets"),
+    "prefix-falls": (lambda fwd, bwd: _set(fwd[0], 2, 1), "forward-adjacency: prefix offsets"),
+    "prefix-end": (lambda fwd, bwd: _set(bwd[0], 4, 2), "backward-adjacency: prefix offsets"),
+    "id-range": (lambda fwd, bwd: _set(fwd[1], 0, 4 + 5), "forward-adjacency: node id 9 out of range"),
+    "run-order": (lambda fwd, bwd: _set(fwd[1], 1, 1), "forward-adjacency: a run of ids is not strictly"),
+    "transpose": (lambda fwd, bwd: _set(bwd[1], 1, 1), "backward-adjacency: not the transpose"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_STRUCTURE))
+def test_broken_adjacency_with_valid_checksums_is_format_error(tmp_path, fig_graph, case):
+    patch, message = _BROKEN_STRUCTURE[case]
+    path = tmp_path / f"{case}.cgs"
+    _patched_store(path, fig_graph, patch)
+    with pytest.raises(StoreFormatError, match=message):
+        open_store(path)
+
+
+@pytest.mark.parametrize(
+    "case, argv",
+    [
+        ("id-range", ["path", "--from", "0", "--to", "3", "--algo", "uni"]),
+        ("prefix-falls", ["path", "--from", "0", "--to", "3", "--algo", "uni"]),
+        ("prefix-falls", ["reach", "0"]),
+    ],
+)
+def test_cli_rejects_broken_adjacency_in_one_line(tmp_path, fig_graph, case, argv):
+    patch, message = _BROKEN_STRUCTURE[case]
+    path = tmp_path / f"{case}.cgs"
+    _patched_store(path, fig_graph, patch)
+    proc = subprocess.run(
+        [sys.executable, "-m", "callpath.cli", argv[0], "--graph", str(path), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_magic(tmp_path, fig_graph):
     path = tmp_path / "magic.cgs"
     build_store(fig_graph, path)
