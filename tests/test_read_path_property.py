@@ -62,20 +62,27 @@ def _search(graph, s, t, config, events):
         return None
 
 
-@st.composite
-def _sessions(draw):
-    g = draw(st.integers(0, len(GRAPHS) - 1))
-    n = GRAPHS[g].node_count
+def _operations(n):
     node = st.integers(0, n - 1)
     read = st.tuples(st.sampled_from(["fwd", "bwd", "meta", "kind"]), node)
     search = st.tuples(
         st.just("search"), node, node, st.integers(0, len(REGIME_CONFIGS) - 1), st.integers(0, 12)
     )
-    ops = draw(st.lists(st.one_of(read, read, search, st.just(("begin",))), min_size=10, max_size=40))
-    return g, draw(st.integers(1, n + 1)), draw(st.sampled_from(list(CacheMode))), ops
+    return st.lists(st.one_of(read, read, search, st.just(("begin",))), min_size=10, max_size=40)
 
 
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+# Built once: a strategy rebuilt inside every draw costs more than the checks.
+OPERATIONS = [_operations(graph.node_count) for graph in GRAPHS]
+
+
+@st.composite
+def _sessions(draw):
+    g = draw(st.integers(0, len(GRAPHS) - 1))
+    n = GRAPHS[g].node_count
+    return g, draw(st.integers(1, n + 1)), draw(st.sampled_from(list(CacheMode))), draw(OPERATIONS[g])
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(session=_sessions())
 def test_handle_counts_reads_as_the_reference_lru(stores, session):
     g, capacity, mode, ops = session
