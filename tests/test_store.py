@@ -368,47 +368,44 @@ def test_unknown_class_kind_byte_is_format_error(tmp_path, fig_graph):
     assert "Traceback" not in proc.stderr
 
 
-def _patched_store(path, graph, patch):
-    """Build ``graph``'s store at ``path``, let ``patch(fwd, bwd)`` edit the
-    adjacency sections, each a writable ``(prefix, ids)`` pair of arrays
-    over the file's bytes, and recompute every CRC so the file passes
-    the checksum scan."""
+def _patched_store(path, graph, edit):
+    """Build ``graph``'s store at ``path``, set one adjacency entry, and
+    recompute every CRC so the file passes the checksum scan. ``edit`` is
+    (section, array, index, value): section "fwd" or "bwd", array 0 for
+    the prefix offsets or 1 for the ids."""
     build_store(graph, path)
     data = bytearray(path.read_bytes())
     header = struct.unpack_from("<4sIIQ" + "QQ" * 4 + "Q", data)
     n, m = header[2], header[3]
     sections = [(header[4 + 2 * i], header[5 + 2 * i]) for i in range(4)]
-    fwd, bwd = (
-        (np.frombuffer(data, "<u8", n + 1, offset), np.frombuffer(data, "<u4", m, offset + 8 * (n + 1)))
-        for offset, _ in sections[2:]
-    )
-    patch(fwd, bwd)
-    del fwd, bwd
+    section, array, index, value = edit
+    offset = sections[2 if section == "fwd" else 3][0]
+    if array == 0:
+        struct.pack_into("<Q", data, offset + 8 * index, value)
+    else:
+        struct.pack_into("<I", data, offset + 8 * (n + 1) + 4 * index, value)
     crcs = [crc32(data[:92])] + [crc32(data[offset : offset + size]) for offset, size in sections]
     struct.pack_into("<IIIII", data, header[12], *crcs)
     path.write_bytes(bytes(data))
 
 
-def _set(array, index, value):
-    array[index] = value
-
-
-# The transceiver store: forward 0 -> (1, 2, 3), backward 1, 2, 3 -> (0,).
+# Edits of the transceiver store, whose forward run of node 0 is
+# (1, 2, 3) and whose backward runs of nodes 1, 2 and 3 are (0,) each.
 _BROKEN_STRUCTURE = {
-    "prefix-start": (lambda fwd, bwd: _set(fwd[0], 0, 1), "forward-adjacency: prefix offsets"),
-    "prefix-falls": (lambda fwd, bwd: _set(fwd[0], 2, 1), "forward-adjacency: prefix offsets"),
-    "prefix-end": (lambda fwd, bwd: _set(bwd[0], 4, 2), "backward-adjacency: prefix offsets"),
-    "id-range": (lambda fwd, bwd: _set(fwd[1], 0, 4 + 5), "forward-adjacency: node id 9 out of range"),
-    "run-order": (lambda fwd, bwd: _set(fwd[1], 1, 1), "forward-adjacency: a run of ids is not strictly"),
-    "transpose": (lambda fwd, bwd: _set(bwd[1], 1, 1), "backward-adjacency: not the transpose"),
+    "prefix-start": (("fwd", 0, 0, 1), "forward-adjacency: prefix offsets"),
+    "prefix-falls": (("fwd", 0, 2, 1), "forward-adjacency: prefix offsets"),
+    "prefix-end": (("bwd", 0, 4, 2), "backward-adjacency: prefix offsets"),
+    "id-range": (("fwd", 1, 0, 4 + 5), "forward-adjacency: node id 9 out of range"),
+    "run-order": (("fwd", 1, 1, 1), "forward-adjacency: a run of ids is not strictly"),
+    "transpose": (("bwd", 1, 1, 1), "backward-adjacency: not the transpose"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BROKEN_STRUCTURE))
 def test_broken_adjacency_with_valid_checksums_is_format_error(tmp_path, fig_graph, case):
-    patch, message = _BROKEN_STRUCTURE[case]
+    edit, message = _BROKEN_STRUCTURE[case]
     path = tmp_path / f"{case}.cgs"
-    _patched_store(path, fig_graph, patch)
+    _patched_store(path, fig_graph, edit)
     with pytest.raises(StoreFormatError, match=message):
         open_store(path)
 
@@ -422,9 +419,9 @@ def test_broken_adjacency_with_valid_checksums_is_format_error(tmp_path, fig_gra
     ],
 )
 def test_cli_rejects_broken_adjacency_in_one_line(tmp_path, fig_graph, case, argv):
-    patch, message = _BROKEN_STRUCTURE[case]
+    edit, message = _BROKEN_STRUCTURE[case]
     path = tmp_path / f"{case}.cgs"
-    _patched_store(path, fig_graph, patch)
+    _patched_store(path, fig_graph, edit)
     proc = subprocess.run(
         [sys.executable, "-m", "callpath.cli", argv[0], "--graph", str(path), *argv[1:]],
         capture_output=True,
