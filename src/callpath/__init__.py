@@ -58,6 +58,7 @@ from .model import (
     Edge,
     InMemoryGraph,
     MethodMeta,
+    NodeColumns,
     NodeId,
     materialize,
     resolve_name,
@@ -93,6 +94,7 @@ __all__ = [
     "ClassKind",
     "Edge",
     "MethodMeta",
+    "NodeColumns",
     "InMemoryGraph",
     "materialize",
     "resolve_name",

@@ -12,6 +12,21 @@ node ids are assigned in node-record order. ``kind`` is one of
 interface | abstract | concrete; a missing kind defaults to concrete
 with a warning. ``file`` and ``line`` are optional.
 
+``import_jsonl`` reads the stream in chunks of a few thousand lines and
+strips each line. A chunk whose lines have the form that ``iter_jsonl``
+writes is read with a few calls over the whole chunk and never builds a
+per-line dict. That form is: node lines, then edge lines; the keys in
+the order above, with ``json.dumps``' default separators, and ``file``
+and ``line`` each present or not; ids and lines as ASCII integers of at
+most 18 digits without a leading zero or ``-0``; and strings without a
+quote, a backslash or a control character. Node ids must be new, and
+an edge's ids declared before it. Every other line (other spacing or
+key order, escapes, other id types, a missing kind, a blank line, a
+fault) is parsed on its own, by the same reader that would read it if
+no line had the fast form. The two readers share one state, so the
+graph, the warnings and every error with its line number are the same
+whichever reads a line.
+
 The synthetic generator reproduces the structural regimes the search
 benchmarks need: a random background digraph (fixed edge probability or
 fixed out-degree) plus a configurable number of high-indegree "hub"
@@ -38,18 +53,18 @@ pins the graphs they give.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .errors import CallpathError, JsonlFormatError, SyntheticSpecError
-from .model import ClassKind, Direction, InMemoryGraph, MethodMeta, NodeId, check_node
-
-_KIND_NAMES = {kind.value: kind for kind in ClassKind}
+from .model import ClassKind, Direction, InMemoryGraph, NodeColumns, NodeId, check_node
 
 # "Few vs many" reachability boundary, as a fraction of the node count,
 # and the dominance ratio for the lopsided regimes.
@@ -72,32 +87,12 @@ def import_jsonl(lines: Iterable[str] | IO[str]) -> InMemoryGraph:
     text file does); a text file whose bytes are not UTF-8 raises a
     CallpathError.
     """
-    metas: list[MethodMeta] = []
-    id_map: dict[object, int] = {}  # keyed by _id_key
-    callers: list[int] = []
-    callees: list[int] = []
+    columns = _Columns()
     try:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj, end = _scan_once(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            if end != len(line):
-                obj = _decode(line, lineno)
-            if not isinstance(obj, dict):
-                raise JsonlFormatError(lineno, "record must be a JSON object")
-            record = obj.get("record")
-            if record == "node":
-                metas.append(_parse_node(obj, lineno, id_map, len(metas)))
-            elif record == "edge":
-                caller, callee = _parse_edge(obj, lineno, id_map)
-                callers.append(caller)
-                callees.append(callee)
-            else:
-                raise JsonlFormatError(lineno, f"unknown record type {record!r}")
+        for first, chunk in _chunks(lines):
+            taken = _read_fast(chunk, columns)
+            if taken < len(chunk):
+                _read_lines(chunk[taken:], first + taken, columns)
     except JsonlFormatError as exc:
         name = getattr(lines, "name", None)
         if name is None:
@@ -106,7 +101,177 @@ def import_jsonl(lines: Iterable[str] | IO[str]) -> InMemoryGraph:
     except UnicodeDecodeError as exc:  # from a text file's line iterator
         name = getattr(lines, "name", "input")
         raise CallpathError(f"{name}: not UTF-8 text ({exc.reason})") from exc
-    return InMemoryGraph(metas, np.array([callers, callees], dtype=np.int64).T)
+    return columns.graph()
+
+
+# Lines per chunk: enough that the per-chunk calls cost little per line,
+# few enough that a chunk's strings and arrays stay near a megabyte.
+_CHUNK_LINES = 4096
+
+
+def _chunks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """The stream's lines, stripped, in chunks, each with the line number
+    of its first line. When reading raises (a text file whose bytes are
+    not UTF-8 raises UnicodeDecodeError), the lines read before it are
+    yielded first, so a fault on an earlier line is reported as it would
+    be line by line."""
+    stream = iter(lines)
+    first = 1
+    while True:
+        chunk: list[str] = []
+        try:
+            chunk.extend(islice(stream, _CHUNK_LINES))
+        except Exception:  # list.extend keeps the lines read before it
+            yield first, list(map(str.strip, chunk))
+            raise
+        if not chunk:
+            return
+        # Rebinding drops the unstripped lines before the chunk is read.
+        chunk = list(map(str.strip, chunk))
+        yield first, chunk
+        first += len(chunk)
+
+
+class _Columns:
+    """What the lines read so far declare: the node columns, the id map
+    and the edges as arrays of dense (caller, callee) rows. Both readers
+    add to it, so a stream can switch between them at any line."""
+
+    def __init__(self) -> None:
+        self.methods: list[str] = []
+        self.classes: list[str] = []
+        self.kinds = bytearray()  # ClassKind codes
+        self.files: list[str] = []
+        self.lines: list[int] = []
+        self.edges: list[np.ndarray] = []
+        # Dense id of each declared JSON id, keyed by _id_key. None while
+        # the i-th node declared has the JSON int id i: the form exports
+        # have, whose edges need no lookup.
+        self._id_map: dict[object, int] | None = None
+
+    @property
+    def dense_ids(self) -> bool:
+        return self._id_map is None
+
+    def id_map(self) -> dict[object, int]:
+        if self._id_map is None:
+            n = len(self.methods)
+            self._id_map = dict(zip(range(n), range(n)))
+        return self._id_map
+
+    def graph(self) -> InMemoryGraph:
+        edges = np.concatenate(self.edges) if self.edges else np.empty((0, 2), dtype=np.int64)
+        kinds = np.frombuffer(self.kinds, dtype=np.int8)
+        return InMemoryGraph.from_columns(
+            NodeColumns(tuple(self.methods), tuple(self.classes), kinds, tuple(self.files), tuple(self.lines)),
+            edges,
+        )
+
+
+# The fast form: the lines iter_jsonl and perfbench write. Keys in this
+# order with json.dumps' default separators, ids ASCII ints of at most
+# 18 digits (so int64) with one spelling each (no -0), and strings
+# without a quote, backslash or control character (so without escapes).
+_STR = r'[^"\\\x00-\x1f]'
+_INT = r"(?:0|-?[1-9][0-9]{0,17})"
+_FAST_NODE = re.compile(
+    rf'^\{{"record": "node", "id": ({_INT}), "method": "({_STR}+)", "class": "({_STR}+)", '
+    rf'"kind": "(?=([iac]))(?:interface|abstract|concrete)"(?:, "file": "({_STR}*)")?'
+    rf'(?:, "line": (0|[1-9][0-9]{{0,17}}))?\}}$',
+    re.MULTILINE,
+)
+_FAST_EDGE = re.compile(rf'\{{"record": "edge", "caller": {_INT}, "callee": {_INT}\}}\n')
+_EDGE_START = '{"record": "edge"'
+# Leaves an edge line's two ids and blanks the rest.
+_ID_CHARS = {c: " " for c in range(128) if chr(c) not in "-0123456789"}
+_KIND_CODE = {kind.value: code for code, kind in enumerate(ClassKind)}
+# The fast form captures a kind's first letter: one-letter strings are
+# shared objects, where the whole name would be a new string per line.
+_KIND_CODE_BY_INITIAL = {name[0]: code for name, code in _KIND_CODE.items()}
+
+
+def _read_fast(lines: list[str], columns: _Columns) -> int:
+    """Read the leading lines of a chunk that are node lines, then edge
+    lines, of the fast form, with no id declared twice and no edge to an
+    id not declared before it. Returns how many lines it read: none, the
+    node lines, or all. The rest goes to ``_read_lines``, which reads
+    them as it reads any line, so the result does not depend on which
+    lines were read here."""
+    blob = "\n".join(chain(lines, [""]))  # every line ends in a newline
+    if blob.count("\n") != len(lines):  # a line holds a newline
+        return 0
+    cut = blob.find(_EDGE_START)
+    if cut < 0:
+        cut = len(blob)
+    elif cut and blob[cut - 1] != "\n":
+        return 0
+    k = blob.count("\n", 0, cut)
+    nodes = _FAST_NODE.findall(blob, 0, cut)
+    if len(nodes) != k:
+        return 0
+    if k:
+        ids, methods, classes, kinds, files, line_numbers = zip(*nodes)
+        del nodes
+        keys = np.fromstring(" ".join(ids), dtype=np.int64, sep=" ")
+        base = len(columns.methods)
+        if not (columns.dense_ids and np.array_equal(keys, np.arange(base, base + k))):
+            keys = keys.tolist()
+            id_map = columns.id_map()
+            if len(set(keys)) < k or not id_map.keys().isdisjoint(keys):
+                return 0
+            id_map.update(zip(keys, range(base, base + k)))
+        columns.methods.extend(methods)
+        columns.classes.extend(classes)
+        columns.kinds.extend(map(_KIND_CODE_BY_INITIAL.__getitem__, kinds))
+        columns.files.extend(files)
+        columns.lines.extend([int(line) if line else 0 for line in line_numbers])
+    edges = blob[cut:]
+    # Removing every edge line of the fast form must leave nothing. (A
+    # fullmatch of the repeated line holds a backtracking frame per line.)
+    if k == len(lines) or _FAST_EDGE.sub("", edges):
+        return k
+    ends = np.fromstring(edges.translate(_ID_CHARS), dtype=np.int64, sep=" ")
+    n = len(columns.methods)
+    if columns.dense_ids:
+        if ends.min() < 0 or ends.max() >= n:
+            return k
+    else:
+        dense = list(map(columns.id_map().get, ends.tolist()))
+        if None in dense:
+            return k
+        ends = np.array(dense, dtype=np.int64)
+    columns.edges.append(ends.reshape(-1, 2))
+    return len(lines)
+
+
+def _read_lines(lines: list[str], first: int, columns: _Columns) -> None:
+    """Read stripped lines one at a time; ``first`` is the line number
+    of the first."""
+    id_map = columns.id_map()
+    callers: list[int] = []
+    callees: list[int] = []
+    for lineno, line in enumerate(lines, start=first):
+        if not line:
+            continue
+        try:
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            obj = _decode(line, lineno)
+        if not isinstance(obj, dict):
+            raise JsonlFormatError(lineno, "record must be a JSON object")
+        record = obj.get("record")
+        if record == "node":
+            _parse_node(obj, lineno, id_map, columns)
+        elif record == "edge":
+            caller, callee = _parse_edge(obj, lineno, id_map)
+            callers.append(caller)
+            callees.append(callee)
+        else:
+            raise JsonlFormatError(lineno, f"unknown record type {record!r}")
+    if callers:
+        columns.edges.append(np.array([callers, callees], dtype=np.int64).T)
 
 
 # The C scanner behind json.loads, without its per-call wrapping. A line
@@ -132,7 +297,7 @@ def _id_key(value) -> object:
     return value if type(value) is int or type(value) is str else (type(value), value)
 
 
-def _parse_node(obj: dict, lineno: int, id_map: dict, next_id: int) -> MethodMeta:
+def _parse_node(obj: dict, lineno: int, id_map: dict, columns: _Columns) -> None:
     if "id" not in obj:
         raise JsonlFormatError(lineno, "node record missing 'id'")
     key = obj["id"]
@@ -148,33 +313,30 @@ def _parse_node(obj: dict, lineno: int, id_map: dict, next_id: int) -> MethodMet
         raise JsonlFormatError(lineno, "node record needs a non-empty 'class'")
     if "kind" in obj:
         kind_name = obj["kind"]
-        kind = _KIND_NAMES.get(kind_name) if isinstance(kind_name, str) else None
-        if kind is None:
+        code = _KIND_CODE.get(kind_name) if isinstance(kind_name, str) else None
+        if code is None:
             raise JsonlFormatError(
                 lineno,
-                f"unknown kind {kind_name!r} (expected one of {sorted(_KIND_NAMES)})",
+                f"unknown kind {kind_name!r} (expected one of {sorted(_KIND_CODE)})",
             )
     else:
         warnings.warn(
             f"line {lineno}: node {key!r} has no 'kind'; defaulting to concrete",
-            stacklevel=3,
+            stacklevel=4,  # the caller of import_jsonl
         )
-        kind = ClassKind.CONCRETE
+        code = _KIND_CODE[ClassKind.CONCRETE.value]
     file = obj.get("file", "")
     line_no = obj.get("line", 0)
     if not isinstance(file, str):
         raise JsonlFormatError(lineno, "'file' must be a string")
     if isinstance(line_no, bool) or not isinstance(line_no, int) or line_no < 0:
         raise JsonlFormatError(lineno, "'line' must be a non-negative integer")
-    id_map[_id_key(key)] = next_id
-    return MethodMeta(
-        node=next_id,
-        method_name=method,
-        class_name=cls,
-        class_kind=kind,
-        file=file,
-        line=line_no,
-    )
+    id_map[_id_key(key)] = len(columns.methods)
+    columns.methods.append(method)
+    columns.classes.append(cls)
+    columns.kinds.append(code)
+    columns.files.append(file)
+    columns.lines.append(line_no)
 
 
 def _parse_edge(obj: dict, lineno: int, id_map: dict) -> tuple[int, int]:
@@ -289,17 +451,11 @@ def generate_synthetic(spec: SyntheticSpec) -> InMemoryGraph:
         hubs = np.sort(rng.choice(n - first_ok, size=spec.hub_count, replace=False) + first_ok)
     else:
         hubs = np.empty(0, dtype=np.int64)
-    hub_set = set(hubs.tolist())
-
-    metas = [
-        MethodMeta(
-            node=u,
-            method_name=f"m{u}",
-            class_name=f"C{u}",
-            class_kind=spec.hub_kind if u in hub_set else ClassKind.CONCRETE,
-        )
-        for u in range(n)
-    ]
+    kinds = np.full(n, _KIND_CODE[ClassKind.CONCRETE.value], dtype=np.int8)
+    kinds[hubs] = _KIND_CODE[spec.hub_kind.value]
+    columns = NodeColumns(
+        tuple(map("m{}".format, range(n))), tuple(map("C{}".format, range(n))), kinds, ("",) * n, (0,) * n
+    )
 
     if spec.edge_probability is not None:
         src, dst = _bernoulli_edges(rng, n, spec.edge_probability, spec.acyclic)
@@ -325,7 +481,7 @@ def generate_synthetic(spec: SyntheticSpec) -> InMemoryGraph:
 
     callers = np.concatenate([src, *hub_src])
     callees = np.concatenate([dst, np.repeat(hubs, spec.hub_indegree)])
-    return InMemoryGraph(metas, np.column_stack([callers, callees]))
+    return InMemoryGraph.from_columns(columns, np.column_stack([callers, callees]))
 
 
 def _bernoulli_edges(rng, n: int, p: float, acyclic: bool) -> tuple[np.ndarray, np.ndarray]:

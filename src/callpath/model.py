@@ -39,13 +39,16 @@ the contract. Rounds with a large frontier run as array operations over
 its CSR arrays (``csr``) and postponement tests over its per-node kind
 codes (``kind_codes``). Any other backend is searched node by node.
 
-Graphs are immutable once built, so concurrent readers are safe.
+Graphs are immutable once built, so concurrent readers are safe; the
+per-node objects an :class:`InMemoryGraph` builds on first read are
+covered in its docstring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -71,7 +74,8 @@ class ClassKind(Enum):
     CONCRETE = "concrete"
 
 
-_KIND_CODES = {kind: code for code, kind in enumerate(ClassKind)}
+_KINDS = tuple(ClassKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 
 
 class Edge(NamedTuple):
@@ -131,15 +135,39 @@ def check_node(u: object, node_count: int) -> int:
     return u
 
 
+class NodeColumns(NamedTuple):
+    """The metadata of every node as columns indexed by node id: what the
+    ``MethodMeta`` records hold, without an object per node.
+    ``class_kinds`` holds each kind's index in ``tuple(ClassKind)`` as
+    int8; ``files`` is empty and ``lines`` 0 where a node has no position."""
+
+    method_names: tuple[str, ...]
+    class_names: tuple[str, ...]
+    class_kinds: np.ndarray
+    files: tuple[str, ...]
+    lines: tuple[int, ...]
+
+
 class InMemoryGraph:
     """Call graph held fully in memory.
 
     Each direction is stored in one CSR layout, the same one the CGS1
     store serialises: ``node_count + 1`` int64 offsets and an int64 id
     array in which node u's run ``ids[offsets[u]:offsets[u + 1]]`` is
-    sorted ascending and duplicate-free. Every run is also decoded once
-    into a tuple of Python ints, which is what the access contract
-    serves. Node ids are dense, assigned in construction order.
+    sorted ascending and duplicate-free. Node metadata is stored as
+    :class:`NodeColumns`. Node ids are dense, assigned in construction
+    order.
+
+    What the access contract serves is built on first read: each run
+    as a tuple of Python ints (``successors``, ``predecessors``,
+    ``readers``, ``edges``), each node's ``ClassKind`` (``class_kind``,
+    ``readers``) and its ``MethodMeta`` (``method_meta``). So a graph
+    that is only written to a store (``build_store`` reads the columns
+    and the CSR arrays) never builds them. Each is one
+    ``cached_property``. Two threads that read one at once may both
+    build it: each gets a complete, equal, immutable value, and the
+    later assignment replaces the earlier, so any reader sees the same
+    answers. The build race is benign and needs no lock.
     """
 
     def __init__(
@@ -147,10 +175,44 @@ class InMemoryGraph:
     ):
         """``edges`` is an iterable of (caller, callee) pairs or an
         ``(m, 2)`` integer array; duplicates are dropped."""
-        n = len(nodes)
         for i, meta in enumerate(nodes):
             if meta.node != i:
                 raise ValueError(f"node record {i} carries id {meta.node}; ids must be dense")
+        columns = NodeColumns(
+            tuple([meta.method_name for meta in nodes]),
+            tuple([meta.class_name for meta in nodes]),
+            np.fromiter([_KIND_CODES[meta.class_kind] for meta in nodes], np.int8, len(nodes)),
+            tuple([meta.file for meta in nodes]),
+            tuple([meta.line for meta in nodes]),
+        )
+        self._fill(columns, edges)
+        self._metas = tuple(nodes)
+
+    @classmethod
+    def from_columns(
+        cls, columns: NodeColumns, edges: Iterable[tuple[int, int]] | np.ndarray
+    ) -> "InMemoryGraph":
+        """The graph of ``InMemoryGraph(nodes, edges)`` whose nodes are
+        ``columns``, without building a ``MethodMeta`` per node. The
+        columns are checked as ``MethodMeta`` checks one record."""
+        n = len(columns.method_names)
+        if any(len(column) != n for column in columns):
+            raise ValueError(f"node columns differ in length: {[len(column) for column in columns]}")
+        if not all(columns.method_names):
+            raise ValueError("method_name must be non-empty")
+        if not all(columns.class_names):
+            raise ValueError("class_name must be non-empty")
+        if n and min(columns.lines) < 0:
+            raise ValueError("line must be non-negative")
+        codes = np.asarray(columns.class_kinds)
+        if n and (codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(_KINDS)):
+            raise ValueError(f"class kind codes must lie in [0, {len(_KINDS)})")
+        graph = cls.__new__(cls)
+        graph._fill(columns, edges)
+        return graph
+
+    def _fill(self, columns: NodeColumns, edges) -> None:
+        n = len(columns.method_names)
         if isinstance(edges, np.ndarray):
             if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
                 raise ValueError(f"edge array must be (m, 2) integers, got {edges.shape} {edges.dtype}")
@@ -162,25 +224,56 @@ class InMemoryGraph:
             raise InvalidNodeError(int(pairs.flat[bad[0]]), n)
         # One packed key per edge sorts by (caller, callee) and drops
         # duplicates; max(n, 1) keeps the unpacking defined on no nodes.
+        # A sort and a mask: on 68k keys np.unique took 15 ms and this
+        # under 2 ms (numpy 2.4, one shared vCPU).
         pairs = pairs.astype(np.int64, copy=False)
         width = max(n, 1)
-        callers, callees = np.divmod(np.unique(pairs[:, 0] * width + pairs[:, 1]), width)
+        keys = np.sort(pairs[:, 0] * width + pairs[:, 1])
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        callers, callees = np.divmod(keys[first], width)
         by_callee = np.divmod(np.sort(callees * width + callers), width)
         self._csr_fwd = _csr(callers, callees, n)
         self._csr_bwd = _csr(*by_callee, n)
-        node_ids = list(range(n))
-        self._fwd = _rows(*self._csr_fwd, node_ids)
-        self._bwd = _rows(*self._csr_bwd, node_ids)
-        self._nodes: tuple[MethodMeta, ...] = tuple(nodes)
-        self._kinds = tuple([meta.class_kind for meta in self._nodes])
         self._edge_count = len(callers)
-        self._kind_codes: np.ndarray | None = None
+        self._node_count = n
+        codes = np.array(columns.class_kinds, dtype=np.int8)
+        codes.flags.writeable = False
+        # tuple() of a tuple is the tuple itself; lists are copied, so no
+        # caller can change a column the graph holds.
+        self._columns = NodeColumns(
+            tuple(columns.method_names), tuple(columns.class_names), codes, tuple(columns.files), tuple(columns.lines)
+        )
+
+    # ---- per-node objects, built on first read ------------------------------
+
+    @cached_property
+    def _node_ids(self) -> list[int]:
+        # One int object per id, shared by the runs of both directions.
+        return list(range(self._node_count))
+
+    @cached_property
+    def _fwd(self) -> tuple[tuple[int, ...], ...]:
+        return _rows(*self._csr_fwd, self._node_ids)
+
+    @cached_property
+    def _bwd(self) -> tuple[tuple[int, ...], ...]:
+        return _rows(*self._csr_bwd, self._node_ids)
+
+    @cached_property
+    def _kinds(self) -> tuple[ClassKind, ...]:
+        return tuple(map(_KINDS.__getitem__, self._columns.class_kinds.tolist()))
+
+    @cached_property
+    def _metas(self) -> tuple[MethodMeta, ...]:
+        c = self._columns
+        return tuple(map(MethodMeta, self._node_ids, c.method_names, c.class_names, self._kinds, c.files, c.lines))
 
     # ---- access contract ---------------------------------------------------
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return self._node_count
 
     @property
     def edge_count(self) -> int:
@@ -188,18 +281,18 @@ class InMemoryGraph:
 
     def successors(self, u: NodeId) -> tuple[int, ...]:
         """All v with an edge u -> v, sorted ascending."""
-        return self._fwd[check_node(u, len(self._nodes))]
+        return self._fwd[check_node(u, self._node_count)]
 
     def predecessors(self, u: NodeId) -> tuple[int, ...]:
         """All v with an edge v -> u, sorted ascending."""
-        return self._bwd[check_node(u, len(self._nodes))]
+        return self._bwd[check_node(u, self._node_count)]
 
     def method_meta(self, u: NodeId) -> MethodMeta:
-        return self._nodes[check_node(u, len(self._nodes))]
+        return self._metas[check_node(u, self._node_count)]
 
     def class_kind(self, u: NodeId) -> ClassKind:
         """``method_meta(u).class_kind``: the one field a search probe reads."""
-        return self._kinds[check_node(u, len(self._nodes))]
+        return self._kinds[check_node(u, self._node_count)]
 
     def readers(self):
         """The search kernel's unchecked reads: a ``(lookup, load)`` pair
@@ -217,19 +310,14 @@ class InMemoryGraph:
         """The read-only (offsets, ids) arrays of one direction."""
         return self._csr_fwd if direction is Direction.FORWARD else self._csr_bwd
 
-    def rows(self, direction: Direction) -> tuple[tuple[int, ...], ...]:
-        """One direction's runs as tuples of Python ints, indexed by node id:
-        what ``successors``/``predecessors`` serve, without the id check."""
-        return self._fwd if direction is Direction.FORWARD else self._bwd
+    def columns(self) -> NodeColumns:
+        """The node metadata as columns; ``class_kinds`` is ``kind_codes()``."""
+        return self._columns
 
     def kind_codes(self) -> np.ndarray:
         """Each node's class kind as its index in ``tuple(ClassKind)``: a
-        read-only int8 array, built on the first call."""
-        if self._kind_codes is None:
-            codes = np.fromiter(map(_KIND_CODES.__getitem__, self._kinds), np.int8, len(self._nodes))
-            codes.flags.writeable = False
-            self._kind_codes = codes
-        return self._kind_codes
+        read-only int8 array."""
+        return self._columns.class_kinds
 
     def edges(self) -> Iterable[Edge]:
         """All edges, sorted by (caller, callee)."""

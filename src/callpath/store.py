@@ -27,13 +27,14 @@ trailer   five u32 CRC32 values: header, meta, heap, fwd, bwd. 20 bytes.
 ========  =====================================================================
 
 The fwd and bwd sections are the CSR adjacency layout of
-``model.InMemoryGraph`` written out as is. A handle maps the file
-read-only once and decodes rows, metadata records and heap strings
-straight from the map; the file must not be modified while a handle is
-open. ``open_store`` verifies every checksum up front (a corrupt or
-truncated file fails naming the damaged section), then checks with
-numpy over the map that the adjacency sections are well formed: each
-prefix rises from 0 to ``edge_count``, every id is below
+``model.InMemoryGraph`` written out as is, and the meta and heap
+sections are written from its node columns with numpy. A handle maps
+the file read-only once and decodes rows, metadata records and heap
+strings straight from the map; the file must not be modified while a
+handle is open. ``open_store`` verifies every checksum up front (a
+corrupt or truncated file fails naming the damaged section), then
+checks with numpy over the map that the adjacency sections are well
+formed: each prefix rises from 0 to ``edge_count``, every id is below
 ``node_count``, each run is strictly ascending and bwd is the transpose
 of fwd. So a reader never indexes past a section, and the ids a search
 reads back are valid node ids. Class-kind bytes are checked when read.
@@ -76,7 +77,17 @@ from zlib import crc32
 import numpy as np
 
 from .errors import ChecksumError, StoreFormatError, StoreLimitError
-from .model import NO_LOOKUP, ClassKind, Direction, InMemoryGraph, MethodMeta, NodeId, check_node, materialize
+from .model import (
+    NO_LOOKUP,
+    ClassKind,
+    Direction,
+    InMemoryGraph,
+    MethodMeta,
+    NodeColumns,
+    NodeId,
+    check_node,
+    materialize,
+)
 
 MAGIC = b"CGS1"
 VERSION = 1
@@ -153,10 +164,11 @@ class StoreSummary:
 def build_store(graph, output_path: str | Path) -> StoreSummary:
     """Serialize any graph-access backend into a CGS1 file.
 
-    The adjacency sections are the graph's CSR arrays; other backends
-    are copied into an InMemoryGraph first. Round-trips: opening the
-    file yields the same successors, predecessors and metadata for
-    every node.
+    The meta and heap sections are written from the graph's node
+    columns and the adjacency sections are its CSR arrays; other
+    backends are copied into an InMemoryGraph first. Round-trips:
+    opening the file yields the same successors, predecessors and
+    metadata for every node.
     """
     n = graph.node_count
     if n >= _MAX_NODES:
@@ -164,35 +176,7 @@ def build_store(graph, output_path: str | Path) -> StoreSummary:
     if not isinstance(graph, InMemoryGraph):
         graph = materialize(graph)
 
-    heap = bytearray()
-    offsets: dict[str, int] = {}
-
-    def intern(s: str) -> int:
-        off = offsets.get(s)
-        if off is None:
-            data = s.encode("utf-8")
-            off = len(heap)
-            heap.extend(_U32.pack(len(data)))
-            heap.extend(data)
-            offsets[s] = off
-        return off
-
-    meta = bytearray()
-    for u in range(n):
-        m = graph.method_meta(u)
-        if m.line >= _MAX_LINE:
-            raise StoreLimitError(f"line number {m.line} exceeds format limit")
-        meta.extend(
-            _META_RECORD.pack(
-                intern(m.method_name),
-                intern(m.class_name),
-                intern(m.file),
-                _KIND_TO_BYTE[m.class_kind],
-                m.line,
-            )
-        )
-
-    sections = [bytes(meta), bytes(heap)]
+    sections = list(_meta_and_heap(graph.columns()))
     for direction in (Direction.FORWARD, Direction.BACKWARD):
         prefix, ids = graph.csr(direction)
         sections.append(prefix.astype("<u8").tobytes() + ids.astype("<u4").tobytes())
@@ -214,6 +198,52 @@ def build_store(graph, output_path: str | Path) -> StoreSummary:
             fh.write(payload)
         fh.write(trailer)
     return StoreSummary(node_count=n, edge_count=edge_count, byte_size=trailer_offset + _TRAILER.size)
+
+
+# The meta record ``<QQQBI`` as a packed numpy record.
+_META_DTYPE = np.dtype([("method", "<u8"), ("class", "<u8"), ("file", "<u8"), ("kind", "u1"), ("line", "<u4")])
+_KIND_BYTES = np.array([_KIND_TO_BYTE[kind] for kind in ClassKind], dtype=np.uint8)  # by kind code
+
+
+def _meta_and_heap(columns: NodeColumns) -> tuple[bytes, bytes]:
+    """The meta and heap sections of the nodes in ``columns``.
+
+    The heap holds each distinct string once, in the order of first use
+    when each node's method, class and file are taken in turn, which is
+    the order of interning them node by node."""
+    n = len(columns.method_names)
+    if n and max(columns.lines) >= _MAX_LINE:
+        line = next(line for line in columns.lines if line >= _MAX_LINE)
+        raise StoreLimitError(f"line number {line} exceeds format limit")
+    strings: list[str] = [""] * (3 * n)
+    strings[0::3] = columns.method_names
+    strings[1::3] = columns.class_names
+    strings[2::3] = columns.files
+    # Each distinct string in order of first use, then its index in it.
+    distinct = dict.fromkeys(strings)
+    distinct.update(zip(distinct, range(len(distinct))))
+    text = "".join(distinct)
+    data = text.encode("utf-8")
+    # Byte lengths; only a non-ASCII heap needs each string encoded alone.
+    encoded = distinct if len(data) == len(text) else map(str.encode, distinct)
+    sizes = np.fromiter(map(len, encoded), np.int64, len(distinct))
+    if len(sizes) and sizes.max() >= 2**32:
+        raise StoreLimitError(f"a string of {sizes.max()} bytes exceeds format limit")
+    # Each string is its u32 byte length, then its bytes.
+    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes + _U32.size, out=starts[1:])
+    heap = np.empty(starts[-1], dtype=np.uint8)
+    length_at = starts[:-1, None] + np.arange(_U32.size)
+    heap[length_at] = sizes.astype("<u4").view(np.uint8).reshape(-1, _U32.size)
+    is_data = np.ones(len(heap), dtype=bool)
+    is_data[length_at] = False
+    heap[is_data] = np.frombuffer(data, dtype=np.uint8)
+    refs = starts[np.fromiter(map(distinct.__getitem__, strings), np.int64, len(strings))].reshape(n, 3)
+    records = np.empty(n, dtype=_META_DTYPE)
+    records["method"], records["class"], records["file"] = refs.T
+    records["kind"] = _KIND_BYTES[columns.class_kinds]
+    records["line"] = columns.lines
+    return records.tobytes(), heap.tobytes()
 
 
 def is_store_file(path: str | Path) -> bool:

@@ -9,7 +9,7 @@ import pytest
 
 from callpath.bench import load_scenario, run_scenario
 from callpath.cli import main
-from callpath.ingest import import_jsonl
+from callpath.ingest import SyntheticSpec, export_jsonl, generate_synthetic, import_jsonl
 
 DATA = Path(__file__).parent.parent / "data"
 FIG = str(DATA / "transceiver.jsonl")
@@ -328,6 +328,31 @@ def test_hostile_input_exits_one_without_traceback(tmp_path, content, argv, mess
     path = tmp_path / "input"
     path.write_bytes(content + b"\n")
     proc = _cli_subprocess(*argv, str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert message.format(path=path) in proc.stderr
+
+
+def _export_past_line_20000():
+    lines = export_jsonl(generate_synthetic(SyntheticSpec(node_count=6000, out_degree=3, seed=4))).splitlines()
+    return [line.encode() for line in lines]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines.insert(20_050, b"\xff"), "{path}: not UTF-8 text (invalid start byte)"),
+        (lambda lines: lines.__setitem__(4100, lines[4100][:-1]), "{path}: line 4101: invalid JSON"),
+    ],
+    ids=["not-utf8-past-line-20000", "bad-line-in-second-chunk"],
+)
+def test_build_store_fault_past_the_first_chunk_is_one_line(tmp_path, edit, message):
+    lines = _export_past_line_20000()
+    edit(lines)
+    path = tmp_path / "g.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    proc = _cli_subprocess("build-store", "--graph", str(path), "--out", str(tmp_path / "g.cgs"))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1

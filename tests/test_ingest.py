@@ -1,7 +1,10 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import pytest
 
+from callpath import ingest
 from callpath.errors import CallpathError, JsonlFormatError, SyntheticSpecError
 from callpath.ingest import (
     Regime,
@@ -118,6 +121,88 @@ def test_import_non_utf8_file_names_the_file(tmp_path):
     with path.open(encoding="utf-8") as fh, pytest.raises(CallpathError) as excinfo:
         import_jsonl(fh)
     assert str(excinfo.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
+def _long_export():
+    """An export of 24,000 lines: past line 20,000 and several chunks."""
+    graph = generate_synthetic(SyntheticSpec(node_count=6000, out_degree=3, seed=4))
+    lines = export_jsonl(graph).splitlines()
+    assert len(lines) == 24_000
+    return lines
+
+
+def _read_line_by_line(fh):
+    with mock.patch.object(ingest, "_read_fast", lambda lines, columns: 0):
+        return import_jsonl(fh)
+
+
+@pytest.mark.parametrize("read", [import_jsonl, _read_line_by_line], ids=["import", "line-by-line"])
+def test_import_non_utf8_past_line_20000_names_the_file(tmp_path, read):
+    lines = _long_export()
+    path = tmp_path / "g.jsonl"
+    head, tail = "\n".join(lines[:20_050]), "\n".join(lines[20_050:])
+    path.write_bytes(head.encode() + b"\n\xff" + tail.encode() + b"\n")
+    with path.open(encoding="utf-8") as fh, pytest.raises(CallpathError) as excinfo:
+        read(fh)
+    assert str(excinfo.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
+@pytest.mark.parametrize("read", [import_jsonl, _read_line_by_line], ids=["import", "line-by-line"])
+def test_import_fault_before_an_undecodable_byte_in_its_chunk_is_reported(tmp_path, read):
+    # the chunk holding the bad byte is read up to it, so a fault on an
+    # earlier line of that chunk is the error, as line by line
+    lines = [line.encode() for line in _long_export()]
+    lines[ingest._CHUNK_LINES + 5] = b"{oops"
+    lines[2 * ingest._CHUNK_LINES - 100] = b"\xff" + lines[2 * ingest._CHUNK_LINES - 100]
+    path = tmp_path / "g.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with path.open(encoding="utf-8") as fh, pytest.raises(JsonlFormatError) as excinfo:
+        read(fh)
+    assert excinfo.value.lineno == ingest._CHUNK_LINES + 6
+
+
+def test_import_fault_before_a_stream_error_is_reported():
+    def stream():
+        yield _NODE0
+        yield "{oops"
+        raise OSError("device gone")
+
+    with pytest.raises(JsonlFormatError) as excinfo:
+        import_jsonl(stream())
+    assert excinfo.value.lineno == 2
+
+
+@pytest.mark.parametrize("read", [import_jsonl, _read_line_by_line], ids=["import", "line-by-line"])
+def test_import_fault_in_second_chunk_reports_its_line(tmp_path, read):
+    lines = _long_export()
+    lineno = ingest._CHUNK_LINES + 7  # 1-based, in the second chunk
+    lines[lineno - 1] = lines[lineno - 1][:-1]
+    path = tmp_path / "g.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open(encoding="utf-8") as fh, pytest.raises(JsonlFormatError) as excinfo:
+        read(fh)
+    assert excinfo.value.lineno == lineno
+    assert str(excinfo.value) == f"{path}: line {lineno}: invalid JSON: Expecting ',' delimiter"
+
+
+def test_import_peak_memory_is_at_most_the_per_line_readers():
+    # the fast reader holds a chunk's text and matches at once; with
+    # chunks this small that stays below what reading line by line
+    # builds (the id map), on the same lines
+    graph = generate_synthetic(
+        SyntheticSpec(node_count=5000, out_degree=3, hub_count=20, hub_indegree=40, seed=5, acyclic=True)
+    )
+    lines = export_jsonl(graph).splitlines()
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read(lines)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(import_jsonl) <= peak(_read_line_by_line)
 
 
 def test_import_unknown_kind_rejected():

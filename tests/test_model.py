@@ -96,16 +96,21 @@ def test_self_loops_are_stored():
 
 
 def test_rows_and_kind_codes_serve_what_the_contract_serves(hub_graph):
-    # the search reads these instead of successors/predecessors and
-    # class_kind; they must hold the same values, unchecked and as arrays
+    # the search reads the kind codes instead of class_kind, and the
+    # store writes the columns instead of each method_meta; they must
+    # hold the same values
     kinds = tuple(ClassKind)
     codes = hub_graph.kind_codes()
     assert codes.dtype == np.int8 and not codes.flags.writeable
     assert hub_graph.kind_codes() is codes
+    columns = hub_graph.columns()
+    assert columns.class_kinds is codes
     for u in range(hub_graph.node_count):
-        assert hub_graph.rows(Direction.FORWARD)[u] == hub_graph.successors(u)
-        assert hub_graph.rows(Direction.BACKWARD)[u] == hub_graph.predecessors(u)
         assert kinds[codes[u]] is hub_graph.class_kind(u)
+        meta = hub_graph.method_meta(u)
+        assert (meta.method_name, meta.class_name, meta.file, meta.line) == (
+            columns.method_names[u], columns.class_names[u], columns.files[u], columns.lines[u]
+        )
 
 
 def _same_graph(a: InMemoryGraph, b: InMemoryGraph) -> None:
