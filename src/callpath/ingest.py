@@ -19,13 +19,14 @@ per-line dict. That form is: node lines, then edge lines; the keys in
 the order above, with ``json.dumps``' default separators, and ``file``
 and ``line`` each present or not; ids and lines as ASCII integers of at
 most 18 digits without a leading zero or ``-0``; and strings without a
-quote, a backslash or a control character. Node ids must be new, and
-an edge's ids declared before it. Every other line (other spacing or
-key order, escapes, other id types, a missing kind, a blank line, a
-fault) is parsed on its own, by the same reader that would read it if
-no line had the fast form. The two readers share one state, so the
-graph, the warnings and every error with its line number are the same
-whichever reads a line.
+quote, a backslash or a control character. The i-th node line must
+have the id i, and an edge's ids must be declared before it. Every
+other line (other spacing or key order, escapes, other ids, a missing
+kind, a blank line, a fault) is parsed on its own, by the same reader
+that would read it if no line had the fast form, and so is every line
+after it. The two readers share one state, so the graph, the warnings
+and every error with its line number are the same whichever reads a
+line.
 
 The synthetic generator reproduces the structural regimes the search
 benchmarks need: a random background digraph (fixed edge probability or
@@ -135,7 +136,8 @@ def _chunks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
 class _Columns:
     """What the lines read so far declare: the node columns, the id map
     and the edges as arrays of dense (caller, callee) rows. Both readers
-    add to it, so a stream can switch between them at any line."""
+    add to it, so a stream can pass from the fast reader to the per-line
+    one at any line."""
 
     def __init__(self) -> None:
         self.methods: list[str] = []
@@ -144,9 +146,9 @@ class _Columns:
         self.files: list[str] = []
         self.lines: list[int] = []
         self.edges: list[np.ndarray] = []
-        # Dense id of each declared JSON id, keyed by _id_key. None while
-        # the i-th node declared has the JSON int id i: the form exports
-        # have, whose edges need no lookup.
+        # Dense id of each declared JSON id, keyed by _id_key. None until
+        # a line is read on its own: till then the i-th node declared has
+        # the JSON int id i, and edges need no lookup.
         self._id_map: dict[object, int] | None = None
 
     @property
@@ -192,11 +194,13 @@ _KIND_CODE_BY_INITIAL = {name[0]: code for name, code in _KIND_CODE.items()}
 
 def _read_fast(lines: list[str], columns: _Columns) -> int:
     """Read the leading lines of a chunk that are node lines, then edge
-    lines, of the fast form, with no id declared twice and no edge to an
-    id not declared before it. Returns how many lines it read: none, the
-    node lines, or all. The rest goes to ``_read_lines``, which reads
-    them as it reads any line, so the result does not depend on which
-    lines were read here."""
+    lines, of the fast form, while the i-th node declared has the JSON
+    int id i and every edge's ids are declared before it. Returns how
+    many lines it read: none, the node lines, or all. The rest goes to
+    ``_read_lines``, which reads them as it reads any line, so the
+    result does not depend on which lines were read here."""
+    if not columns.dense_ids:
+        return 0
     blob = "\n".join(chain(lines, [""]))  # every line ends in a newline
     if blob.count("\n") != len(lines):  # a line holds a newline
         return 0
@@ -214,12 +218,8 @@ def _read_fast(lines: list[str], columns: _Columns) -> int:
         del nodes
         keys = np.fromstring(" ".join(ids), dtype=np.int64, sep=" ")
         base = len(columns.methods)
-        if not (columns.dense_ids and np.array_equal(keys, np.arange(base, base + k))):
-            keys = keys.tolist()
-            id_map = columns.id_map()
-            if len(set(keys)) < k or not id_map.keys().isdisjoint(keys):
-                return 0
-            id_map.update(zip(keys, range(base, base + k)))
+        if not np.array_equal(keys, np.arange(base, base + k)):
+            return 0
         columns.methods.extend(methods)
         columns.classes.extend(classes)
         columns.kinds.extend(map(_KIND_CODE_BY_INITIAL.__getitem__, kinds))
@@ -231,15 +231,8 @@ def _read_fast(lines: list[str], columns: _Columns) -> int:
     if k == len(lines) or _FAST_EDGE.sub("", edges):
         return k
     ends = np.fromstring(edges.translate(_ID_CHARS), dtype=np.int64, sep=" ")
-    n = len(columns.methods)
-    if columns.dense_ids:
-        if ends.min() < 0 or ends.max() >= n:
-            return k
-    else:
-        dense = list(map(columns.id_map().get, ends.tolist()))
-        if None in dense:
-            return k
-        ends = np.array(dense, dtype=np.int64)
+    if ends.min() < 0 or ends.max() >= len(columns.methods):
+        return k
     columns.edges.append(ends.reshape(-1, 2))
     return len(lines)
 

@@ -164,10 +164,12 @@ class InMemoryGraph:
     ``readers``) and its ``MethodMeta`` (``method_meta``). So a graph
     that is only written to a store (``build_store`` reads the columns
     and the CSR arrays) never builds them. Each is one
-    ``cached_property``. Two threads that read one at once may both
-    build it: each gets a complete, equal, immutable value, and the
-    later assignment replaces the earlier, so any reader sees the same
-    answers. The build race is benign and needs no lock.
+    ``cached_property``. On Python 3.12 and later, two threads that read
+    one at once may both build it: each gets a complete, equal,
+    immutable value, and the later assignment replaces the earlier, so
+    any reader sees the same answers. On 3.10 and 3.11,
+    ``cached_property`` holds a lock while it builds, so the builds run
+    one after the other. Either way the graph needs no lock of its own.
     """
 
     def __init__(
