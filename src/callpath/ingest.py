@@ -324,6 +324,14 @@ def _parse_node(obj: dict, lineno: int, id_map: dict, columns: _Columns) -> None
         raise JsonlFormatError(lineno, "'file' must be a string")
     if isinstance(line_no, bool) or not isinstance(line_no, int) or line_no < 0:
         raise JsonlFormatError(lineno, "'line' must be a non-negative integer")
+    for field, text in (("method", method), ("class", cls), ("file", file)):
+        # Only a JSON escape of a lone surrogate makes a str that UTF-8
+        # cannot encode; the store and the exporter write UTF-8.
+        if not text.isascii():
+            try:
+                text.encode()
+            except UnicodeEncodeError:
+                raise JsonlFormatError(lineno, f"{field!r} does not encode as UTF-8 (a lone surrogate)") from None
     id_map[_id_key(key)] = len(columns.methods)
     columns.methods.append(method)
     columns.classes.append(cls)

@@ -53,41 +53,41 @@ to its checked contract methods. Each query hands the store its lookup
 hits once, in a ``finally``: its visits minus its run loads, and its
 probes minus its kind loads.
 
-On an ``InMemoryGraph`` a round whose frontier holds at least
-``_ARRAY_ROUND_MIN`` nodes runs the array body, ``_array_round``,
-instead: it gathers every neighbour of the frontier at once from the
-graph's CSR arrays and relaxes them with numpy. An array round costs
-about 65 us before it does any work and about 0.15 us per frontier node
-in the largest rounds; node by node, a round costs about 1.5 us per
-node on the mem-hub benchmark graph and about 0.5 us on small sparse
-graphs. ``_ARRAY_ROUND_MIN`` is a constant set by timing both bodies
-(see its comment), not an option: it moves no counter, only time. The
-disk store and other backends have no CSR arrays and always run node by
-node, so their I/O is accounted read by read, in processing order.
+On an ``InMemoryGraph`` of at least ``_ARRAY_ROUND_MIN`` nodes, a round
+whose frontier holds at least that many runs the array body,
+``_array_round``, instead: it gathers every neighbour of the frontier
+at once from the graph's CSR arrays and relaxes them with numpy. An
+array round costs about 65 us before it does any work and about 0.15 us
+per frontier node in the largest rounds; node by node, a round costs
+about 1.5 us per node on the mem-hub benchmark graph and about 0.5 us on
+small sparse graphs. ``_ARRAY_ROUND_MIN`` is a constant set by timing
+both bodies (see its comment), not an option: it moves no counter, only
+time. The disk store and other backends have no CSR arrays and always
+run node by node, so their I/O is accounted read by read, in processing
+order.
 
-A query costs the nodes it touches, not ``node_count``. The prev/dist
-lists are taken from tables that earlier queries handed back, under a
-distance offset that makes their old entries read as "not reached"
-(``_Tables``), so nothing is allocated, filled or reset per query;
-delays and postponements live in a dict and a set of a few entries.
-Tables of length ``node_count`` are built only on first use, when the
-graph size changes, every ~2**30 / node_count queries when the offset
-runs out, and for ``return_state=True``, which always gets fresh tables
-holding plain distances. An in-memory query starts on those lists too;
-its first array round moves the entries it has written (those of the
-endpoints and of every frontier it committed) into int32 arrays,
-``_ArrayTables``, reused under the same falling offset, and the rest of
-the query runs on the arrays, its per-node rounds indexing them
-through memoryviews. Each thread searching at the same time keeps one
-spare set of lists, about 32 * node_count bytes, and once it has run an
-array round one set of arrays, about 28 * node_count bytes.
+A query costs the nodes it touches, not ``node_count``. It chooses its
+prev/dist tables once, at its start, and keeps them to the end. A query
+that can run array rounds (an ``InMemoryGraph`` of at least
+``_ARRAY_ROUND_MIN`` nodes) takes int32 arrays, ``_ArrayTables``, which
+its per-node rounds index through memoryviews; every other query takes
+lists, ``_Tables``. Both are tables that earlier queries handed back,
+taken under a distance offset that makes their old entries read as "not
+reached", so nothing is allocated, filled or reset per query; delays and
+postponements live in a dict and a set of a few entries. Tables of
+length ``node_count`` are built only on first use, when the graph size
+changes, and every ~2**30 / node_count queries when the offset runs
+out. Each thread searching at the same time keeps one spare set: about
+28 * node_count bytes of arrays for an in-memory graph, about
+32 * node_count bytes of lists for any other. A plain query reads its
+path off the prev tables it holds; only ``return_state=True`` builds a
+``SearchState``, on fresh tables converted to lists of plain distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain
 from math import inf
 from time import perf_counter
 from typing import NamedTuple
@@ -172,14 +172,13 @@ class SearchState:
     ``delay`` maps each node still sitting out rounds to the rounds
     left, and ``postponed`` holds the nodes whose postponement fired.
 
-    ``_search(..., return_state=True)`` builds fresh tables of length
-    ``node_count`` for the state it returns and hands them over as lists
-    holding plain distances, ``None`` for no predecessor and ``inf`` for
-    not reached, whichever round bodies ran (the array tables of an
-    in-memory query are converted). Without it the kernel reuses tables
-    from earlier queries (see ``_Tables`` and ``_ArrayTables``) and a
-    query costs only the nodes it touches; ``reconstruct_path`` then
-    also reads an int32 memoryview, where -1 means no predecessor.
+    Only ``_search(..., return_state=True)`` builds one. It runs the
+    query on fresh tables of length ``node_count`` and hands them over
+    as lists holding plain distances, ``None`` for no predecessor and
+    ``inf`` for not reached, whichever tables the query ran on (array
+    tables are converted), and the frontiers as lists. A plain query
+    reuses tables from earlier queries (see ``_Tables`` and
+    ``_ArrayTables``) and builds no state.
     """
 
     todo_forward: list[NodeId]
@@ -233,36 +232,28 @@ def reconstruct_path(state: SearchState, initial: NodeId, final: NodeId) -> list
     """
     if state.intermed is None:
         raise InternalSearchError("reconstruct_path called without a meeting point")
-    limit = len(state.prev_forward) + 1
-    edges: list[Edge] = []
-    v = state.intermed
-    for _ in range(limit):
-        u = state.prev_forward[v]
-        if u is None or u < 0:
-            break
-        edges.append(Edge(u, v))
-        v = u
-    else:
-        raise InternalSearchError("forward predecessor chain does not terminate")
-    if v != initial:
-        raise InternalSearchError(
-            f"forward predecessor chain roots at {v}, expected initial node {initial}"
-        )
-    edges.reverse()
-    v = state.intermed
-    for _ in range(limit):
-        w = state.prev_backward[v]
-        if w is None or w < 0:
-            break
-        edges.append(Edge(v, w))
-        v = w
-    else:
-        raise InternalSearchError("backward predecessor chain does not terminate")
-    if v != final:
-        raise InternalSearchError(
-            f"backward predecessor chain ends at {v}, expected final node {final}"
-        )
-    return edges
+    return _join_chains(state.prev_forward, state.prev_backward, state.intermed, initial, final)
+
+
+def _join_chains(prev_f, prev_b, intermed: NodeId, initial: NodeId, final: NodeId) -> list[Edge]:
+    """``reconstruct_path`` on the prev tables of a query: lists, where
+    None means no predecessor, or int32 memoryviews, where -1 does."""
+    chains = []
+    for prev, end, name in ((prev_f, initial, "forward"), (prev_b, final, "backward")):
+        chain = [intermed]
+        for _ in range(len(prev) + 1):
+            u = prev[chain[-1]]
+            if u is None or u < 0:
+                break
+            chain.append(u)
+        else:
+            raise InternalSearchError(f"{name} predecessor chain does not terminate")
+        if chain[-1] != end:
+            raise InternalSearchError(f"{name} predecessor chain ends at {chain[-1]}, expected {end}")
+        chains.append(chain)
+    forward, backward = chains
+    forward.reverse()
+    return [Edge(u, v) for chain in (forward, backward) for u, v in zip(chain, chain[1:])]
 
 
 class _Tables:
@@ -292,7 +283,7 @@ _UNREACHED = 2**31 - 1
 
 
 class _ArrayTables:
-    """The tables of an in-memory query from its first array round on.
+    """The tables of a query that can run array rounds, from its start.
 
     ``prev[forward]`` and ``dist[forward]`` are int32 arrays, read and
     written by the array round; ``prev_f`` ... ``dist_b`` are memoryviews
@@ -315,25 +306,6 @@ class _ArrayTables:
         self.stamp = 0
         self.scratch = np.empty(n, np.int64)
         self.base = 0
-
-    def take_over(
-        self, lists: _Tables, initial: NodeId, final: NodeId, written: tuple[list, list]
-    ) -> None:
-        """Copy into these tables, under their own base, the entries a query
-        has written to ``lists``: those of its endpoints and of the nodes in
-        the frontiers it committed, ``written[forward]``."""
-        shift = self.base - lists.base
-        for forward, endpoint in ((True, initial), (False, final)):
-            self.dist[forward][endpoint] = self.base
-            self.prev[forward][endpoint] = -1
-            # A delayed endpoint can sit in later frontiers too; every
-            # other node in them was relaxed, so its prev is set.
-            nodes = np.fromiter(chain.from_iterable(written[forward]), np.int64)
-            nodes = nodes[nodes != endpoint]
-            dist = lists.dist_f if forward else lists.dist_b
-            prev = lists.prev_f if forward else lists.prev_b
-            self.dist[forward][nodes] = np.fromiter(map(dist.__getitem__, nodes.tolist()), np.int64, len(nodes)) + shift
-            self.prev[forward][nodes] = np.fromiter(map(prev.__getitem__, nodes.tolist()), np.int64, len(nodes))
 
     def mark_nodes(self, nodes) -> None:
         """Make ``mark[v] == stamp`` hold for exactly the nodes given."""
@@ -359,13 +331,14 @@ _SPARE_ARRAYS: list[_ArrayTables] = []
 #: distance a one-digit CPython int (magnitude below 2**30) and inside int32.
 _BASE_FLOOR = 1 - 2**30
 #: Frontier size from which a round on an ``InMemoryGraph`` runs as array
-#: operations; smaller rounds run node by node. Timed round by round on
-#: the mem-hub benchmark queries, the array body wins from about 48
-#: nodes. Whole queries also pay for moving their tables at the first
-#: array round, and an array round that meets early still does the whole
-#: round's work; timed whole, mem-hub stays within about 1% of its least
-#: total up to 96, while smaller-first queries and small sparse graphs,
-#: where a node costs a third as much, are faster at 96 than below it.
+#: operations; smaller rounds run node by node. A graph of fewer nodes
+#: never fills an array round with distinct nodes, so its queries take
+#: the list tables and run node by node. Timed round by round on the
+#: mem-hub benchmark queries, the array body wins from about 48 nodes.
+#: An array round that meets early still does the whole round's work;
+#: timed whole, mem-hub stays within about 1% of its least total up to
+#: 96, while smaller-first queries and small sparse graphs, where a node
+#: costs a third as much, are faster at 96 than below it.
 _ARRAY_ROUND_MIN = 96
 
 
@@ -450,20 +423,16 @@ def _search(
         return (result, None) if return_state else result
 
     n = graph.node_count
-    tables = _Tables(n) if return_state else _take_tables(_SPARE_TABLES, _Tables, n)
+    # The query's tables, chosen once: an InMemoryGraph large enough to
+    # fill an array round gets the int32 arrays, whose memoryviews its
+    # per-node rounds index too; every other graph gets the lists.
+    arrays = isinstance(graph, InMemoryGraph) and n >= _ARRAY_ROUND_MIN
+    spare, make = (_SPARE_ARRAYS, _ArrayTables) if arrays else (_SPARE_TABLES, _Tables)
+    tables = make(n) if return_state else _take_tables(spare, make, n)
     prev_f, prev_b = tables.prev_f, tables.prev_b
     dist_f, dist_b = tables.dist_f, tables.dist_b
-    prev_f[initial] = prev_b[final] = None
+    prev_f[initial] = prev_b[final] = -1 if arrays else None
     dist_f[initial] = dist_b[final] = tables.base
-    # The array tables of a query on an InMemoryGraph, from its first
-    # array round on; until then ``written[forward]`` lists the frontiers
-    # it committed in that direction (False is 0, True is 1): with the
-    # endpoints they hold every node whose entries the query has written.
-    in_memory = isinstance(graph, InMemoryGraph)
-    arrays: _ArrayTables | None = None
-    written: tuple[list[list[NodeId]], list[list[NodeId]]] | None = None
-    if in_memory:
-        written = ([], [])
     # A per-node read is ``lookup(u)``, then ``load(u)`` only when that
     # returns None; frontier ids come from the graph, so neither checks them.
     fwd_reads, bwd_reads, (kind_lookup, kind_load) = _readers(graph)
@@ -481,7 +450,7 @@ def _search(
     # direction expands and dropped whenever their frontier is recommitted.
     set_f: set[NodeId] | None = {initial}
     set_b: set[NodeId] | None = {final}
-    # The direction whose frontier ``arrays.mark`` holds.
+    # The direction whose frontier ``tables.mark`` holds.
     marked: bool | None = None
 
     # With delay 0 and probing off, the postpone branch can never fire;
@@ -497,7 +466,7 @@ def _search(
         and delay_steps > 0
     )
     probing = config.probe_only or may_postpone
-    # Array rounds test postponability by kind code; built on first use.
+    # Array rounds test postponability by kind code; built on the first.
     postponable = None
 
     intermed: NodeId | None = None
@@ -518,23 +487,17 @@ def _search(
             forward = _choose_forward(config.frontier_policy, n_f, n_b)
             steps += 1
             todo = todo_f if forward else todo_b
-            if in_memory and (n_f if forward else n_b) >= _ARRAY_ROUND_MIN:
-                if arrays is None:
-                    arrays = _ArrayTables(n) if return_state else _take_tables(_SPARE_ARRAYS, _ArrayTables, n)
-                    arrays.take_over(tables, initial, final, written)
-                    written = None
-                    prev_f, prev_b = arrays.prev_f, arrays.prev_b
-                    dist_f, dist_b = arrays.dist_f, arrays.dist_b
-                    if may_postpone:
-                        codes = np.array([kind in postpone_kinds for kind in ClassKind])
-                        postponable = graph.kind_codes(), codes
+            if arrays and (n_f if forward else n_b) >= _ARRAY_ROUND_MIN:
+                if may_postpone and postponable is None:
+                    codes = np.array([kind in postpone_kinds for kind in ClassKind])
+                    postponable = graph.kind_codes(), codes
                 opposite = not forward
                 if marked is not opposite:
-                    arrays.mark_nodes((final,) if uni else todo_b if forward else todo_f)
+                    tables.mark_nodes((final,) if uni else todo_b if forward else todo_f)
                     marked = opposite
                 csr = graph.csr(Direction.FORWARD if forward else Direction.BACKWARD)
                 todo2, intermed, visits, round_probes, round_postponements = _array_round(
-                    _as_array(todo), forward, arrays, csr, delay, postponed,
+                    _as_array(todo), forward, tables, csr, delay, postponed,
                     probing and not forward, postponable, delay_steps, steps, trace,
                 )
                 if forward:
@@ -546,7 +509,7 @@ def _search(
                 if intermed is not None:
                     break
             else:
-                if arrays is not None and type(todo) is not list:
+                if type(todo) is not list:
                     todo = todo.tolist()
                 if forward:
                     if set_b is None:
@@ -593,9 +556,9 @@ def _search(
                         visited_b += 1
                     if trace is not None:
                         trace.append(TraceEvent(steps, forward, u, "expanded"))
-                    # One ``alt`` object per distance: a level's nodes share it,
-                    # so no expansion allocates an int, and the entries that later
-                    # queries find stale point at a few objects that stay cached.
+                    # On list tables, one ``alt`` object per distance: a level's
+                    # nodes share it, so no expansion allocates an int, and stale
+                    # entries point at a few objects that stay cached.
                     du = dist[u]
                     if du is not last_du:
                         last_du, alt = du, du + 1
@@ -613,8 +576,6 @@ def _search(
                 if met:
                     break
                 todo2.sort()
-                if written is not None:
-                    written[forward].append(todo2)
             if forward:
                 todo_f, set_f = todo2, None
             else:
@@ -626,26 +587,12 @@ def _search(
         if count_hits is not None:
             count_hits(visited_f + visited_b - run_loads, probes - kind_loads)
 
-    if return_state and arrays is not None:
-        prev_f, dist_f = arrays.as_lists(True)
-        prev_b, dist_b = arrays.as_lists(False)
-    state = SearchState(
-        todo_forward=todo_f if type(todo_f) is list else todo_f.tolist(),
-        todo_backward=todo_b if type(todo_b) is list else todo_b.tolist(),
-        prev_forward=prev_f,
-        prev_backward=prev_b,
-        dist_forward=dist_f,
-        dist_backward=dist_b,
-        delay=delay,
-        postponed=postponed,
-        intermed=intermed,
-    )
     # The dist tables can be stale relative to the prev chains: a
     # postponed node's late expansion may improve an ancestor's distance
     # after a descendant recorded it, so the realized path can be shorter
     # than dist_f[intermed] + dist_b[intermed]. Without postponement the
     # two always agree. Length reports the real edge count.
-    path = () if intermed is None else tuple(reconstruct_path(state, initial, final))
+    path = () if intermed is None else tuple(_join_chains(prev_f, prev_b, intermed, initial, final))
     result = SearchResult(
         status=SearchStatus.NO_PATH if intermed is None else SearchStatus.FOUND,
         path=path,
@@ -658,12 +605,24 @@ def _search(
         steps=steps,
         elapsed=perf_counter() - t0,
     )
-    if return_state:
-        return result, state
-    _SPARE_TABLES.append(tables)
-    if arrays is not None:
-        _SPARE_ARRAYS.append(arrays)
-    return result
+    if not return_state:
+        spare.append(tables)
+        return result
+    if arrays:
+        prev_f, dist_f = tables.as_lists(True)
+        prev_b, dist_b = tables.as_lists(False)
+    state = SearchState(
+        todo_forward=todo_f if type(todo_f) is list else todo_f.tolist(),
+        todo_backward=todo_b if type(todo_b) is list else todo_b.tolist(),
+        prev_forward=prev_f,
+        prev_backward=prev_b,
+        dist_forward=dist_f,
+        dist_backward=dist_b,
+        delay=delay,
+        postponed=postponed,
+        intermed=intermed,
+    )
+    return result, state
 
 
 #: What an occurrence of an array round that does not expand does.

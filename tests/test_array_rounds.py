@@ -30,8 +30,9 @@ from test_acceptance import SWEEP_CONFIGS, SWEEP_NODE_COUNT, SWEEP_SEED, _sweep_
 
 EVERY_ROUND = 0
 NO_ROUND = 2**62
-# Array rounds from a frontier of 3 nodes on: queries move their tables
-# to arrays midway, after per-node rounds, delays and postponements.
+# Array rounds from a frontier of 3 nodes on: a query's per-node rounds,
+# delays and postponements index the array tables before its first
+# array round.
 MIDWAY = 3
 REGIMES = load_scenario(Path(__file__).parent.parent / "data" / "scenarios" / "regimes.json")
 # Every regimes.json config under both frontier policies.

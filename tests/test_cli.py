@@ -334,6 +334,18 @@ def test_hostile_input_exits_one_without_traceback(tmp_path, content, argv, mess
     assert message.format(path=path) in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["build-store", "import"])
+def test_lone_surrogate_escape_exits_one_without_traceback(tmp_path, command):
+    # the escape decodes to a str that cannot be written as UTF-8
+    path = tmp_path / "g.jsonl"
+    path.write_text('{"record": "node", "id": 0, "method": "\\ud800", "class": "A", "kind": "concrete"}\n')
+    out = tmp_path / ("g.cgs" if command == "build-store" else "again.jsonl")
+    proc = _cli_subprocess(command, "--graph", str(path), "--out", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"callpath: error: {path}: line 1: 'method' does not encode as UTF-8 (a lone surrogate)\n"
+
+
 def _export_past_line_20000():
     lines = export_jsonl(generate_synthetic(SyntheticSpec(node_count=6000, out_degree=3, seed=4))).splitlines()
     return [line.encode() for line in lines]

@@ -115,6 +115,20 @@ def test_import_overlong_integer_is_a_format_error():
     assert "invalid JSON: Exceeds the limit" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("field", ["method", "class", "file"])
+def test_import_lone_surrogate_escape_is_a_format_error(field):
+    # "\\ud800" decodes to a str that UTF-8 cannot encode, so the store
+    # and the exporter could not write it; an escaped surrogate pair
+    # still imports
+    node = {"record": "node", "id": 1, "method": "m", "class": "C", "kind": "concrete"}
+    with pytest.raises(JsonlFormatError) as excinfo:
+        import_jsonl([_NODE0, json.dumps({**node, field: "x\ud800"})])
+    assert str(excinfo.value) == f"line 2: {field!r} does not encode as UTF-8 (a lone surrogate)"
+    graph = import_jsonl([_NODE0, json.dumps({**node, field: "x\u00e9\U0001d11e"})])
+    attribute = {"method": "method_name", "class": "class_name", "file": "file"}[field]
+    assert getattr(graph.method_meta(1), attribute) == "x\u00e9\U0001d11e"
+
+
 def test_import_non_utf8_file_names_the_file(tmp_path):
     path = tmp_path / "g.jsonl"
     path.write_bytes(b"\xff\xfe" + FIG_JSONL.encode())

@@ -26,6 +26,7 @@ from callpath.search import (
 from callpath.store import CacheConfig, build_store, open_store
 
 from oracles import bfs_distances, is_valid_path, layered_bfs, random_graph
+from test_acceptance import SWEEP_SEED, _sweep_graph
 
 POLICIES = (FrontierPolicy.PAPER_LITERAL, FrontierPolicy.SMALLER_FIRST)
 UNI = SearchConfig(algorithm=Algorithm.UNIDIRECTIONAL)
@@ -620,6 +621,71 @@ def test_array_tables_refilled_when_the_offset_runs_out(hub_graph, monkeypatch):
     for step, bases in _bases_after_each_query(hub_graph, monkeypatch, arrays=True):
         first = bases.index(0)
         assert bases[first:] == [-(i % 4) * step for i in range(len(bases) - first)]
+
+
+def _pools_after(monkeypatch, queries):
+    """The spare list and array tables after ``queries`` run on empty pools."""
+    monkeypatch.setattr(search, "_SPARE_TABLES", [])
+    monkeypatch.setattr(search, "_SPARE_ARRAYS", [])
+    for graph, s, t, config in queries:
+        run_search(graph, s, t, config)
+    return search._SPARE_TABLES, search._SPARE_ARRAYS
+
+
+def test_in_memory_queries_take_the_array_tables_from_the_start(hub_graph, monkeypatch):
+    # the tables are chosen at a query's first line: every query on the
+    # 1000-node fixture takes the arrays, also one that runs no array
+    # round, and hands the same set back
+    rounds = []
+    array_round = search._array_round
+    monkeypatch.setattr(
+        search, "_array_round", lambda *args: rounds.append(args[1]) or array_round(*args)
+    )
+    neighbour = int(hub_graph.successors(0)[0])
+    tables, arrays = _pools_after(monkeypatch, [(hub_graph, 0, neighbour, BALANCED)])
+    assert rounds == [] and tables == [] and len(arrays) == 1
+    queries = [(hub_graph, s, t, config) for config in REGIME_CONFIGS for s, t in [(0, 999), (670, 973)]]
+    tables, arrays = _pools_after(monkeypatch, queries)
+    assert rounds and tables == []
+    assert len(arrays) == 1 and type(arrays[0]) is search._ArrayTables
+
+
+def test_other_queries_take_the_list_tables(hub_graph, monkeypatch):
+    # graphs below the array-round size, and backends without CSR arrays
+    sweep = _sweep_graph(np.random.default_rng(SWEEP_SEED))
+    wrapped = _RequiredMethodsOnly(hub_graph)
+    queries = [(sweep, 0, 5, BALANCED), (wrapped, 0, 999, BALANCED), (wrapped, 670, 973, UNI)]
+    tables, arrays = _pools_after(monkeypatch, queries)
+    assert arrays == []
+    assert len(tables) == 1 and type(tables[0]) is search._Tables
+
+
+def test_returned_state_of_array_frontiers_is_lists(hub_graph, monkeypatch):
+    # every round an array round, so both last frontiers are arrays; the
+    # state holds them as lists of ints, and fresh tables as the
+    # documented None / inf lists, and nothing goes back to the pools
+    monkeypatch.setattr(search, "_ARRAY_ROUND_MIN", 0)
+    monkeypatch.setattr(search, "_SPARE_ARRAYS", [])
+    config = replace(BALANCED, frontier_policy=FrontierPolicy.SMALLER_FIRST)
+    result, state = search._search(hub_graph, 670, 973, config, return_state=True)
+    assert result.found and result.visited_forward and result.visited_backward
+    assert search._SPARE_ARRAYS == []
+    assert state.todo_forward or state.todo_backward
+    for todo in (state.todo_forward, state.todo_backward):
+        assert type(todo) is list and all(type(u) is int for u in todo)
+    for prev, dist, endpoint in (
+        (state.prev_forward, state.dist_forward, 670),
+        (state.prev_backward, state.dist_backward, 973),
+    ):
+        assert type(prev) is list and type(dist) is list
+        assert len(prev) == len(dist) == hub_graph.node_count
+        assert prev[endpoint] is None and dist[endpoint] == 0
+        assert all(u is None or type(u) is int for u in prev)
+        assert all(d == inf or type(d) is int for d in dist)
+        reached = [v for v, d in enumerate(dist) if d != inf and v != endpoint]
+        assert reached and all(prev[v] is not None for v in reached)
+        assert sum(u is not None for u in prev) == len(reached)
+    assert reconstruct_path(state, 670, 973) == list(result.path)
 
 
 class _FailingGraph:
