@@ -237,6 +237,10 @@ def _search_config(args, parser: argparse.ArgumentParser) -> SearchConfig:
     ):
         if value is not None and not minimum <= value < math.inf:  # also rejects NaN
             parser.error(f"{flag} must be a finite number of at least {minimum}, got {value}")
+    try:  # the store's own bound: the longest sleep the platform takes
+        CacheConfig(latency_per_miss=args.latency_ms / 1000.0)
+    except ValueError as exc:
+        parser.error(f"--latency-ms {args.latency_ms}: {exc}")
     kinds = DEFAULT_POSTPONE_KINDS
     if args.postpone_kinds is not None:
         try:

@@ -37,7 +37,10 @@ counted for it.
 The search kernel reads an :class:`InMemoryGraph` through more than
 the contract. Rounds with a large frontier run as array operations over
 its CSR arrays (``csr``) and postponement tests over its per-node kind
-codes (``kind_codes``). Any other backend is searched node by node.
+codes (``kind_codes``). A store has both, as views of its file, and,
+when its cache can evict, a ``replay`` that counts the reads of such a
+round as its loads would have; only then does it run array rounds. Any
+other backend is searched node by node.
 
 Graphs are immutable once built, so concurrent readers are safe; the
 per-node objects an :class:`InMemoryGraph` builds on first read are

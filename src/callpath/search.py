@@ -62,15 +62,30 @@ per frontier node in the largest rounds; node by node, a round costs
 about 1.5 us per node on the mem-hub benchmark graph and about 0.5 us on
 small sparse graphs. ``_ARRAY_ROUND_MIN`` is a constant set by timing
 both bodies (see its comment), not an option: it moves no counter, only
-time. The disk store and other backends have no CSR arrays and always
-run node by node, so their I/O is accounted read by read, in processing
-order.
+time.
+
+An untraced query on a store whose cache can evict runs the array body
+too, over zero-copy views of the mapped sections (``csr`` and
+``kind_codes``). Its per-node reads are Python-level loads that keep the
+LRU order: a miss costs about 1.4 us per run and 0.9 us per kind byte
+on the disk-cold benchmark's store, against about 0.4 us per read
+replayed. The store still counts every read in processing order: the
+round hands it its reads, cut at the meeting node, and ``replay`` runs
+them through the cache in one frame. A traced store query runs node by
+node, so a raising trace hook leaves the per-node counts, and so does a
+probing round whose frontier holds an unknown kind byte, so the
+``StoreFormatError`` comes from that node's probe. A store whose cache
+holds every node keeps the per-node body: its hits are C-level
+``dict.get`` lookups, and array rounds made the disk-warm benchmark's
+median query slower (0.16 -> 0.27 ms). Other backends have no CSR
+arrays and always run node by node.
 
 A query costs the nodes it touches, not ``node_count``. It chooses its
 prev/dist tables once, at its start, and keeps them to the end. A query
-that can run array rounds (an ``InMemoryGraph`` of at least
-``_ARRAY_ROUND_MIN`` nodes) takes int32 arrays, ``_ArrayTables``, which
-its per-node rounds index through memoryviews; every other query takes
+that can run array rounds (on an ``InMemoryGraph`` of at least
+``_ARRAY_ROUND_MIN`` nodes, or untraced on a store of that size whose
+cache can evict) takes int32 arrays, ``_ArrayTables``, which its
+per-node rounds index through memoryviews; every other query takes
 lists, ``_Tables``. Both are tables that earlier queries handed back,
 taken under a distance offset that makes their old entries read as "not
 reached", so nothing is allocated, filled or reset per query; delays and
@@ -78,8 +93,8 @@ postponements live in a dict and a set of a few entries. Tables of
 length ``node_count`` are built only on first use, when the graph size
 changes, and every ~2**30 / node_count queries when the offset runs
 out. Each thread searching at the same time keeps one spare set: about
-28 * node_count bytes of arrays for an in-memory graph, about
-32 * node_count bytes of lists for any other. A plain query reads its
+28 * node_count bytes of arrays for a query that can run array rounds,
+about 32 * node_count bytes of lists for any other. A plain query reads its
 path off the prev tables it holds; only ``return_state=True`` builds a
 ``SearchState``, on fresh tables converted to lists of plain distances.
 """
@@ -423,10 +438,13 @@ def _search(
         return (result, None) if return_state else result
 
     n = graph.node_count
-    # The query's tables, chosen once: an InMemoryGraph large enough to
-    # fill an array round gets the int32 arrays, whose memoryviews its
-    # per-node rounds index too; every other graph gets the lists.
-    arrays = isinstance(graph, InMemoryGraph) and n >= _ARRAY_ROUND_MIN
+    # The query's tables, chosen once. A query that can run array rounds
+    # gets the int32 arrays, whose memoryviews its per-node rounds index
+    # too: one on an InMemoryGraph large enough to fill an array round, or
+    # an untraced one on a store whose cache can evict, which is handed
+    # each array round's reads to ``replay``. Every other query gets the lists.
+    replay = None if trace is not None else getattr(graph, "replay", None)
+    arrays = n >= _ARRAY_ROUND_MIN and (replay is not None or isinstance(graph, InMemoryGraph))
     spare, make = (_SPARE_ARRAYS, _ArrayTables) if arrays else (_SPARE_TABLES, _Tables)
     tables = make(n) if return_state else _take_tables(spare, make, n)
     prev_f, prev_b = tables.prev_f, tables.prev_b
@@ -487,7 +505,13 @@ def _search(
             forward = _choose_forward(config.frontier_policy, n_f, n_b)
             steps += 1
             todo = todo_f if forward else todo_b
-            if arrays and (n_f if forward else n_b) >= _ARRAY_ROUND_MIN:
+            array_round = arrays and len(todo) >= _ARRAY_ROUND_MIN
+            if array_round and replay is not None and probing and not forward:
+                # A probe of an unknown kind byte raises StoreFormatError;
+                # such a round runs node by node, so it raises at that node.
+                todo = _as_array(todo)
+                array_round = graph.kind_codes()[todo].max() < len(ClassKind)
+            if array_round:
                 if may_postpone and postponable is None:
                     codes = np.array([kind in postpone_kinds for kind in ClassKind])
                     postponable = graph.kind_codes(), codes
@@ -496,9 +520,10 @@ def _search(
                     tables.mark_nodes((final,) if uni else todo_b if forward else todo_f)
                     marked = opposite
                 csr = graph.csr(Direction.FORWARD if forward else Direction.BACKWARD)
-                todo2, intermed, visits, round_probes, round_postponements = _array_round(
+                todo2, intermed, visits, round_probes, round_postponements, reads = _array_round(
                     _as_array(todo), forward, tables, csr, delay, postponed,
                     probing and not forward, postponable, delay_steps, steps, trace,
+                    replay is not None,
                 )
                 if forward:
                     visited_f += visits
@@ -506,6 +531,10 @@ def _search(
                     visited_b += visits
                 probes += round_probes
                 postponements += round_postponements
+                if replay is not None:
+                    replay(forward, reads)
+                    run_loads += visits
+                    kind_loads += round_probes
                 if intermed is not None:
                     break
             else:
@@ -583,6 +612,9 @@ def _search(
             if marked is forward:
                 marked = None
     finally:
+        # A traceback keeps this frame: drop the views of a store's map, or
+        # the store could not be closed while the exception is handled.
+        csr = postponable = None
         # The lookup hits of this query, counted once, even when it raised.
         if count_hits is not None:
             count_hits(visited_f + visited_b - run_loads, probes - kind_loads)
@@ -641,6 +673,7 @@ def _array_round(
     delay_steps: int,
     step: int,
     trace: list[TraceEvent] | None,
+    want_reads: bool,
 ):
     """One round of the frontier loop as array operations over the CSR arrays.
 
@@ -648,11 +681,13 @@ def _array_round(
     the same visits, probes, postponements, delay countdowns, trace
     events, prev/dist writes, meeting node and next frontier. Returns
     ``(next frontier, meeting node or None, visits, probes,
-    postponements)``. ``probing`` says whether this round probes (a
+    postponements, reads)``. ``probing`` says whether this round probes (a
     backward round of a probing config); ``postponable`` is the graph's
     kind codes and, per code, whether a probe postpones the node, or
     None when nothing can be postponed; the opposite frontier is
-    ``tables.mark``-ed with ``tables.stamp``.
+    ``tables.mark``-ed with ``tables.stamp``. With ``want_reads``,
+    ``reads`` lists the reads the per-node body would have made, in its
+    order (see ``_round_reads``); otherwise it is None.
 
     The round takes three steps:
 
@@ -753,7 +788,12 @@ def _array_round(
             postponed.add(u)
             if delay_steps > 1:
                 delay[u] = delay_steps - 1
-    probes = last + 1 - sum(p <= last for p in unprobed) if probing else 0
+    unprobed = [p for p in unprobed if p <= last]
+    probes = last + 1 - len(unprobed) if probing else 0
+    reads = None
+    if want_reads:
+        runs_at = np.arange(visits) if expanding is None else expanding[:visits]
+        reads = _round_reads(frontier[: last + 1], runs_at, unprobed if probing else None)
     if trace is not None:
         for p, u in enumerate(frontier[: last + 1].tolist()):
             trace.append(TraceEvent(step, forward, u, actions.get(p, "expanded")))
@@ -765,9 +805,28 @@ def _array_round(
         dist[v[at]] = offers[at]
         prev[v[at]] = nodes[source[at]]
     if meeting is not None:
-        return None, meeting, visits, probes, postponements
+        return None, meeting, visits, probes, postponements, reads
     todo = np.sort(np.concatenate((frontier[list(actions)], v)))
-    return todo, None, visits, probes, postponements
+    return todo, None, visits, probes, postponements, reads
+
+
+def _round_reads(head: np.ndarray, runs_at: np.ndarray, unprobed: list[int] | None) -> list[int]:
+    """The reads of a round's processed occurrences ``head``, in the
+    per-node body's order: at each position a kind read, ``~u``, unless
+    the round does not probe (``unprobed`` is None) or the position is in
+    ``unprobed``; then a run read, ``u``, if the position is in ``runs_at``."""
+    if unprobed is None:
+        return head[runs_at].tolist()
+    probed = np.ones(len(head), np.int64)
+    probed[unprobed] = 0
+    count = probed.copy()
+    count[runs_at] += 1
+    at = np.cumsum(count) - count  # where each position's reads start
+    reads = np.empty(int(count.sum()), np.int64)
+    kinds_at = np.flatnonzero(probed)
+    reads[at[kinds_at]] = ~head[kinds_at]
+    reads[at[runs_at] + probed[runs_at]] = head[runs_at]
+    return reads.tolist()
 
 
 def _irregular(frontier, delay, postponable) -> list[int]:

@@ -58,14 +58,24 @@ C-level ``dict.get`` that counts nothing, and the kernel hands the
 store the number of such hits once per query, through ``count_hits``,
 even when the query raises; every other read is counted by the load
 that serves it, in one Python frame and without the node-id check.
+
+When the cache can evict, the kernel runs its large rounds as numpy
+over zero-copy views of the mapped sections (``csr``, ``kind_codes``)
+and then hands the store the round's reads, in the order the per-node
+body would have made them, through ``replay``. The replay makes the
+same recency moves, evictions, hit and miss counts and injected latency
+as those loads, in one Python frame, but a replayed miss only marks its
+section as loaded: the entry holds ``_UNDECODED`` until the first later
+read that returns it decodes the bytes. ``close`` drops the views
+before it unmaps the file.
 """
 
 from __future__ import annotations
 
-import math
 import mmap
 import os
 import struct
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -105,6 +115,11 @@ _BYTE_TO_KIND = {b: k for k, b in _KIND_TO_BYTE.items()}
 
 _MAX_NODES = 2**32
 _MAX_LINE = 2**32
+#: The longest ``time.sleep`` the platform takes, in seconds.
+_MAX_LATENCY = threading.TIMEOUT_MAX
+#: A cache entry whose read was replayed as a miss: its bytes are decoded
+#: by the first later read that returns it.
+_UNDECODED = object()
 
 
 class CacheMode(Enum):
@@ -124,8 +139,10 @@ class CacheConfig:
     def __post_init__(self) -> None:
         if self.max_cached_nodes < 1:
             raise ValueError("max_cached_nodes must be at least 1")
-        if not 0 <= self.latency_per_miss < math.inf:  # also rejects NaN
-            raise ValueError("latency_per_miss must be finite and non-negative")
+        if not 0 <= self.latency_per_miss <= _MAX_LATENCY:  # also rejects NaN
+            raise ValueError(
+                f"latency_per_miss must be finite and non-negative, at most {_MAX_LATENCY} s"
+            )
 
 
 @dataclass
@@ -287,6 +304,8 @@ class DiskGraph:
             OrderedDict() if cache.max_cached_nodes < self._node_count else None
         )
         self._run_structs: dict[int, struct.Struct] = {}
+        # (fwd csr, bwd csr, kind bytes) as views of the map, built on first use.
+        self._views: tuple | None = None
         self._stats = AccessStats()
 
     # ---- access contract ---------------------------------------------------
@@ -335,6 +354,39 @@ class DiskGraph:
             return (NO_LOOKUP, fwd), (NO_LOOKUP, bwd), (NO_LOOKUP, self._load_kind)
         return (self._fwd.get, fwd), (self._bwd.get, bwd), (self._kinds.get, self._load_kind)
 
+    def csr(self, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
+        """One direction's (offsets, ids) as zero-copy read-only views of
+        the map: offsets as ``<i8``, which ``open_store`` proved rise from
+        0 to ``edge_count``, and ids as ``<u4``. Reading them counts nothing."""
+        views = self._views or self._map_views()
+        return views[0] if direction is Direction.FORWARD else views[1]
+
+    def kind_codes(self) -> np.ndarray:
+        """Each node's class-kind byte, a strided zero-copy view of the
+        meta records. A valid byte equals the kind's index in
+        ``tuple(ClassKind)``, as ``InMemoryGraph.kind_codes`` gives it; an
+        unknown one is larger. Reading it counts nothing."""
+        return (self._views or self._map_views())[2]
+
+    def _map_views(self) -> tuple:
+        n, m, buf = self._node_count, self._edge_count, self._map
+        meta, _, *adjacency = self._section_offsets
+        csr = [
+            (np.frombuffer(buf, "<i8", n + 1, offset), np.frombuffer(buf, "<u4", m, offset + 8 * (n + 1)))
+            for offset in adjacency
+        ]
+        kinds = np.ndarray((n,), np.uint8, buf, meta + _KIND_OFFSET, (_META_RECORD.size,))
+        self._views = (*csr, kinds)
+        return self._views
+
+    @property
+    def replay(self):
+        """``_replay`` when the cache can evict, else None: the kernel runs
+        array rounds only on a store that has it and hands it their reads.
+        Without eviction every hit is a C-level ``dict.get``, which makes
+        the per-node body cheaper than an array round (see ``search``)."""
+        return None if self._recency is None else self._replay
+
     def count_hits(self, adjacency: int, meta: int) -> None:
         """Count reads that a ``readers()`` lookup served from the cache:
         ``adjacency`` run reads and ``meta`` kind reads, all hits."""
@@ -364,6 +416,7 @@ class DiskGraph:
         return self._cache_config
 
     def close(self) -> None:
+        self._views = None  # an exported view would keep the map from closing
         self._map.close()
 
     def __enter__(self) -> "DiskGraph":
@@ -381,7 +434,8 @@ class DiskGraph:
     # cache can evict, move ``u`` to the recent end, adding it and
     # evicting the least recent node's whole record if it was not cached.
     # Each runs in one frame, hit or miss: the recency and miss code is
-    # written out in both.
+    # written out in both, and in ``_replay``. A hit on an entry that a
+    # replay left ``_UNDECODED`` decodes it as a miss would.
 
     def _load_run(self, runs: dict[int, tuple[int, ...]], prefix: int, u: int) -> tuple[int, ...]:
         """One adjacency read of ``u`` from the section at ``prefix``."""
@@ -400,12 +454,14 @@ class DiskGraph:
         run = runs.get(u)
         if run is not None:
             stats.cache_hits += 1
-            return run
-        stats.cache_misses += 1
-        latency = self._cache_config.latency_per_miss
-        if latency > 0:
-            time.sleep(latency)
-            stats.injected_latency_total += latency
+            if run is not _UNDECODED:
+                return run
+        else:
+            stats.cache_misses += 1
+            latency = self._cache_config.latency_per_miss
+            if latency > 0:
+                time.sleep(latency)
+                stats.injected_latency_total += latency
         start, end = _U64x2.unpack_from(self._map, prefix + 8 * u)
         decode = self._run_structs.get(end - start)
         if decode is None:
@@ -430,18 +486,66 @@ class DiskGraph:
         kind = self._kinds.get(u)
         if kind is not None:
             stats.cache_hits += 1
-            return kind
-        stats.cache_misses += 1
-        latency = self._cache_config.latency_per_miss
-        if latency > 0:
-            time.sleep(latency)
-            stats.injected_latency_total += latency
+            if kind is not _UNDECODED:
+                return kind
+        else:
+            stats.cache_misses += 1
+            latency = self._cache_config.latency_per_miss
+            if latency > 0:
+                time.sleep(latency)
+                stats.injected_latency_total += latency
         kind_byte = self._map[self._section_offsets[0] + _META_RECORD.size * u + _KIND_OFFSET]
         kind = _BYTE_TO_KIND.get(kind_byte)
         if kind is None:
             raise StoreFormatError(f"node {u}: unknown class-kind byte {kind_byte}")
         self._kinds[u] = kind
         return kind
+
+    def _replay(self, forward: bool, reads: list[int]) -> None:
+        """Count an array round's reads as the loads would have: ``u`` is
+        a read of u's run in the round's direction, ``~u`` a read of u's
+        class kind, in the order the per-node body makes them. A miss
+        marks its entry ``_UNDECODED`` instead of decoding it. The kernel
+        calls this only on a store that can evict, with kind reads of
+        nodes whose kind byte is known."""
+        stats = self._stats
+        runs, kinds = (self._fwd if forward else self._bwd), self._kinds
+        fwd, bwd, metas = self._fwd, self._bwd, self._metas
+        recency = self._recency
+        move_to_end, popitem = recency.move_to_end, recency.popitem
+        room = self._cache_config.max_cached_nodes - len(recency)  # never negative
+        latency = self._cache_config.latency_per_miss
+        kind_reads = hits = 0
+        for u in reads:
+            if u < 0:
+                u = ~u
+                section = kinds
+                kind_reads += 1
+            else:
+                section = runs
+            if u in recency:
+                move_to_end(u)
+            else:
+                recency[u] = None
+                if room:
+                    room -= 1
+                else:
+                    evicted = popitem(last=False)[0]
+                    fwd.pop(evicted, None)
+                    bwd.pop(evicted, None)
+                    kinds.pop(evicted, None)
+                    metas.pop(evicted, None)
+            if u in section:
+                hits += 1
+            else:
+                section[u] = _UNDECODED
+                if latency > 0:
+                    time.sleep(latency)
+                    stats.injected_latency_total += latency
+        stats.meta_reads += kind_reads
+        stats.adjacency_reads += len(reads) - kind_reads
+        stats.cache_hits += hits
+        stats.cache_misses += len(reads) - hits
 
     def _read_meta(self, u: int, kind: ClassKind) -> MethodMeta:
         name_off, class_off, file_off, _, line = _META_RECORD.unpack_from(

@@ -86,7 +86,13 @@ def test_path_flag_conflicts_exit_two():
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--delay", "-1"), ("--cache-nodes", "0"), ("--latency-ms", "-1"), ("--latency-ms", "inf")],
+    [
+        ("--delay", "-1"),
+        ("--cache-nodes", "0"),
+        ("--latency-ms", "-1"),
+        ("--latency-ms", "inf"),
+        ("--latency-ms", "1e308"),
+    ],
 )
 def test_path_out_of_range_numbers_exit_two(capsys, flag, value):
     with pytest.raises(SystemExit) as excinfo:

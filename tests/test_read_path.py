@@ -1,18 +1,33 @@
 """The search kernel's cached reads against the access contract.
 
 A store handle searched directly serves cache hits through its
-``readers()`` lookups and counts them once per query; a second handle
-reached through ``_RequiredMethodsOnly`` has no ``readers`` and is read
-one contract call at a time. Both must traverse alike and count every
-read alike after every query.
+``readers()`` lookups and counts them once per query; when its cache
+can evict, it runs rounds of ``search._ARRAY_ROUND_MIN`` nodes or more
+as array operations over its mapped sections and replays their reads.
+A second handle reached through ``_RequiredMethodsOnly`` has neither
+and is read one contract call at a time, node by node. Both must
+traverse alike and count every read alike after every query.
 """
+
+import os
+import struct
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
+from zlib import crc32
 
 import numpy as np
 import pytest
 
-from callpath.search import run_search
+from callpath import search, store
+from callpath.errors import StoreFormatError
+from callpath.ingest import SyntheticSpec, generate_synthetic
+from callpath.search import FrontierPolicy, SearchConfig, run_search
 from callpath.store import CacheConfig, CacheMode, build_store, open_store
 
+from oracles import bfs_reachable
 from test_search import REGIME_CONFIGS, _pairs, _RequiredMethodsOnly
 
 
@@ -96,3 +111,174 @@ def test_a_query_that_raised_counts_its_cache_hits(hub_store, hub_graph):
                     assert direct.access_stats() == inner.access_stats()
         assert direct.access_stats().cache_hits > 0
     assert interrupted > 0
+
+
+# A seeded acyclic hub graph of the disk benchmark's shape, a few thousand
+# nodes: its paper-policy backward rounds pass the array-round size.
+SYNTHETIC = SyntheticSpec(node_count=3000, out_degree=3, hub_count=30, hub_indegree=40, seed=21, acyclic=True)
+
+
+@pytest.fixture(scope="module")
+def synthetic_store(tmp_path_factory):
+    graph = generate_synthetic(SYNTHETIC)
+    path = tmp_path_factory.mktemp("read-path") / "synthetic.cgs"
+    build_store(graph, path)
+    return graph, path
+
+
+def _reachable_pairs(rng, graph, count):
+    """Pairs with a path: the final node drawn from the initial one's forward closure."""
+    pairs = []
+    while len(pairs) < count:
+        s = int(rng.integers(graph.node_count))
+        reachable = sorted(bfs_reachable(graph, s))
+        if reachable:
+            pairs.append((s, reachable[int(rng.integers(len(reachable)))]))
+    return pairs
+
+
+@pytest.fixture
+def array_rounds(monkeypatch):
+    """Each array round run from here on, as (frontier size, forward)."""
+    rounds = []
+    array_round = search._array_round
+
+    def spy(*args):
+        rounds.append((len(args[0]), args[1]))
+        return array_round(*args)
+
+    monkeypatch.setattr(search, "_array_round", spy)
+    return rounds
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The store's injected-latency sleeps, recorded instead of slept."""
+    calls = []
+    monkeypatch.setattr(store, "time", SimpleNamespace(sleep=calls.append))
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(CacheMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("capacity", [64, 512])
+@pytest.mark.parametrize("which", ["hub", "synthetic"])
+def test_array_rounds_on_an_evicting_store_match_the_contract_path(
+    hub_store, hub_graph, synthetic_store, array_rounds, sleeps, which, capacity, mode
+):
+    # the direct handle runs large rounds as arrays and replays their
+    # reads; the contract handle runs every round node by node. Results,
+    # returned states and every counter, injected latency included, agree
+    if which == "hub":
+        graph, path = hub_graph, hub_store
+        pairs = _pairs(np.random.default_rng(606), graph, 6)
+    else:
+        graph, path = synthetic_store
+        pairs = _reachable_pairs(np.random.default_rng(21), graph, 5)
+    cache = CacheConfig(max_cached_nodes=capacity, latency_per_miss=1e-6, mode=mode)
+    with open_store(path, cache) as direct, open_store(path, cache) as inner:
+        contract = _RequiredMethodsOnly(inner)
+        for config in REGIME_CONFIGS:
+            for s, t in pairs:
+                got = run_search(direct, s, t, config)
+                assert got.same_traversal(run_search(contract, s, t, config)), (s, t, config)
+                assert direct.access_stats() == inner.access_stats(), (s, t, config)
+                got, state = search._search(direct, s, t, config, return_state=True)
+                want, want_state = search._search(contract, s, t, config, return_state=True)
+                assert got.same_traversal(want) and state == want_state, (s, t, config)
+                assert direct.access_stats() == inner.access_stats(), (s, t, config)
+        stats = direct.access_stats()
+    assert stats.injected_latency_total > 0
+    assert sleeps == [1e-6] * (2 * stats.cache_misses)
+    assert array_rounds, "no array round ran: the comparison says nothing about them"
+    assert which == "synthetic" or any(forward for _, forward in array_rounds)
+
+
+def test_a_raising_trace_on_an_evicting_store_leaves_the_per_node_counts(hub_store, hub_graph):
+    # a traced store query runs node by node, so a trace hook that raises
+    # midway, inside what would be an array round, leaves exactly the
+    # reads the per-node body made up to that event
+    cache = CacheConfig(max_cached_nodes=64)
+    config = SearchConfig(delay_steps=3, frontier_policy=FrontierPolicy.PAPER_LITERAL)
+    with open_store(hub_store, cache) as direct, open_store(hub_store, cache) as inner:
+        contract = _RequiredMethodsOnly(inner)
+        for s, t in [(643, 549), (85, 27)]:
+            for events in (1, 100, 150, 300, 450):
+                for handle in (direct, contract):
+                    with pytest.raises(_Interrupted):
+                        run_search(handle, s, t, config, trace=_Tripwire(events))
+                assert direct.access_stats() == inner.access_stats(), (s, t, events)
+
+
+def _bad_kind_store(path, graph, u):
+    """``graph``'s store at ``path`` with node ``u``'s class-kind byte set
+    to 7 and the meta CRC recomputed, so the file opens."""
+    build_store(graph, path)
+    data = bytearray(path.read_bytes())
+    header = struct.unpack_from("<4sIIQ" + "QQ" * 4 + "Q", data)
+    meta_offset, meta_size, trailer_offset = header[4], header[5], header[12]
+    data[meta_offset + 29 * u + 24] = 7  # <QQQBI record; the kind byte follows three u64
+    struct.pack_into("<I", data, trailer_offset + 4, crc32(data[meta_offset : meta_offset + meta_size]))
+    path.write_bytes(bytes(data))
+
+
+def _first_probed_in_a_late_array_round(graph, s, t, config):
+    """A node first probed in the second backward round of the query that
+    processes ``search._ARRAY_ROUND_MIN`` nodes or more."""
+    trace = []
+    run_search(graph, s, t, config, trace=trace)
+    sizes = Counter(event.step for event in trace if not event.forward)
+    step = sorted(step for step, size in sizes.items() if size >= search._ARRAY_ROUND_MIN)[1]
+    earlier = {event.node for event in trace if event.step < step}
+    return next(
+        event.node
+        for event in trace
+        if event.step == step and event.action != "delayed" and event.node not in earlier
+    )
+
+
+@pytest.mark.parametrize("probe_only", [False, True], ids=["postpone", "probe-only"])
+def test_an_unknown_kind_byte_in_a_large_backward_frontier(tmp_path, hub_graph, array_rounds, probe_only):
+    # an earlier backward round runs as arrays; the round whose frontier
+    # holds the bad byte runs node by node and raises at that node's
+    # probe, with the per-node counts, and the store still closes
+    config = SearchConfig(probe_only=probe_only, frontier_policy=FrontierPolicy.PAPER_LITERAL)
+    s, t = 643, 549
+    u = _first_probed_in_a_late_array_round(hub_graph, s, t, config)
+    path = tmp_path / "kind.cgs"
+    _bad_kind_store(path, hub_graph, u)
+    message = f"node {u}: unknown class-kind byte 7"
+    cache = CacheConfig(max_cached_nodes=64)
+    with pytest.raises(StoreFormatError, match=message):
+        with open_store(path, cache) as direct:
+            try:
+                run_search(direct, s, t, config)
+            finally:
+                stats = direct.access_stats()
+    assert array_rounds
+    with open_store(path, cache) as inner:
+        with pytest.raises(StoreFormatError, match=message):
+            run_search(_RequiredMethodsOnly(inner), s, t, config)
+        assert stats == inner.access_stats()
+    argv = ["path", "--graph", str(path), "--from", str(s), "--to", str(t), "--cache-nodes", "64"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "callpath.cli", *argv, *(["--probe-only"] if probe_only else [])],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+    )
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_a_store_closes_after_array_rounds(hub_store, hub_graph, array_rounds):
+    # the kernel keeps no view of the map once a query returns or raises
+    handle = open_store(hub_store, CacheConfig(max_cached_nodes=64))
+    for config in REGIME_CONFIGS:
+        run_search(handle, 643, 549, config)
+    assert array_rounds
+    handle.close()
+    with pytest.raises(_Interrupted):
+        with open_store(hub_store, CacheConfig(max_cached_nodes=64)) as handle:
+            run_search(handle, 643, 549, REGIME_CONFIGS[0])
+            raise _Interrupted

@@ -2,11 +2,16 @@
 whole node records does (``oracles.LruRecordModel``), under any
 capacity from one node to more than the graph, in both cache modes,
 for direct reads, ``begin_query`` and searches, including searches
-that raise midway."""
+that raise midway. ``search._ARRAY_ROUND_MIN`` is drawn down to the
+size of these graphs, so untraced searches on a store that can evict
+also run array rounds and replay their reads."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from callpath import search
 from callpath.store import CacheConfig, CacheMode, build_store, open_store
 from callpath.search import run_search
 
@@ -65,30 +70,41 @@ def _search(graph, s, t, config, events):
 def _operations(n):
     node = st.integers(0, n - 1)
     read = st.tuples(st.sampled_from(["fwd", "bwd", "meta", "kind"]), node)
-    search = st.tuples(
-        st.just("search"), node, node, st.integers(0, len(REGIME_CONFIGS) - 1), st.integers(0, 12)
-    )
-    return st.lists(st.one_of(read, read, search, st.just(("begin",))), min_size=10, max_size=40)
+    # Half the searches untraced (0 events): a traced store search runs node by node.
+    events = st.one_of(st.just(0), st.integers(1, 12))
+    query = st.tuples(st.just("search"), node, node, st.integers(0, len(REGIME_CONFIGS) - 1), events)
+    return st.lists(st.one_of(read, read, query, st.just(("begin",))), min_size=10, max_size=40)
 
 
 # Built once: a strategy rebuilt inside every draw costs more than the checks.
 OPERATIONS = [_operations(graph.node_count) for graph in GRAPHS]
+# Array rounds from every frontier, from frontiers of two nodes, or never.
+THRESHOLDS = st.sampled_from([0, 2, 2**62])
 
 
 @st.composite
 def _sessions(draw):
     g = draw(st.integers(0, len(GRAPHS) - 1))
     n = GRAPHS[g].node_count
-    return g, draw(st.integers(1, n + 1)), draw(st.sampled_from(list(CacheMode))), draw(OPERATIONS[g])
+    return (
+        g,
+        draw(st.integers(1, n + 1)),
+        draw(st.sampled_from(list(CacheMode))),
+        draw(THRESHOLDS),
+        draw(OPERATIONS[g]),
+    )
 
 
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(session=_sessions())
 def test_handle_counts_reads_as_the_reference_lru(stores, session):
-    g, capacity, mode, ops = session
+    g, capacity, mode, threshold, ops = session
     graph = GRAPHS[g]
     model = LruRecordModel(capacity, cold=mode is CacheMode.COLD_PER_QUERY)
-    with open_store(stores[g], CacheConfig(max_cached_nodes=capacity, mode=mode)) as handle:
+    with (
+        mock.patch.object(search, "_ARRAY_ROUND_MIN", threshold),
+        open_store(stores[g], CacheConfig(max_cached_nodes=capacity, mode=mode)) as handle,
+    ):
         contract = {
             "fwd": (handle.successors, graph.successors),
             "bwd": (handle.predecessors, graph.predecessors),

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -211,6 +212,14 @@ def test_probe_only_reads_metadata(fig_store):
 def test_cache_config_rejects_non_finite_or_negative_latency(latency):
     with pytest.raises(ValueError, match="latency_per_miss"):
         CacheConfig(latency_per_miss=latency)
+
+
+@pytest.mark.parametrize("latency", [1e305, threading.TIMEOUT_MAX * 2])
+def test_cache_config_rejects_a_latency_sleep_cannot_take(latency):
+    # time.sleep raises OverflowError beyond its bound, at the first miss
+    with pytest.raises(ValueError, match="latency_per_miss"):
+        CacheConfig(latency_per_miss=latency)
+    assert CacheConfig(latency_per_miss=threading.TIMEOUT_MAX).latency_per_miss == threading.TIMEOUT_MAX
 
 
 def test_latency_injection_lower_bound(tmp_path):
