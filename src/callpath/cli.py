@@ -20,6 +20,7 @@ import json
 import math
 import re
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -42,7 +43,7 @@ from .search import (
     SearchStatus,
     run_search,
 )
-from .store import CacheConfig, CacheMode, build_store, is_store_file, open_store
+from .store import CacheConfig, CacheMode, DiskGraph, build_store, is_store_file, open_store
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,11 +132,14 @@ def _load_graph(path: str, args) -> object:
         return import_jsonl(fh)
 
 
+def _is_id(text: str) -> bool:
+    """Is a node given as an id (ASCII digits, optionally negative), not a name?"""
+    return re.fullmatch(r"-?[0-9]+", text) is not None
+
+
 def _node_ref(graph, text: str) -> int:
-    """A node given as an id (ASCII digits, optionally negative) or a name."""
-    if re.fullmatch(r"-?[0-9]+", text):
-        return int(text)
-    return resolve_name(graph, text)
+    """A node given as an id or a name."""
+    return int(text) if _is_id(text) else resolve_name(graph, text)
 
 
 def _cmd_import(args, parser: argparse.ArgumentParser) -> int:
@@ -261,10 +265,11 @@ def _search_config(args, parser: argparse.ArgumentParser) -> SearchConfig:
 def _cmd_path(args, parser: argparse.ArgumentParser) -> int:
     config = _search_config(args, parser)
     graph = _load_graph(args.graph, args)
-    s = _node_ref(graph, args.initial)
-    t = _node_ref(graph, args.final)
-    if hasattr(graph, "reset_stats"):
-        graph.reset_stats()  # name resolution reads should not pollute the query stats
+    # A store reads names on a second handle, so the query's own cache and
+    # counters start as they do for ids.
+    named = not (_is_id(args.initial) and _is_id(args.final))
+    with (open_store(args.graph) if named and isinstance(graph, DiskGraph) else nullcontext(graph)) as names:
+        s, t = _node_ref(names, args.initial), _node_ref(names, args.final)
     result = run_search(graph, s, t, config)
     stats = graph.access_stats() if hasattr(graph, "access_stats") else None
     fmt = args.format or "text"

@@ -13,17 +13,16 @@ looks up each optional method once per query:
 * ``begin_query()`` is called when a search starts (the disk backend
   empties a cold cache there); without it nothing is called.
 * ``class_kind(u)`` returns ``method_meta(u).class_kind`` and is what a
-  postponement probe calls; the disk backend then reads one byte
-  instead of decoding the whole record. Without it a probe calls
-  ``method_meta(u)`` and reads the field, with the same result.
+  postponement probe calls, so a backend can answer it without building
+  the whole record. Without it a probe calls ``method_meta(u)`` and
+  reads the field, with the same result.
 * ``readers()`` returns three ``(lookup, load)`` pairs, for forward
   runs, backward runs and class kinds. The kernel reads node u as
   ``lookup(u)``, and calls ``load(u)`` only when that returns None.
   Neither checks u, since the kernel passes only ids it read from the
-  graph. Both backends have it: an ``InMemoryGraph`` lookup indexes a
-  per-node tuple and never misses; a store's lookup is a cache dict's
-  ``get`` (or, when its cache can evict, never hits) and its load
-  counts the read it makes.
+  graph. Both backends have it: an ``InMemoryGraph`` lookup never
+  misses; a store's lookups count nothing and its loads count the read
+  they make.
 * ``count_hits(adjacency, meta)`` receives, once per query and even
   when the query raised, the number of run and kind reads its
   lookups served. Only the store has it: it counts those as hits.
@@ -37,10 +36,10 @@ counted for it.
 The search kernel reads an :class:`InMemoryGraph` through more than
 the contract. Rounds with a large frontier run as array operations over
 its CSR arrays (``csr``) and postponement tests over its per-node kind
-codes (``kind_codes``). A store has both, as views of its file, and,
-when its cache can evict, a ``replay`` that counts the reads of such a
-round as its loads would have; only then does it run array rounds. Any
-other backend is searched node by node.
+codes (``kind_codes``). A store has both, and may have a ``replay``
+that counts the reads of such a round, handed over in the order the
+per-node body would have made them, as its loads would have; only then
+does it run array rounds. Any other backend is searched node by node.
 
 Graphs are immutable once built, so concurrent readers are safe; the
 per-node objects an :class:`InMemoryGraph` builds on first read are

@@ -64,20 +64,17 @@ small sparse graphs. ``_ARRAY_ROUND_MIN`` is a constant set by timing
 both bodies (see its comment), not an option: it moves no counter, only
 time.
 
-An untraced query on a store whose cache can evict runs the array body
-too, over zero-copy views of the mapped sections (``csr`` and
-``kind_codes``). Its per-node reads are Python-level loads that keep the
-LRU order: a miss costs about 1.4 us per run and 0.9 us per kind byte
-on the disk-cold benchmark's store, against about 0.4 us per read
-replayed. The store still counts every read in processing order: the
-round hands it its reads, cut at the meeting node, and ``replay`` runs
-them through the cache in one frame. A traced store query runs node by
-node, so a raising trace hook leaves the per-node counts, and so does a
-probing round whose frontier holds an unknown kind byte, so the
-``StoreFormatError`` comes from that node's probe. A store whose cache
-holds every node keeps the per-node body: its hits are C-level
-``dict.get`` lookups, and array rounds made the disk-warm benchmark's
-median query slower (0.16 -> 0.27 ms). Other backends have no CSR
+An untraced query on a store that has ``replay`` (one whose cache can
+evict) runs the array body too, over the store's ``csr`` and
+``kind_codes``, which count nothing. The store still counts every read
+in processing order: the round hands ``replay`` its reads, cut at the
+meeting node and in the order the per-node body would have made them.
+A traced store query runs node by node, so a raising trace hook leaves
+the per-node counts, and so does a probing round whose frontier holds
+an unknown kind byte, so the ``StoreFormatError`` comes from that
+node's probe. A store without ``replay`` keeps the per-node body: its
+hits are C-level ``dict.get`` lookups, which array rounds did not beat
+on the disk-warm benchmark (see CHANGES.md). Other backends have no CSR
 arrays and always run node by node.
 
 A query costs the nodes it touches, not ``node_count``. It chooses its

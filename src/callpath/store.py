@@ -40,34 +40,39 @@ of fwd. So a reader never indexes past a section, and the ids a search
 reads back are valid node ids. Class-kind bytes are checked when read.
 All of this happens before any access accounting starts.
 
-The cache holds one dict per record section, keyed by node id: forward
-runs, backward runs, class kinds and decoded ``MethodMeta``. A node is
-cached while any of them holds it, and an evicted node loses all four,
-so the cache behaves as an LRU of whole node records. Recency is kept
-in an ``OrderedDict`` of the cached ids only when the cache can evict,
-that is when ``max_cached_nodes < node_count``.
+The cache is the model that ``oracles.LruRecordModel`` in the tests
+states: an LRU of at most ``max_cached_nodes`` whole node records, each
+holding the sections read so far. A record has three sections: the
+forward run, the backward run and the meta record, which ``class_kind``
+and ``method_meta`` read alike. A read is one cache hit when the node's
+record holds its section and one miss otherwise, which adds the section
+to the record; either way the record becomes the most recent, and a new
+record beyond ``max_cached_nodes`` evicts the least recent one whole. A
+meta read that finds an unknown kind byte counts as a miss and adds
+nothing.
 
-A read is one cache hit or one miss. A miss decodes only what the call
-returns: an adjacency miss unpacks one id run, and ``class_kind``, the
-call a search probe makes, reads the single kind byte of the node's
-meta record. ``method_meta`` counts as the same meta read (a hit once
-either call has read the record) and decodes the record's strings on
-its first call while the record stays cached. The search kernel reads
-through ``readers()``: when nothing can be evicted, a hit there is one
-C-level ``dict.get`` that counts nothing, and the kernel hands the
-store the number of such hits once per query, through ``count_hits``,
-even when the query raises; every other read is counted by the load
-that serves it, in one Python frame and without the node-id check.
+When the cache can evict (``max_cached_nodes < node_count``) it is one
+``OrderedDict`` from node id to the bits of the sections its record
+holds, and no decoded value is kept: every read decodes from the map,
+an id run with one unpack, a kind from its one byte, and
+``method_meta`` the whole record. Otherwise no record is ever evicted
+and recency decides nothing, so the cache is one dict of decoded values
+per section (runs, kinds, ``MethodMeta``), and a read is a hit when its
+dict holds the node.
 
-When the cache can evict, the kernel runs its large rounds as numpy
-over zero-copy views of the mapped sections (``csr``, ``kind_codes``)
-and then hands the store the round's reads, in the order the per-node
-body would have made them, through ``replay``. The replay makes the
-same recency moves, evictions, hit and miss counts and injected latency
-as those loads, in one Python frame, but a replayed miss only marks its
-section as loaded: the entry holds ``_UNDECODED`` until the first later
-read that returns it decodes the bytes. ``close`` drops the views
-before it unmaps the file.
+The search kernel reads through ``readers()``. Every read that a lookup
+does not serve goes to ``_load(bit, u)``, which counts it in one Python
+frame without the node-id check. When nothing can be evicted a lookup
+is the section dict's C-level ``get``; its hits count nothing, and the
+kernel hands the store their number once per query, through
+``count_hits``, even when the query raises. When the cache can evict,
+lookups never hit, and the kernel runs its large rounds as numpy over
+zero-copy views of the mapped sections (``csr``, ``kind_codes``), then
+hands the store the round's reads, in the order the per-node body
+would have made them, through ``replay``. ``_replay`` runs them through
+the same section bits in one frame, with the hits, misses, recency
+moves, evictions and injected latency that ``_load`` would have made.
+``close`` drops the views before it unmaps the file.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ import struct
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -117,9 +122,9 @@ _MAX_NODES = 2**32
 _MAX_LINE = 2**32
 #: The longest ``time.sleep`` the platform takes, in seconds.
 _MAX_LATENCY = threading.TIMEOUT_MAX
-#: A cache entry whose read was replayed as a miss: its bytes are decoded
-#: by the first later read that returns it.
-_UNDECODED = object()
+#: The sections of a cached node record, as bits. A run's bit plus one is
+#: its section's index in the header table (fwd 2, bwd 3).
+_FWD, _BWD, _META = 1, 2, 4
 
 
 class CacheMode(Enum):
@@ -162,13 +167,7 @@ class AccessStats:
     injected_latency_total: float = 0.0
 
     def copy(self) -> "AccessStats":
-        return AccessStats(
-            self.meta_reads,
-            self.adjacency_reads,
-            self.cache_hits,
-            self.cache_misses,
-            self.injected_latency_total,
-        )
+        return replace(self)
 
 
 @dataclass(frozen=True)
@@ -291,18 +290,14 @@ class DiskGraph:
             self._map.close()
             raise
         (self._node_count, self._edge_count, self._section_offsets) = layout
-        # One cache dict per record section, keyed by node id; a node's
-        # record is its entries in the four, and eviction drops them all.
-        self._fwd: dict[int, tuple[int, ...]] = {}
-        self._bwd: dict[int, tuple[int, ...]] = {}
-        self._kinds: dict[int, ClassKind] = {}
-        self._metas: dict[int, MethodMeta] = {}
-        self._sections = (self._fwd, self._bwd, self._kinds, self._metas)
-        # The cached ids in recency order, kept only when the cache can
-        # evict; with room for every node nothing is ever evicted.
-        self._recency: OrderedDict[int, None] | None = (
+        # When the cache can evict: node id -> the bits of the sections its
+        # record holds, least recent first. Otherwise None, and the cache is
+        # one dict of decoded values per section bit, plus the MethodMeta.
+        self._records: OrderedDict[int, int] | None = (
             OrderedDict() if cache.max_cached_nodes < self._node_count else None
         )
+        self._decoded: dict[int, dict] = {_FWD: {}, _BWD: {}, _META: {}}
+        self._metas: dict[int, MethodMeta] = {}
         self._run_structs: dict[int, struct.Struct] = {}
         # (fwd csr, bwd csr, kind bytes) as views of the map, built on first use.
         self._views: tuple | None = None
@@ -319,14 +314,16 @@ class DiskGraph:
         return self._edge_count
 
     def successors(self, u: NodeId) -> tuple[int, ...]:
-        return self._load_run(self._fwd, self._section_offsets[2], check_node(u, self._node_count))
+        return self._load(_FWD, check_node(u, self._node_count))
 
     def predecessors(self, u: NodeId) -> tuple[int, ...]:
-        return self._load_run(self._bwd, self._section_offsets[3], check_node(u, self._node_count))
+        return self._load(_BWD, check_node(u, self._node_count))
 
     def method_meta(self, u: NodeId) -> MethodMeta:
         u = check_node(u, self._node_count)
-        kind = self._load_kind(u)
+        kind = self._load(_META, u)
+        if self._records is not None:
+            return self._read_meta(u, kind)
         meta = self._metas.get(u)
         if meta is None:
             meta = self._metas[u] = self._read_meta(u, kind)
@@ -334,8 +331,8 @@ class DiskGraph:
 
     def class_kind(self, u: NodeId) -> ClassKind:
         """``method_meta(u).class_kind``, counted as the same meta read,
-        but a miss reads only the record's kind byte."""
-        return self._load_kind(check_node(u, self._node_count))
+        but it decodes only the record's kind byte."""
+        return self._load(_META, check_node(u, self._node_count))
 
     def readers(self):
         """The search kernel's unchecked reads: a ``(lookup, load)`` pair
@@ -345,14 +342,13 @@ class DiskGraph:
         evicted: a hit costs one C call and is not counted until
         ``count_hits``. When the cache can evict it never hits, so every
         read goes through ``load(u)``, which counts itself, keeps recency
-        and reads the map on a miss. Ids must lie in ``[0, node_count)``.
+        and decodes from the map. Ids must lie in ``[0, node_count)``.
         """
-        offsets = self._section_offsets
-        fwd = partial(self._load_run, self._fwd, offsets[2])
-        bwd = partial(self._load_run, self._bwd, offsets[3])
-        if self._recency is not None:
-            return (NO_LOOKUP, fwd), (NO_LOOKUP, bwd), (NO_LOOKUP, self._load_kind)
-        return (self._fwd.get, fwd), (self._bwd.get, bwd), (self._kinds.get, self._load_kind)
+        fwd, bwd, kind = partial(self._load, _FWD), partial(self._load, _BWD), partial(self._load, _META)
+        if self._records is not None:
+            return (NO_LOOKUP, fwd), (NO_LOOKUP, bwd), (NO_LOOKUP, kind)
+        decoded = self._decoded
+        return (decoded[_FWD].get, fwd), (decoded[_BWD].get, bwd), (decoded[_META].get, kind)
 
     def csr(self, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
         """One direction's (offsets, ids) as zero-copy read-only views of
@@ -385,7 +381,7 @@ class DiskGraph:
         array rounds only on a store that has it and hands it their reads.
         Without eviction every hit is a C-level ``dict.get``, which makes
         the per-node body cheaper than an array round (see ``search``)."""
-        return None if self._recency is None else self._replay
+        return None if self._records is None else self._replay
 
     def count_hits(self, adjacency: int, meta: int) -> None:
         """Count reads that a ``readers()`` lookup served from the cache:
@@ -400,20 +396,15 @@ class DiskGraph:
     def begin_query(self) -> None:
         """Searches call this on entry; in cold mode it empties the cache."""
         if self._cache_config.mode is CacheMode.COLD_PER_QUERY:
-            for section in self._sections:
-                section.clear()
-            if self._recency is not None:
-                self._recency.clear()
+            for cache in (self._records, *self._decoded.values(), self._metas):
+                if cache is not None:
+                    cache.clear()
 
     def access_stats(self) -> AccessStats:
         return self._stats.copy()
 
     def reset_stats(self) -> None:
         self._stats = AccessStats()
-
-    @property
-    def cache_config(self) -> CacheConfig:
-        return self._cache_config
 
     def close(self) -> None:
         self._views = None  # an exported view would keep the map from closing
@@ -430,118 +421,100 @@ class DiskGraph:
 
     # ---- internals -------------------------------------------------------
 
-    # The two loads below count one read of node ``u`` and, when the
-    # cache can evict, move ``u`` to the recent end, adding it and
-    # evicting the least recent node's whole record if it was not cached.
-    # Each runs in one frame, hit or miss: the recency and miss code is
-    # written out in both, and in ``_replay``. A hit on an entry that a
-    # replay left ``_UNDECODED`` decodes it as a miss would.
+    # ``_load`` serves single reads and ``_replay`` an array round's reads,
+    # each in one frame: routing either through a helper frame per read
+    # costs more than the code it would share (see CHANGES.md).
 
-    def _load_run(self, runs: dict[int, tuple[int, ...]], prefix: int, u: int) -> tuple[int, ...]:
-        """One adjacency read of ``u`` from the section at ``prefix``."""
+    def _load(self, bit: int, u: int) -> tuple[int, ...] | ClassKind:
+        """One read of section ``bit`` of node ``u``: its run in that
+        direction, or its class kind for ``_META``."""
         stats = self._stats
-        stats.adjacency_reads += 1
-        recency = self._recency
-        if recency is not None:
-            if u in recency:
-                recency.move_to_end(u)
+        records = self._records
+        if records is not None:
+            held = records.get(u)
+            if held is None:
+                held = 0
+                if len(records) >= self._cache_config.max_cached_nodes:
+                    records.popitem(last=False)
             else:
-                recency[u] = None
-                if len(recency) > self._cache_config.max_cached_nodes:
-                    evicted = recency.popitem(last=False)[0]
-                    for section in self._sections:
-                        section.pop(evicted, None)
-        run = runs.get(u)
-        if run is not None:
+                records.move_to_end(u)
+        else:
+            decoded = self._decoded[bit]
+            value = decoded.get(u)
+            if value is not None:
+                stats.cache_hits += 1
+                if bit == _META:
+                    stats.meta_reads += 1
+                else:
+                    stats.adjacency_reads += 1
+                return value
+            held = 0
+        if held & bit:
             stats.cache_hits += 1
-            if run is not _UNDECODED:
-                return run
         else:
             stats.cache_misses += 1
             latency = self._cache_config.latency_per_miss
             if latency > 0:
                 time.sleep(latency)
                 stats.injected_latency_total += latency
-        start, end = _U64x2.unpack_from(self._map, prefix + 8 * u)
-        decode = self._run_structs.get(end - start)
-        if decode is None:
-            decode = self._run_structs[end - start] = struct.Struct(f"<{end - start}I")
-        run = runs[u] = decode.unpack_from(self._map, prefix + 8 * (self._node_count + 1) + 4 * start)
-        return run
-
-    def _load_kind(self, u: int) -> ClassKind:
-        """One meta read of ``u``; a miss reads only its kind byte."""
-        stats = self._stats
-        stats.meta_reads += 1
-        recency = self._recency
-        if recency is not None:
-            if u in recency:
-                recency.move_to_end(u)
-            else:
-                recency[u] = None
-                if len(recency) > self._cache_config.max_cached_nodes:
-                    evicted = recency.popitem(last=False)[0]
-                    for section in self._sections:
-                        section.pop(evicted, None)
-        kind = self._kinds.get(u)
-        if kind is not None:
-            stats.cache_hits += 1
-            if kind is not _UNDECODED:
-                return kind
+        if bit == _META:
+            stats.meta_reads += 1
+            kind_byte = self._map[self._section_offsets[0] + _META_RECORD.size * u + _KIND_OFFSET]
+            value = _BYTE_TO_KIND.get(kind_byte)
+            if value is None:
+                if records is not None:
+                    records[u] = held  # the read moved the record but adds no section
+                raise StoreFormatError(f"node {u}: unknown class-kind byte {kind_byte}")
         else:
-            stats.cache_misses += 1
-            latency = self._cache_config.latency_per_miss
-            if latency > 0:
-                time.sleep(latency)
-                stats.injected_latency_total += latency
-        kind_byte = self._map[self._section_offsets[0] + _META_RECORD.size * u + _KIND_OFFSET]
-        kind = _BYTE_TO_KIND.get(kind_byte)
-        if kind is None:
-            raise StoreFormatError(f"node {u}: unknown class-kind byte {kind_byte}")
-        self._kinds[u] = kind
-        return kind
+            stats.adjacency_reads += 1
+            prefix = self._section_offsets[bit + 1]
+            start, end = _U64x2.unpack_from(self._map, prefix + 8 * u)
+            decode = self._run_structs.get(end - start)
+            if decode is None:
+                decode = self._run_structs[end - start] = struct.Struct(f"<{end - start}I")
+            value = decode.unpack_from(self._map, prefix + 8 * (self._node_count + 1) + 4 * start)
+        if records is None:
+            decoded[u] = value
+        else:
+            records[u] = held | bit
+        return value
 
     def _replay(self, forward: bool, reads: list[int]) -> None:
-        """Count an array round's reads as the loads would have: ``u`` is
+        """Count an array round's reads as ``_load`` would have: ``u`` is
         a read of u's run in the round's direction, ``~u`` a read of u's
-        class kind, in the order the per-node body makes them. A miss
-        marks its entry ``_UNDECODED`` instead of decoding it. The kernel
+        class kind, in the order the per-node body makes them. The kernel
         calls this only on a store that can evict, with kind reads of
         nodes whose kind byte is known."""
         stats = self._stats
-        runs, kinds = (self._fwd if forward else self._bwd), self._kinds
-        fwd, bwd, metas = self._fwd, self._bwd, self._metas
-        recency = self._recency
-        move_to_end, popitem = recency.move_to_end, recency.popitem
-        room = self._cache_config.max_cached_nodes - len(recency)  # never negative
+        records = self._records
+        get, move_to_end, popitem = records.get, records.move_to_end, records.popitem
+        room = self._cache_config.max_cached_nodes - len(records)  # never negative
         latency = self._cache_config.latency_per_miss
+        run_bit = _FWD if forward else _BWD
         kind_reads = hits = 0
         for u in reads:
             if u < 0:
                 u = ~u
-                section = kinds
+                bit = _META
                 kind_reads += 1
             else:
-                section = runs
-            if u in recency:
-                move_to_end(u)
-            else:
-                recency[u] = None
+                bit = run_bit
+            held = get(u)
+            if held is None:
                 if room:
                     room -= 1
                 else:
-                    evicted = popitem(last=False)[0]
-                    fwd.pop(evicted, None)
-                    bwd.pop(evicted, None)
-                    kinds.pop(evicted, None)
-                    metas.pop(evicted, None)
-            if u in section:
-                hits += 1
+                    popitem(last=False)
+                records[u] = bit
             else:
-                section[u] = _UNDECODED
-                if latency > 0:
-                    time.sleep(latency)
-                    stats.injected_latency_total += latency
+                move_to_end(u)
+                if held & bit:
+                    hits += 1
+                    continue
+                records[u] = held | bit
+            if latency > 0:
+                time.sleep(latency)
+                stats.injected_latency_total += latency
         stats.meta_reads += kind_reads
         stats.adjacency_reads += len(reads) - kind_reads
         stats.cache_hits += hits

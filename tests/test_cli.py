@@ -10,6 +10,7 @@ import pytest
 from callpath.bench import load_scenario, run_scenario
 from callpath.cli import main
 from callpath.ingest import SyntheticSpec, export_jsonl, generate_synthetic, import_jsonl
+from callpath.store import build_store
 
 DATA = Path(__file__).parent.parent / "data"
 FIG = str(DATA / "transceiver.jsonl")
@@ -165,6 +166,26 @@ def test_build_store_and_query_it(tmp_path, capsys):
     assert code == 0
     assert "status=found length=1" in out
     assert "meta_reads=0" in out  # balanced never probes class kinds
+
+
+@pytest.mark.parametrize("cache_nodes", ["64", "1000"], ids=["evicting", "holds-every-node"])
+def test_path_by_names_reads_as_by_ids_on_a_warm_store(tmp_path, capsys, cache_nodes):
+    # resolving a name reads every node's metadata; the query's warm
+    # cache must not start with those records
+    store = tmp_path / "g300.cgs"
+    spec = SyntheticSpec(node_count=300, out_degree=3, hub_count=10, hub_indegree=20, seed=7, acyclic=True)
+    build_store(generate_synthetic(spec), store)
+    docs = []
+    for initial, final in (("C0.m0", "C299.m299"), ("0", "299")):
+        code = run_cli(
+            "--format", "json", "path", "--graph", str(store), "--from", initial, "--to", final,
+            "--cache-mode", "warm", "--cache-nodes", cache_nodes,
+        )
+        assert code == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0]["status"] == "found"
+    assert docs[0]["access"] == docs[1]["access"]
+    assert docs[0]["access"]["cache_hits"] == 0
 
 
 def test_reach_single_node(capsys):

@@ -22,6 +22,7 @@ from callpath.search import (
     run_search,
 )
 from callpath.store import (
+    AccessStats,
     CacheConfig,
     CacheMode,
     build_store,
@@ -363,6 +364,15 @@ def test_unknown_class_kind_byte_is_format_error(tmp_path, fig_graph):
         with pytest.raises(StoreFormatError, match=message):
             handle.method_meta(3)
         assert handle.method_meta(0) == fig_graph.method_meta(0)
+    # on a warm cache that can evict, each failed read is a meta miss that
+    # moves node 3's record but adds no meta section to it
+    with open_store(path, CacheConfig(max_cached_nodes=2, mode=CacheMode.WARM_ACROSS_QUERIES)) as handle:
+        assert handle.successors(3) == fig_graph.successors(3)
+        for read in (handle.class_kind, handle.method_meta, handle.class_kind):
+            with pytest.raises(StoreFormatError, match=message):
+                read(3)
+        assert handle.successors(3) == fig_graph.successors(3)
+        assert handle.access_stats() == AccessStats(meta_reads=3, adjacency_reads=2, cache_hits=1, cache_misses=4)
     # the postponing search probes node 3 first, from its backward frontier
     proc = subprocess.run(
         [sys.executable, "-m", "callpath.cli", "path", "--graph", str(path),
