@@ -11,7 +11,8 @@ here and ``store.DiskGraph`` are the two backends. The search kernel
 looks up each optional method once per query:
 
 * ``begin_query()`` is called when a search starts (the disk backend
-  empties a cold cache there); without it nothing is called.
+  empties a cold cache there and notes its read counters); without it
+  nothing is called.
 * ``class_kind(u)`` returns ``method_meta(u).class_kind`` and is what a
   postponement probe calls, so a backend can answer it without building
   the whole record. Without it a probe calls ``method_meta(u)`` and
@@ -23,15 +24,16 @@ looks up each optional method once per query:
   graph. Both backends have it: an ``InMemoryGraph`` lookup never
   misses; a store's lookups count nothing and its loads count the read
   they make.
-* ``count_hits(adjacency, meta)`` receives, once per query and even
-  when the query raised, the number of run and kind reads its
-  lookups served. Only the store has it: it counts those as hits.
+* ``end_query(runs, kinds)`` receives, once per query and even when
+  the query raised, the number of run and kind reads it made. Only the
+  store has it: the reads its loads did not count were lookup hits,
+  and it counts them so.
 
 A backend without ``readers`` gets lookups that never hit and its
 contract methods (``class_kind``, or the ``method_meta`` fallback) as
 loads, so every read is one checked contract call, as any wrapper or
-proxy around a backend expects; without ``count_hits`` nothing is
-counted for it.
+proxy around a backend expects; without ``end_query`` nothing is
+reported.
 
 The search kernel reads an :class:`InMemoryGraph` through more than
 the contract. Rounds with a large frontier run as array operations over

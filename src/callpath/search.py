@@ -49,9 +49,11 @@ same way, through the ``(lookup, load)`` pairs of ``graph.readers()``
 matching load only when the lookup returns None. Lookups of an
 ``InMemoryGraph`` never miss; a store whose cache cannot evict serves
 its hits from C-level dicts; a backend without ``readers`` always goes
-to its checked contract methods. Each query hands the store its lookup
-hits once, in a ``finally``: its visits minus its run loads, and its
-probes minus its kind loads.
+to its checked contract methods. The kernel only reports what it read:
+each query hands the store's ``end_query`` its visits and its probes
+once, in a ``finally``, and the store counts as hits the reads its loads
+did not count. Each visit or probe is counted before its read, so a
+read that raises leaves both sides equal.
 
 On an ``InMemoryGraph`` of at least ``_ARRAY_ROUND_MIN`` nodes, a round
 whose frontier holds at least that many runs the array body,
@@ -70,12 +72,10 @@ evict) runs the array body too, over the store's ``csr`` and
 in processing order: the round hands ``replay`` its reads, cut at the
 meeting node and in the order the per-node body would have made them.
 A traced store query runs node by node, so a raising trace hook leaves
-the per-node counts, and so does a probing round whose frontier holds
-an unknown kind byte, so the ``StoreFormatError`` comes from that
-node's probe. A store without ``replay`` keeps the per-node body: its
-hits are C-level ``dict.get`` lookups, which array rounds did not beat
-on the disk-warm benchmark (see CHANGES.md). Other backends have no CSR
-arrays and always run node by node.
+the per-node counts. A store without ``replay`` keeps the per-node
+body: its hits are C-level ``dict.get`` lookups, which array rounds did
+not beat on the disk-warm benchmark (see CHANGES.md). Other backends
+have no CSR arrays and always run node by node.
 
 A query costs the nodes it touches, not ``node_count``. It chooses its
 prev/dist tables once, at its start, and keeps them to the end. A query
@@ -451,7 +451,7 @@ def _search(
     # A per-node read is ``lookup(u)``, then ``load(u)`` only when that
     # returns None; frontier ids come from the graph, so neither checks them.
     fwd_reads, bwd_reads, (kind_lookup, kind_load) = _readers(graph)
-    count_hits = getattr(graph, "count_hits", None)
+    end_query = getattr(graph, "end_query", None)
     # Nodes sitting out rounds -> rounds left (never 0), and the nodes
     # whose postponement fired; both stay a handful of entries.
     delay: dict[NodeId, int] = {}
@@ -490,8 +490,6 @@ def _search(
     visited_b = 0
     postponements = 0
     probes = 0
-    # Reads served by ``load``; every other visit and probe was a lookup hit.
-    run_loads = kind_loads = 0
 
     last_du = alt = None
     try:
@@ -502,13 +500,7 @@ def _search(
             forward = _choose_forward(config.frontier_policy, n_f, n_b)
             steps += 1
             todo = todo_f if forward else todo_b
-            array_round = arrays and len(todo) >= _ARRAY_ROUND_MIN
-            if array_round and replay is not None and probing and not forward:
-                # A probe of an unknown kind byte raises StoreFormatError;
-                # such a round runs node by node, so it raises at that node.
-                todo = _as_array(todo)
-                array_round = graph.kind_codes()[todo].max() < len(ClassKind)
-            if array_round:
+            if arrays and len(todo) >= _ARRAY_ROUND_MIN:
                 if may_postpone and postponable is None:
                     codes = np.array([kind in postpone_kinds for kind in ClassKind])
                     postponable = graph.kind_codes(), codes
@@ -530,8 +522,6 @@ def _search(
                 postponements += round_postponements
                 if replay is not None:
                     replay(forward, reads)
-                    run_loads += visits
-                    kind_loads += round_probes
                 if intermed is not None:
                     break
             else:
@@ -558,11 +548,10 @@ def _search(
                             trace.append(TraceEvent(steps, forward, u, "delayed"))
                         continue
                     if probing and not forward and u not in postponed:
+                        probes += 1
                         kind = kind_lookup(u)
                         if kind is None:
                             kind = kind_load(u)
-                            kind_loads += 1
-                        probes += 1
                         if may_postpone and kind in postpone_kinds:
                             postponed.add(u)
                             if delay_steps > 1:
@@ -572,14 +561,13 @@ def _search(
                             if trace is not None:
                                 trace.append(TraceEvent(steps, forward, u, "postponed"))
                             continue
-                    neighbors = lookup(u)
-                    if neighbors is None:
-                        neighbors = load(u)
-                        run_loads += 1
                     if forward:
                         visited_f += 1
                     else:
                         visited_b += 1
+                    neighbors = lookup(u)
+                    if neighbors is None:
+                        neighbors = load(u)
                     if trace is not None:
                         trace.append(TraceEvent(steps, forward, u, "expanded"))
                     # On list tables, one ``alt`` object per distance: a level's
@@ -612,9 +600,9 @@ def _search(
         # A traceback keeps this frame: drop the views of a store's map, or
         # the store could not be closed while the exception is handled.
         csr = postponable = None
-        # The lookup hits of this query, counted once, even when it raised.
-        if count_hits is not None:
-            count_hits(visited_f + visited_b - run_loads, probes - kind_loads)
+        # The reads of this query, reported once, even when it raised.
+        if end_query is not None:
+            end_query(visited_f + visited_b, probes)
 
     # The dist tables can be stale relative to the prev chains: a
     # postponed node's late expansion may improve an ancestor's distance

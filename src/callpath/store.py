@@ -36,9 +36,12 @@ corrupt or truncated file fails naming the damaged section), then
 checks with numpy over the map that the adjacency sections are well
 formed: each prefix rises from 0 to ``edge_count``, every id is below
 ``node_count``, each run is strictly ascending and bwd is the transpose
-of fwd. So a reader never indexes past a section, and the ids a search
-reads back are valid node ids. Class-kind bytes are checked when read.
-All of this happens before any access accounting starts.
+of fwd, and that every class-kind byte is a ``ClassKind`` code. So a
+reader never indexes past a section, and the ids and kinds a search
+reads back are valid. All of this happens before any access
+accounting starts. Heap strings are checked when ``method_meta`` reads
+them: one past the heap, not UTF-8, or an empty name is a
+``StoreFormatError`` naming the node.
 
 The cache is the model that ``oracles.LruRecordModel`` in the tests
 states: an LRU of at most ``max_cached_nodes`` whole node records, each
@@ -47,9 +50,7 @@ forward run, the backward run and the meta record, which ``class_kind``
 and ``method_meta`` read alike. A read is one cache hit when the node's
 record holds its section and one miss otherwise, which adds the section
 to the record; either way the record becomes the most recent, and a new
-record beyond ``max_cached_nodes`` evicts the least recent one whole. A
-meta read that finds an unknown kind byte counts as a miss and adds
-nothing.
+record beyond ``max_cached_nodes`` evicts the least recent one whole.
 
 When the cache can evict (``max_cached_nodes < node_count``) it is one
 ``OrderedDict`` from node id to the bits of the sections its record
@@ -63,9 +64,11 @@ dict holds the node.
 The search kernel reads through ``readers()``. Every read that a lookup
 does not serve goes to ``_load(bit, u)``, which counts it in one Python
 frame without the node-id check. When nothing can be evicted a lookup
-is the section dict's C-level ``get``; its hits count nothing, and the
-kernel hands the store their number once per query, through
-``count_hits``, even when the query raises. When the cache can evict,
+is the section dict's C-level ``get``, and its hits count nothing then.
+``begin_query`` notes the read counters, and the kernel hands
+``end_query`` the run and kind reads it made, even when the query
+raises; every read that ``_load`` and ``_replay`` did not count was a
+lookup hit, and ``end_query`` counts it so. When the cache can evict,
 lookups never hit, and the kernel runs its large rounds as numpy over
 zero-copy views of the mapped sections (``csr``, ``kind_codes``), then
 hands the store the round's reads, in the order the per-node body
@@ -115,8 +118,8 @@ _U64x2 = struct.Struct("<QQ")
 
 _SECTION_NAMES = ("meta-index", "string-heap", "forward-adjacency", "backward-adjacency")
 
-_KIND_TO_BYTE = {ClassKind.INTERFACE: 0, ClassKind.ABSTRACT: 1, ClassKind.CONCRETE: 2}
-_BYTE_TO_KIND = {b: k for k, b in _KIND_TO_BYTE.items()}
+#: A class-kind byte is the kind's index here, as ``InMemoryGraph.kind_codes`` gives it.
+_KINDS = tuple(ClassKind)
 
 _MAX_NODES = 2**32
 _MAX_LINE = 2**32
@@ -156,8 +159,9 @@ class AccessStats:
 
     Every metadata or adjacency read is classified as exactly one cache
     hit or miss, so ``cache_hits + cache_misses`` always equals
-    ``meta_reads + adjacency_reads``. The hits a search serves from
-    ``readers()`` lookups are added when the search returns or raises.
+    ``meta_reads + adjacency_reads``. The reads a search's ``readers()``
+    lookups served are counted, as hits, by ``end_query`` when the
+    search returns or raises.
     """
 
     meta_reads: int = 0
@@ -218,7 +222,6 @@ def build_store(graph, output_path: str | Path) -> StoreSummary:
 
 # The meta record ``<QQQBI`` as a packed numpy record.
 _META_DTYPE = np.dtype([("method", "<u8"), ("class", "<u8"), ("file", "<u8"), ("kind", "u1"), ("line", "<u4")])
-_KIND_BYTES = np.array([_KIND_TO_BYTE[kind] for kind in ClassKind], dtype=np.uint8)  # by kind code
 
 
 def _meta_and_heap(columns: NodeColumns) -> tuple[bytes, bytes]:
@@ -257,7 +260,7 @@ def _meta_and_heap(columns: NodeColumns) -> tuple[bytes, bytes]:
     refs = starts[np.fromiter(map(distinct.__getitem__, strings), np.int64, len(strings))].reshape(n, 3)
     records = np.empty(n, dtype=_META_DTYPE)
     records["method"], records["class"], records["file"] = refs.T
-    records["kind"] = _KIND_BYTES[columns.class_kinds]
+    records["kind"] = columns.class_kinds
     records["line"] = columns.lines
     return records.tobytes(), heap.tobytes()
 
@@ -340,7 +343,7 @@ class DiskGraph:
 
         ``lookup(u)`` is the section dict's ``get`` when nothing can be
         evicted: a hit costs one C call and is not counted until
-        ``count_hits``. When the cache can evict it never hits, so every
+        ``end_query``. When the cache can evict it never hits, so every
         read goes through ``load(u)``, which counts itself, keeps recency
         and decodes from the map. Ids must lie in ``[0, node_count)``.
         """
@@ -359,9 +362,9 @@ class DiskGraph:
 
     def kind_codes(self) -> np.ndarray:
         """Each node's class-kind byte, a strided zero-copy view of the
-        meta records. A valid byte equals the kind's index in
-        ``tuple(ClassKind)``, as ``InMemoryGraph.kind_codes`` gives it; an
-        unknown one is larger. Reading it counts nothing."""
+        meta records, which ``open_store`` proved each the kind's index in
+        ``tuple(ClassKind)``, as ``InMemoryGraph.kind_codes`` gives it.
+        Reading it counts nothing."""
         return (self._views or self._map_views())[2]
 
     def _map_views(self) -> tuple:
@@ -383,22 +386,28 @@ class DiskGraph:
         the per-node body cheaper than an array round (see ``search``)."""
         return None if self._records is None else self._replay
 
-    def count_hits(self, adjacency: int, meta: int) -> None:
-        """Count reads that a ``readers()`` lookup served from the cache:
-        ``adjacency`` run reads and ``meta`` kind reads, all hits."""
-        stats = self._stats
-        stats.adjacency_reads += adjacency
-        stats.meta_reads += meta
-        stats.cache_hits += adjacency + meta
-
     # ---- query/statistics management ----------------------------------------
 
     def begin_query(self) -> None:
-        """Searches call this on entry; in cold mode it empties the cache."""
+        """Searches call this on entry; in cold mode it empties the cache.
+        It notes the read counters for ``end_query``."""
         if self._cache_config.mode is CacheMode.COLD_PER_QUERY:
             for cache in (self._records, *self._decoded.values(), self._metas):
                 if cache is not None:
                     cache.clear()
+        self._noted = (self._stats.adjacency_reads, self._stats.meta_reads)
+
+    def end_query(self, runs: int, kinds: int) -> None:
+        """Searches call this on exit, even when they raise, with the
+        ``runs`` run reads and ``kinds`` kind reads they made since
+        ``begin_query``. Those that no load counted were served by a
+        ``readers()`` lookup: they count as hits."""
+        stats = self._stats
+        adjacency, meta = self._noted
+        hits = runs + kinds - (stats.adjacency_reads - adjacency) - (stats.meta_reads - meta)
+        stats.adjacency_reads = adjacency + runs
+        stats.meta_reads = meta + kinds
+        stats.cache_hits += hits
 
     def access_stats(self) -> AccessStats:
         return self._stats.copy()
@@ -459,12 +468,7 @@ class DiskGraph:
                 stats.injected_latency_total += latency
         if bit == _META:
             stats.meta_reads += 1
-            kind_byte = self._map[self._section_offsets[0] + _META_RECORD.size * u + _KIND_OFFSET]
-            value = _BYTE_TO_KIND.get(kind_byte)
-            if value is None:
-                if records is not None:
-                    records[u] = held  # the read moved the record but adds no section
-                raise StoreFormatError(f"node {u}: unknown class-kind byte {kind_byte}")
+            value = _KINDS[self._map[self._section_offsets[0] + _META_RECORD.size * u + _KIND_OFFSET]]
         else:
             stats.adjacency_reads += 1
             prefix = self._section_offsets[bit + 1]
@@ -483,8 +487,7 @@ class DiskGraph:
         """Count an array round's reads as ``_load`` would have: ``u`` is
         a read of u's run in the round's direction, ``~u`` a read of u's
         class kind, in the order the per-node body makes them. The kernel
-        calls this only on a store that can evict, with kind reads of
-        nodes whose kind byte is known."""
+        calls this only on a store that can evict."""
         stats = self._stats
         records = self._records
         get, move_to_end, popitem = records.get, records.move_to_end, records.popitem
@@ -524,19 +527,27 @@ class DiskGraph:
         name_off, class_off, file_off, _, line = _META_RECORD.unpack_from(
             self._map, self._section_offsets[0] + _META_RECORD.size * u
         )
-        return MethodMeta(
-            node=u,
-            method_name=self._read_string(name_off),
-            class_name=self._read_string(class_off),
-            class_kind=kind,
-            file=self._read_string(file_off),
-            line=line,
-        )
+        try:  # UnicodeDecodeError is a ValueError, and so is an empty name
+            return MethodMeta(
+                node=u,
+                method_name=self._read_string(name_off),
+                class_name=self._read_string(class_off),
+                class_kind=kind,
+                file=self._read_string(file_off),
+                line=line,
+            )
+        except ValueError as exc:
+            raise StoreFormatError(f"node {u}: {exc}") from exc
 
     def _read_string(self, offset: int) -> str:
-        start = self._section_offsets[1] + offset
-        (length,) = _U32.unpack_from(self._map, start)
-        return self._map[start + 4 : start + 4 + length].decode("utf-8")
+        heap, end = self._section_offsets[1:3]
+        start = heap + offset + _U32.size  # the bytes follow their u32 length
+        if start > end:
+            raise ValueError(f"string offset {offset} is past the string heap")
+        stop = start + _U32.unpack_from(self._map, start - _U32.size)[0]
+        if stop > end:
+            raise ValueError(f"string at offset {offset} runs past the string heap")
+        return self._map[start:stop].decode("utf-8")
 
 
 def open_store(path: str | Path, cache: CacheConfig | None = None) -> DiskGraph:
@@ -610,10 +621,23 @@ def _verify(buf: mmap.mmap, path: Path) -> tuple[int, int, list[int]]:
             actual = crc32(view[offsets[idx] : offsets[idx] + sizes[idx]])
             if actual != crcs[idx + 1]:
                 raise ChecksumError.mismatch(_SECTION_NAMES[idx], crcs[idx + 1], actual)
-    problem = _adjacency_problem(buf, node_count, edge_count, offsets)
+    problem = _kind_problem(buf, node_count, offsets[0]) or _adjacency_problem(
+        buf, node_count, edge_count, offsets
+    )
     if problem is not None:
         raise StoreFormatError(f"{path}: {problem}")
     return node_count, edge_count, offsets
+
+
+def _kind_problem(buf: mmap.mmap, n: int, meta: int) -> str | None:
+    """The first meta record whose class-kind byte is not a ``ClassKind``
+    code, named with its byte, or None. Like ``_adjacency_problem`` it
+    keeps no view of the map."""
+    kinds = np.ndarray((n,), np.uint8, buf, meta + _KIND_OFFSET, (_META_RECORD.size,))
+    bad = np.flatnonzero(kinds >= len(_KINDS))
+    if len(bad):
+        return f"node {bad[0]}: unknown class-kind byte {kinds[bad[0]]}"
+    return None
 
 
 def _adjacency_problem(buf: mmap.mmap, n: int, m: int, offsets: list[int]) -> str | None:

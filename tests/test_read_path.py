@@ -1,7 +1,7 @@
 """The search kernel's cached reads against the access contract.
 
 A store handle searched directly serves cache hits through its
-``readers()`` lookups and counts them once per query; when its cache
+``readers()`` lookups and counts them in ``end_query``; when its cache
 can evict, it runs rounds of ``search._ARRAY_ROUND_MIN`` nodes or more
 as array operations over its mapped sections and replays their reads.
 A second handle reached through ``_RequiredMethodsOnly`` has neither
@@ -9,20 +9,12 @@ and is read one contract call at a time, node by node. Both must
 traverse alike and count every read alike after every query.
 """
 
-import os
-import struct
-import subprocess
-import sys
-from collections import Counter
-from pathlib import Path
 from types import SimpleNamespace
-from zlib import crc32
 
 import numpy as np
 import pytest
 
 from callpath import search, store
-from callpath.errors import StoreFormatError
 from callpath.ingest import SyntheticSpec, generate_synthetic
 from callpath.search import FrontierPolicy, SearchConfig, run_search
 from callpath.store import CacheConfig, CacheMode, build_store, open_store
@@ -207,68 +199,6 @@ def test_a_raising_trace_on_an_evicting_store_leaves_the_per_node_counts(hub_sto
                     with pytest.raises(_Interrupted):
                         run_search(handle, s, t, config, trace=_Tripwire(events))
                 assert direct.access_stats() == inner.access_stats(), (s, t, events)
-
-
-def _bad_kind_store(path, graph, u):
-    """``graph``'s store at ``path`` with node ``u``'s class-kind byte set
-    to 7 and the meta CRC recomputed, so the file opens."""
-    build_store(graph, path)
-    data = bytearray(path.read_bytes())
-    header = struct.unpack_from("<4sIIQ" + "QQ" * 4 + "Q", data)
-    meta_offset, meta_size, trailer_offset = header[4], header[5], header[12]
-    data[meta_offset + 29 * u + 24] = 7  # <QQQBI record; the kind byte follows three u64
-    struct.pack_into("<I", data, trailer_offset + 4, crc32(data[meta_offset : meta_offset + meta_size]))
-    path.write_bytes(bytes(data))
-
-
-def _first_probed_in_a_late_array_round(graph, s, t, config):
-    """A node first probed in the second backward round of the query that
-    processes ``search._ARRAY_ROUND_MIN`` nodes or more."""
-    trace = []
-    run_search(graph, s, t, config, trace=trace)
-    sizes = Counter(event.step for event in trace if not event.forward)
-    step = sorted(step for step, size in sizes.items() if size >= search._ARRAY_ROUND_MIN)[1]
-    earlier = {event.node for event in trace if event.step < step}
-    return next(
-        event.node
-        for event in trace
-        if event.step == step and event.action != "delayed" and event.node not in earlier
-    )
-
-
-@pytest.mark.parametrize("probe_only", [False, True], ids=["postpone", "probe-only"])
-def test_an_unknown_kind_byte_in_a_large_backward_frontier(tmp_path, hub_graph, array_rounds, probe_only):
-    # an earlier backward round runs as arrays; the round whose frontier
-    # holds the bad byte runs node by node and raises at that node's
-    # probe, with the per-node counts, and the store still closes
-    config = SearchConfig(probe_only=probe_only, frontier_policy=FrontierPolicy.PAPER_LITERAL)
-    s, t = 643, 549
-    u = _first_probed_in_a_late_array_round(hub_graph, s, t, config)
-    path = tmp_path / "kind.cgs"
-    _bad_kind_store(path, hub_graph, u)
-    message = f"node {u}: unknown class-kind byte 7"
-    cache = CacheConfig(max_cached_nodes=64)
-    with pytest.raises(StoreFormatError, match=message):
-        with open_store(path, cache) as direct:
-            try:
-                run_search(direct, s, t, config)
-            finally:
-                stats = direct.access_stats()
-    assert array_rounds
-    with open_store(path, cache) as inner:
-        with pytest.raises(StoreFormatError, match=message):
-            run_search(_RequiredMethodsOnly(inner), s, t, config)
-        assert stats == inner.access_stats()
-    argv = ["path", "--graph", str(path), "--from", str(s), "--to", str(t), "--cache-nodes", "64"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "callpath.cli", *argv, *(["--probe-only"] if probe_only else [])],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
-    )
-    assert proc.returncode == 1
-    assert message in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_a_store_closes_after_array_rounds(hub_store, hub_graph, array_rounds):

@@ -14,7 +14,7 @@ import pytest
 
 from callpath.errors import ChecksumError, InvalidNodeError, StoreFormatError
 from callpath.ingest import SyntheticSpec, generate_synthetic
-from callpath.model import InMemoryGraph
+from callpath.model import ClassKind, InMemoryGraph, MethodMeta
 from callpath.search import (
     Algorithm,
     FrontierPolicy,
@@ -22,7 +22,6 @@ from callpath.search import (
     run_search,
 )
 from callpath.store import (
-    AccessStats,
     CacheConfig,
     CacheMode,
     build_store,
@@ -346,37 +345,43 @@ def test_malformed_length_is_format_error(tmp_path, fig_graph, mangle, message):
         open_store(path)
 
 
-def test_unknown_class_kind_byte_is_format_error(tmp_path, fig_graph):
-    # node 3's kind byte becomes 7 and the meta CRC is recomputed, so the
-    # file opens and only reading that record can notice
-    path = tmp_path / "kind.cgs"
-    build_store(fig_graph, path)
+_HEADER_FORMAT = "<4sIIQ" + "QQ" * 4 + "Q"
+
+
+def _with_crcs(data: bytearray, header: tuple) -> bytes:
+    """``data`` with every CRC recomputed where ``header``, the unpacked
+    header of the unedited store, puts them, so the file passes the
+    checksum scan."""
+    sections = [(header[4 + 2 * i], header[5 + 2 * i]) for i in range(4)]
+    crcs = [crc32(data[:92])] + [crc32(data[offset : offset + size]) for offset, size in sections]
+    struct.pack_into("<IIIII", data, header[12], *crcs)
+    return bytes(data)
+
+
+def _edited_store(path, graph, section, at, fmt, value):
+    """Build ``graph``'s store at ``path``, pack ``value`` as ``fmt`` at
+    byte ``at`` of a section (0 meta, 1 heap, 2 fwd, 3 bwd), and
+    recompute every CRC."""
+    build_store(graph, path)
     data = bytearray(path.read_bytes())
-    header = struct.unpack_from("<4sIIQ" + "QQ" * 4 + "Q", data)
-    meta_offset, meta_size, trailer_offset = header[4], header[5], header[12]
-    data[meta_offset + 29 * 3 + 24] = 7  # <QQQBI record; the kind byte follows three u64
-    struct.pack_into("<I", data, trailer_offset + 4, crc32(data[meta_offset : meta_offset + meta_size]))
-    path.write_bytes(bytes(data))
-    message = "node 3: unknown class-kind byte 7"
-    with open_store(path) as handle:
-        with pytest.raises(StoreFormatError, match=message):
-            handle.class_kind(3)
-        with pytest.raises(StoreFormatError, match=message):
-            handle.method_meta(3)
-        assert handle.method_meta(0) == fig_graph.method_meta(0)
-    # on a warm cache that can evict, each failed read is a meta miss that
-    # moves node 3's record but adds no meta section to it
-    with open_store(path, CacheConfig(max_cached_nodes=2, mode=CacheMode.WARM_ACROSS_QUERIES)) as handle:
-        assert handle.successors(3) == fig_graph.successors(3)
-        for read in (handle.class_kind, handle.method_meta, handle.class_kind):
-            with pytest.raises(StoreFormatError, match=message):
-                read(3)
-        assert handle.successors(3) == fig_graph.successors(3)
-        assert handle.access_stats() == AccessStats(meta_reads=3, adjacency_reads=2, cache_hits=1, cache_misses=4)
-    # the postponing search probes node 3 first, from its backward frontier
+    header = struct.unpack_from(_HEADER_FORMAT, data)
+    struct.pack_into(fmt, data, header[4 + 2 * section] + at, value)
+    path.write_bytes(_with_crcs(data, header))
+
+
+def _patched_store(path, graph, edit):
+    """``_edited_store`` with one adjacency entry set. ``edit`` is
+    (section, array, index, value): section "fwd" or "bwd", array 0 for
+    the prefix offsets or 1 for the ids."""
+    section, array, index, value = edit
+    at, fmt = (8 * index, "<Q") if array == 0 else (8 * (graph.node_count + 1) + 4 * index, "<I")
+    _edited_store(path, graph, 2 if section == "fwd" else 3, at, fmt, value)
+
+
+def _fails_in_one_line(argv, message):
+    """``callpath`` run on ``argv`` exits 1 with ``message`` as its one stderr line."""
     proc = subprocess.run(
-        [sys.executable, "-m", "callpath.cli", "path", "--graph", str(path),
-         "--from", "0", "--to", "3", "--algo", "postpone"],
+        [sys.executable, "-m", "callpath.cli", *map(str, argv)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
@@ -387,25 +392,47 @@ def test_unknown_class_kind_byte_is_format_error(tmp_path, fig_graph):
     assert "Traceback" not in proc.stderr
 
 
-def _patched_store(path, graph, edit):
-    """Build ``graph``'s store at ``path``, set one adjacency entry, and
-    recompute every CRC so the file passes the checksum scan. ``edit`` is
-    (section, array, index, value): section "fwd" or "bwd", array 0 for
-    the prefix offsets or 1 for the ids."""
-    build_store(graph, path)
-    data = bytearray(path.read_bytes())
-    header = struct.unpack_from("<4sIIQ" + "QQ" * 4 + "Q", data)
-    n, m = header[2], header[3]
-    sections = [(header[4 + 2 * i], header[5 + 2 * i]) for i in range(4)]
-    section, array, index, value = edit
-    offset = sections[2 if section == "fwd" else 3][0]
-    if array == 0:
-        struct.pack_into("<Q", data, offset + 8 * index, value)
-    else:
-        struct.pack_into("<I", data, offset + 8 * (n + 1) + 4 * index, value)
-    crcs = [crc32(data[:92])] + [crc32(data[offset : offset + size]) for offset, size in sections]
-    struct.pack_into("<IIIII", data, header[12], *crcs)
-    path.write_bytes(bytes(data))
+# A meta record is ``<QQQBI``: method, class and file offsets, then the kind byte.
+_METHOD_AT, _KIND_AT = 0, 24
+
+
+def test_unknown_class_kind_byte_is_format_error(tmp_path, fig_graph):
+    # node 3's kind byte becomes 7 under a recomputed meta CRC: the file
+    # passes the checksum scan and fails the open-time kind check, so even
+    # a search that never probes fails, in one line
+    path = tmp_path / "kind.cgs"
+    _edited_store(path, fig_graph, 0, 29 * 3 + _KIND_AT, "B", 7)
+    message = "node 3: unknown class-kind byte 7"
+    with pytest.raises(StoreFormatError, match=message):
+        open_store(path)
+    _fails_in_one_line(["path", "--graph", path, "--from", 0, "--to", 3, "--algo", "balanced"], message)
+
+
+# The heap of a one-node store whose method, class and file are "m", "C"
+# and "": the strings start at offsets 0, 5 and 10.
+_EMPTY_FILE_AT = 10
+_BAD_HEAP_STRINGS = {
+    "offset-past-heap": (0, _METHOD_AT, "<Q", 10**9, "string offset 1000000000 is past the string heap"),
+    "length-past-heap": (0, _METHOD_AT, "<Q", 1, "string at offset 1 runs past the string heap"),
+    "empty-name": (0, _METHOD_AT, "<Q", _EMPTY_FILE_AT, "method_name must be non-empty"),
+    "not-utf-8": (1, 4, "B", 0xFF, "'utf-8' codec can't decode byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_HEAP_STRINGS))
+def test_a_bad_heap_string_is_format_error(tmp_path, case):
+    # the heap is checked only when method_meta reads it; a string outside
+    # the heap, not UTF-8, or an empty name is a one-line format error
+    section, at, fmt, value, message = _BAD_HEAP_STRINGS[case]
+    graph = InMemoryGraph([MethodMeta(0, "m", "C", ClassKind.CONCRETE)], [])
+    path = tmp_path / f"{case}.cgs"
+    _edited_store(path, graph, section, at, fmt, value)
+    message = f"node 0: {message}"
+    with open_store(path) as handle:
+        assert handle.successors(0) == ()
+        with pytest.raises(StoreFormatError, match=message):
+            handle.method_meta(0)
+    _fails_in_one_line(["reach", "--graph", path, 0], message)
 
 
 # Edits of the transceiver store, whose forward run of node 0 is
@@ -441,16 +468,7 @@ def test_cli_rejects_broken_adjacency_in_one_line(tmp_path, fig_graph, case, arg
     edit, message = _BROKEN_STRUCTURE[case]
     path = tmp_path / f"{case}.cgs"
     _patched_store(path, fig_graph, edit)
-    proc = subprocess.run(
-        [sys.executable, "-m", "callpath.cli", argv[0], "--graph", str(path), *argv[1:]],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
-    )
-    assert proc.returncode == 1
-    assert message in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
-    assert "Traceback" not in proc.stderr
+    _fails_in_one_line([argv[0], "--graph", path, *argv[1:]], message)
 
 
 def test_bad_magic(tmp_path, fig_graph):
