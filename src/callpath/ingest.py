@@ -66,6 +66,7 @@ import numpy as np
 
 from .errors import CallpathError, JsonlFormatError, SyntheticSpecError
 from .model import ClassKind, Direction, InMemoryGraph, NodeColumns, NodeId, check_node
+from .store import _MAX_NODES
 
 # "Few vs many" reachability boundary, as a fraction of the node count,
 # and the dominance ratio for the lopsided regimes.
@@ -415,6 +416,8 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise SyntheticSpecError("node_count must be positive")
+        if self.node_count >= _MAX_NODES:
+            raise SyntheticSpecError(f"node_count must be below {_MAX_NODES}, the CGS1 format limit")
         if (self.edge_probability is None) == (self.out_degree is None):
             raise SyntheticSpecError(
                 "exactly one of edge_probability or out_degree must be set"

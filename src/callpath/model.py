@@ -325,12 +325,6 @@ class InMemoryGraph:
         read-only int8 array."""
         return self._columns.class_kinds
 
-    def edges(self) -> Iterable[Edge]:
-        """All edges, sorted by (caller, callee)."""
-        for u, targets in enumerate(self._fwd):
-            for v in targets:
-                yield Edge(u, v)
-
     def __repr__(self) -> str:
         return f"InMemoryGraph(nodes={self.node_count}, edges={self.edge_count})"
 

@@ -69,13 +69,15 @@ time.
 An untraced query on a store that has ``replay`` (one whose cache can
 evict) runs the array body too, over the store's ``csr`` and
 ``kind_codes``, which count nothing. The store still counts every read
-in processing order: the round hands ``replay`` its reads, cut at the
-meeting node and in the order the per-node body would have made them.
-A traced store query runs node by node, so a raising trace hook leaves
-the per-node counts. A store without ``replay`` keeps the per-node
-body: its hits are C-level ``dict.get`` lookups, which array rounds did
-not beat on the disk-warm benchmark (see CHANGES.md). Other backends
-have no CSR arrays and always run node by node.
+in processing order: the round hands ``replay`` its reads as the int64
+array it built them in, cut at the meeting node and in the order the
+per-node body would have made them, and the store counts a large round
+with numpy, by recency stamps (see ``store``). A traced store query
+runs node by node, so a raising trace hook leaves the per-node counts.
+A store without ``replay`` keeps the per-node body: its hits are
+C-level ``dict.get`` lookups, which array rounds did not beat on the
+disk-warm benchmark (see CHANGES.md). Other backends have no CSR arrays
+and always run node by node.
 
 A query costs the nodes it touches, not ``node_count``. It chooses its
 prev/dist tables once, at its start, and keeps them to the end. A query
@@ -795,13 +797,14 @@ def _array_round(
     return todo, None, visits, probes, postponements, reads
 
 
-def _round_reads(head: np.ndarray, runs_at: np.ndarray, unprobed: list[int] | None) -> list[int]:
-    """The reads of a round's processed occurrences ``head``, in the
-    per-node body's order: at each position a kind read, ``~u``, unless
-    the round does not probe (``unprobed`` is None) or the position is in
-    ``unprobed``; then a run read, ``u``, if the position is in ``runs_at``."""
+def _round_reads(head: np.ndarray, runs_at: np.ndarray, unprobed: list[int] | None) -> np.ndarray:
+    """The reads of a round's processed occurrences ``head``, as an int64
+    array in the per-node body's order: at each position a kind read,
+    ``~u``, unless the round does not probe (``unprobed`` is None) or the
+    position is in ``unprobed``; then a run read, ``u``, if the position
+    is in ``runs_at``."""
     if unprobed is None:
-        return head[runs_at].tolist()
+        return head[runs_at]
     probed = np.ones(len(head), np.int64)
     probed[unprobed] = 0
     count = probed.copy()
@@ -811,7 +814,7 @@ def _round_reads(head: np.ndarray, runs_at: np.ndarray, unprobed: list[int] | No
     kinds_at = np.flatnonzero(probed)
     reads[at[kinds_at]] = ~head[kinds_at]
     reads[at[runs_at] + probed[runs_at]] = head[runs_at]
-    return reads.tolist()
+    return reads
 
 
 def _irregular(frontier, delay, postponable) -> list[int]:

@@ -52,14 +52,31 @@ record holds its section and one miss otherwise, which adds the section
 to the record; either way the record becomes the most recent, and a new
 record beyond ``max_cached_nodes`` evicts the least recent one whole.
 
-When the cache can evict (``max_cached_nodes < node_count``) it is one
-``OrderedDict`` from node id to the bits of the sections its record
-holds, and no decoded value is kept: every read decodes from the map,
-an id run with one unpack, a kind from its one byte, and
-``method_meta`` the whole record. Otherwise no record is ever evicted
-and recency decides nothing, so the cache is one dict of decoded values
-per section (runs, kinds, ``MethodMeta``), and a read is a hit when its
-dict holds the node.
+When the cache can evict (``max_cached_nodes`` = C below ``node_count``)
+no decoded value is kept: every read decodes from the map, an id run
+with one unpack, a kind from its one byte, and ``method_meta`` the whole
+record. The cache itself is recency stamps, not an ordered dict. Each
+read takes the next tick of a read clock. Per node the handle keeps the
+time of its latest read (``_last``, int64) and its record's section bits
+(``_held``, uint8); per read since ``_base`` it keeps the time of the
+previous read of the same node (``_prev``). An LRU holds the C most
+recently read nodes: the inclusion property of Mattson, Gecsei, Slutz &
+Traiger, "Evaluation Techniques for Storage Hierarchies", IBM Systems
+Journal, 1970. So a read at time t of a node last read at p finds its
+record exactly when p is at or after ``_base`` (a cold ``begin_query``
+moves ``_base`` to the clock) and fewer than C distinct nodes were read
+between them. That holds without counting when t - p <= C; otherwise the
+distinct count is (t - p - 1) less the reads in between whose previous
+read falls after p. A read hits when it finds the record and the record
+holds its bit. Either way it stamps the node and adds its bit, to a
+fresh record when it found none; nothing is ever evicted as a step. When
+the history fills, ``_make_room`` replaces it with one read of each of
+the C most recent nodes, in their order, after a new ``_base``. So it
+holds at most ``node_count`` + C reads, or one round more.
+
+Otherwise no record is ever evicted and recency decides nothing, so the
+cache is one dict of decoded values per section (runs, kinds,
+``MethodMeta``), and a read is a hit when its dict holds the node.
 
 The search kernel reads through ``readers()``. Every read that a lookup
 does not serve goes to ``_load(bit, u)``, which counts it in one Python
@@ -71,10 +88,16 @@ raises; every read that ``_load`` and ``_replay`` did not count was a
 lookup hit, and ``end_query`` counts it so. When the cache can evict,
 lookups never hit, and the kernel runs its large rounds as numpy over
 zero-copy views of the mapped sections (``csr``, ``kind_codes``), then
-hands the store the round's reads, in the order the per-node body
-would have made them, through ``replay``. ``_replay`` runs them through
-the same section bits in one frame, with the hits, misses, recency
-moves, evictions and injected latency that ``_load`` would have made.
+hands the store the round's reads as one int64 array, in the order the
+per-node body would have made them, through ``replay``. ``_replay``
+counts them by the same stamps, with the hits, misses and injected
+latency that ``_load`` would have made. A round of ``_ARRAY_REPLAY_MIN``
+(256) reads or more is counted with numpy, with no Python step per
+read; a smaller one read by read, as ``_load`` does. The split is a
+constant set by timing both over the recorded replays of one disk-cold
+benchmark pass (1,138 rounds, 793,012 reads, the minimum of 9 runs):
+all in numpy took 156 ms, all read by read 226 ms, and any split from
+128 to 1,024 reads 129-148 ms, within the noise of each other.
 ``close`` drops the views before it unmaps the file.
 """
 
@@ -85,7 +108,6 @@ import os
 import struct
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -128,6 +150,11 @@ _MAX_LATENCY = threading.TIMEOUT_MAX
 #: The sections of a cached node record, as bits. A run's bit plus one is
 #: its section's index in the header table (fwd 2, bwd 3).
 _FWD, _BWD, _META = 1, 2, 4
+#: ``_replay`` counts a round of at least this many reads with numpy, and a
+#: smaller one read by read (see ``DiskGraph._replay``).
+_ARRAY_REPLAY_MIN = 256
+#: The most cells of one block of ``DiskGraph._distinct_in_round``'s count.
+_COUNT_CELLS = 1 << 20
 
 
 class CacheMode(Enum):
@@ -293,12 +320,24 @@ class DiskGraph:
             self._map.close()
             raise
         (self._node_count, self._edge_count, self._section_offsets) = layout
-        # When the cache can evict: node id -> the bits of the sections its
-        # record holds, least recent first. Otherwise None, and the cache is
-        # one dict of decoded values per section bit, plus the MethodMeta.
-        self._records: OrderedDict[int, int] | None = (
-            OrderedDict() if cache.max_cached_nodes < self._node_count else None
-        )
+        n, capacity = self._node_count, cache.max_cached_nodes
+        self._capacity = capacity
+        # When the cache can evict, the recency stamps (see the module
+        # docstring): per node the read-clock time of its latest read (-1
+        # before any) and its record's section bits, and per read since
+        # ``_base`` the time of the previous read of its node, at index
+        # ``time - _base``. Each array is also held as a memoryview, which
+        # single reads index faster. Otherwise ``_last`` is None, and the
+        # cache is one dict of decoded values per section bit, plus the
+        # MethodMeta.
+        self._last: np.ndarray | None = None
+        self._last_mv: memoryview | None = None
+        if capacity < n:
+            self._last = np.full(n, -1, np.int64)
+            self._held = np.zeros(n, np.uint8)
+            self._prev = np.empty(n + capacity, np.int64)
+            self._last_mv, self._held_mv, self._prev_mv = map(memoryview, (self._last, self._held, self._prev))
+            self._base = self._clock = 0
         self._decoded: dict[int, dict] = {_FWD: {}, _BWD: {}, _META: {}}
         self._metas: dict[int, MethodMeta] = {}
         self._run_structs: dict[int, struct.Struct] = {}
@@ -325,7 +364,7 @@ class DiskGraph:
     def method_meta(self, u: NodeId) -> MethodMeta:
         u = check_node(u, self._node_count)
         kind = self._load(_META, u)
-        if self._records is not None:
+        if self._last is not None:
             return self._read_meta(u, kind)
         meta = self._metas.get(u)
         if meta is None:
@@ -348,7 +387,7 @@ class DiskGraph:
         and decodes from the map. Ids must lie in ``[0, node_count)``.
         """
         fwd, bwd, kind = partial(self._load, _FWD), partial(self._load, _BWD), partial(self._load, _META)
-        if self._records is not None:
+        if self._last is not None:
             return (NO_LOOKUP, fwd), (NO_LOOKUP, bwd), (NO_LOOKUP, kind)
         decoded = self._decoded
         return (decoded[_FWD].get, fwd), (decoded[_BWD].get, bwd), (decoded[_META].get, kind)
@@ -384,7 +423,7 @@ class DiskGraph:
         array rounds only on a store that has it and hands it their reads.
         Without eviction every hit is a C-level ``dict.get``, which makes
         the per-node body cheaper than an array round (see ``search``)."""
-        return None if self._records is None else self._replay
+        return None if self._last is None else self._replay
 
     # ---- query/statistics management ----------------------------------------
 
@@ -392,9 +431,10 @@ class DiskGraph:
         """Searches call this on entry; in cold mode it empties the cache.
         It notes the read counters for ``end_query``."""
         if self._cache_config.mode is CacheMode.COLD_PER_QUERY:
-            for cache in (self._records, *self._decoded.values(), self._metas):
-                if cache is not None:
-                    cache.clear()
+            if self._last is not None:
+                self._base = self._clock  # no earlier read finds its record
+            for cache in (*self._decoded.values(), self._metas):
+                cache.clear()
         self._noted = (self._stats.adjacency_reads, self._stats.meta_reads)
 
     def end_query(self, runs: int, kinds: int) -> None:
@@ -438,15 +478,21 @@ class DiskGraph:
         """One read of section ``bit`` of node ``u``: its run in that
         direction, or its class kind for ``_META``."""
         stats = self._stats
-        records = self._records
-        if records is not None:
-            held = records.get(u)
-            if held is None:
-                held = 0
-                if len(records) >= self._cache_config.max_cached_nodes:
-                    records.popitem(last=False)
+        last = self._last_mv
+        if last is not None:
+            t, base = self._clock, self._base
+            if t - base == len(self._prev):
+                self._make_room(1)
+                t, base = self._clock, self._base
+            p = last[u]
+            if p >= base and (t - p <= self._capacity or self._distinct(p, t) < self._capacity):
+                held = self._held_mv[u]
             else:
-                records.move_to_end(u)
+                held = 0
+            self._held_mv[u] = held | bit
+            last[u] = t
+            self._prev_mv[t - base] = p
+            self._clock = t + 1
         else:
             decoded = self._decoded[bit]
             value = decoded.get(u)
@@ -477,51 +523,155 @@ class DiskGraph:
             if decode is None:
                 decode = self._run_structs[end - start] = struct.Struct(f"<{end - start}I")
             value = decode.unpack_from(self._map, prefix + 8 * (self._node_count + 1) + 4 * start)
-        if records is None:
+        if last is None:
             decoded[u] = value
-        else:
-            records[u] = held | bit
         return value
 
-    def _replay(self, forward: bool, reads: list[int]) -> None:
+    def _replay(self, forward: bool, reads: np.ndarray) -> None:
         """Count an array round's reads as ``_load`` would have: ``u`` is
         a read of u's run in the round's direction, ``~u`` a read of u's
-        class kind, in the order the per-node body makes them. The kernel
-        calls this only on a store that can evict."""
-        stats = self._stats
-        records = self._records
-        get, move_to_end, popitem = records.get, records.move_to_end, records.popitem
-        room = self._cache_config.max_cached_nodes - len(records)  # never negative
-        latency = self._cache_config.latency_per_miss
+        class kind, in the order the per-node body makes them, as an int64
+        array. The kernel calls this only on a store that can evict.
+
+        A round of ``_ARRAY_REPLAY_MIN`` reads or more is counted with
+        numpy: a stable argsort by node finds each read's previous read of
+        the same node, the stack-distance rule finds which reads find
+        their record, and exclusive cumsums within each record's run of
+        found reads give the section bits it holds. Smaller rounds run the
+        same rule read by read."""
+        m = len(reads)
         run_bit = _FWD if forward else _BWD
-        kind_reads = hits = 0
-        for u in reads:
-            if u < 0:
-                u = ~u
-                bit = _META
-                kind_reads += 1
-            else:
-                bit = run_bit
-            held = get(u)
-            if held is None:
-                if room:
-                    room -= 1
+        if self._clock - self._base + m > len(self._prev):
+            self._make_room(m)
+        base, clock, capacity = self._base, self._clock, self._capacity
+        if m < _ARRAY_REPLAY_MIN:
+            last, held, prev = self._last_mv, self._held_mv, self._prev_mv
+            t = clock
+            kind_reads = hits = 0
+            for u in reads.tolist():
+                if u < 0:
+                    u = ~u
+                    bit = _META
+                    kind_reads += 1
                 else:
-                    popitem(last=False)
-                records[u] = bit
-            else:
-                move_to_end(u)
-                if held & bit:
-                    hits += 1
-                    continue
-                records[u] = held | bit
-            if latency > 0:
+                    bit = run_bit
+                p = last[u]
+                if p >= base and (t - p <= capacity or self._distinct(p, t) < capacity):
+                    bits = held[u]
+                    if bits & bit:
+                        hits += 1
+                else:
+                    bits = 0
+                held[u] = bits | bit
+                last[u] = t
+                prev[t - base] = p
+                t += 1
+        else:
+            is_kind = reads < 0
+            nodes = np.where(is_kind, ~reads, reads)
+            # Read by read in node order; within a node, in time order.
+            order = np.argsort(nodes, kind="stable")
+            nodes, is_kind = nodes[order], is_kind[order]
+            t = clock + order
+            first = np.ones(m, bool)
+            first[1:] = nodes[1:] != nodes[:-1]
+            p = np.empty(m, np.int64)
+            p[1:] = t[:-1]
+            p[first] = self._last[nodes[first]]
+            self._prev[t - base] = p
+            found = p >= base
+            far = np.flatnonzero(found & (t - p > capacity))
+            if len(far):
+                found[far] = self._distinct_in_round(p[far], t[far]) < capacity
+            # A record's run of found reads starts at the round's first read
+            # of its node, carrying the bits held before the round when that
+            # read finds it, or at a read that does not find it, carrying none.
+            starts = first | ~found
+            carry = np.where(first & found, self._held[nodes], 0)
+            run_start = np.maximum.accumulate(np.where(starts, np.arange(m), 0))
+            kinds_before = np.cumsum(is_kind) - is_kind
+            runs_before = np.arange(m) - kinds_before
+            carried = carry[run_start]
+            same_before = np.where(
+                is_kind, kinds_before - kinds_before[run_start], runs_before - runs_before[run_start]
+            )
+            bits = np.where(is_kind, _META, run_bit)
+            hits = int(np.count_nonzero(found & ((same_before > 0) | (carried & bits != 0))))
+            kind_reads = int(np.count_nonzero(is_kind))
+            # Each node's last read leaves its record's bits and its stamp.
+            ends = np.ones(m, bool)
+            ends[:-1] = first[1:]
+            ends = np.flatnonzero(ends)
+            runs = run_start[ends]
+            kinds_in = kinds_before[ends] + is_kind[ends] - kinds_before[runs]
+            runs_in = runs_before[ends] + ~is_kind[ends] - runs_before[runs]
+            kept = np.where(kinds_in > 0, _META, 0) | np.where(runs_in > 0, run_bit, 0)
+            self._held[nodes[ends]] = carried[ends] | kept
+            self._last[nodes[ends]] = t[ends]
+        self._clock = clock + m
+        stats = self._stats
+        stats.meta_reads += kind_reads
+        stats.adjacency_reads += m - kind_reads
+        stats.cache_hits += hits
+        stats.cache_misses += m - hits
+        latency = self._cache_config.latency_per_miss
+        if latency > 0:
+            for _ in range(m - hits):
                 time.sleep(latency)
                 stats.injected_latency_total += latency
-        stats.meta_reads += kind_reads
-        stats.adjacency_reads += len(reads) - kind_reads
-        stats.cache_hits += hits
-        stats.cache_misses += len(reads) - hits
+
+    def _distinct(self, p: int, t: int) -> int:
+        """How many distinct nodes were read between times ``p`` and
+        ``t``, both at or after ``_base``: the reads in between less those
+        whose node was read before them but after ``p``."""
+        base = self._base
+        return t - p - 1 - int(np.count_nonzero(self._prev[p - base + 1 : t - base] > p))
+
+    def _distinct_in_round(self, p: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``_distinct`` of each pair of times in ``p`` and ``t`` during a
+        round that starts at ``_clock``, whose previous-read times are
+        already in the history. The part of a span before the round counts
+        the reads there that no later read of their node superseded, from
+        one cumsum; the part in the round counts as ``_distinct`` does, a
+        block of pairs at a time."""
+        base, clock = self._base, self._clock
+        fill = clock - base
+        earlier = self._prev[:fill]
+        latest = np.ones(fill, np.int64)
+        latest[earlier[earlier >= base] - base] = 0
+        before = np.zeros(fill + 1, np.int64)
+        np.cumsum(latest, out=before[1:])
+        nodes_before = before[fill] - before[np.minimum(p - base + 1, fill)]
+        # In the round: the reads in [max(clock, p + 1), t) less the repeats.
+        span = self._prev[fill : int(t.max()) - base]
+        times = np.arange(clock, clock + len(span))
+        block = max(1, _COUNT_CELLS // max(1, len(span)))
+        repeats = np.concatenate([
+            ((span > p[i : i + block, None]) & (times < t[i : i + block, None])).sum(axis=1)
+            for i in range(0, len(p), block)
+        ])
+        return nodes_before + t - np.maximum(p + 1, clock) - repeats
+
+    def _make_room(self, m: int) -> None:
+        """Make room for ``m`` more reads in the history, keeping every
+        count it gives. Only the records of the ``max_cached_nodes`` most
+        recently read nodes can still be found, and only their order
+        matters. So the history is replaced by one read of each of them, in
+        that order, after a new ``_base`` that no other stamp reaches; a
+        node's held bits stay. The history is reallocated only when a round
+        is longer than the room this leaves."""
+        last, capacity = self._last, self._capacity
+        live = np.flatnonzero(last >= self._base)
+        if len(live) > capacity:
+            live = live[np.argpartition(last[live], len(live) - capacity)[len(live) - capacity :]]
+        live = live[np.argsort(last[live])]
+        if len(live) + m > len(self._prev):
+            self._prev = np.empty(len(live) + m + self._node_count, np.int64)
+            self._prev_mv = memoryview(self._prev)
+        self._base = self._clock
+        self._clock += len(live)
+        last[live] = np.arange(self._base, self._clock)
+        self._prev[: len(live)] = -1
 
     def _read_meta(self, u: int, kind: ClassKind) -> MethodMeta:
         name_off, class_off, file_off, _, line = _META_RECORD.unpack_from(

@@ -147,6 +147,19 @@ def test_generate_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_generate_past_the_store_limit_exits_one(tmp_path, capsys):
+    # numpy would refuse this size at once too, so a missing check fails
+    # here with a traceback, not by allocating
+    out = tmp_path / "g.jsonl"
+    code = run_cli("generate", "--nodes", str(10**15), "--out-degree", "3", "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert "node_count" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_requires_density_choice():
     with pytest.raises(SystemExit) as excinfo:
         run_cli("generate", "--nodes", "10")

@@ -2,6 +2,7 @@ import json
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from callpath import ingest
@@ -342,6 +343,9 @@ def test_spec_validation():
         SyntheticSpec(node_count=5, edge_probability=1.5)
     with pytest.raises(SyntheticSpecError):
         SyntheticSpec(node_count=5, out_degree=1, hub_count=2, hub_indegree=5)
+    with pytest.raises(SyntheticSpecError, match="format limit"):
+        SyntheticSpec(node_count=2**32, out_degree=3)  # a CGS1 store holds fewer
+    SyntheticSpec(node_count=2**32 - 1, out_degree=3)
 
 
 def test_hub_census():
@@ -355,10 +359,9 @@ def test_hub_census():
         if graph.method_meta(u).class_kind is ClassKind.INTERFACE
     ]
     assert len(hubs) == 10
-    # recount degrees from the emitted edge list, not the adjacency index
-    indegree = [0] * graph.node_count
-    for _, callee in graph.edges():
-        indegree[callee] += 1
+    # recount degrees from the forward edge ids, not the backward index
+    _, callees = graph.csr(Direction.FORWARD)
+    indegree = np.bincount(callees, minlength=graph.node_count)
     for h in hubs:
         assert indegree[h] >= 50
 
@@ -380,8 +383,9 @@ def test_acyclic_edges_ascend():
     graph = generate_synthetic(
         SyntheticSpec(node_count=120, out_degree=3, hub_count=3, hub_indegree=10, seed=5, acyclic=True)
     )
-    for caller, callee in graph.edges():
-        assert caller < callee
+    offsets, callees = graph.csr(Direction.FORWARD)
+    callers = np.repeat(np.arange(graph.node_count), np.diff(offsets))
+    assert (callers < callees).all()
 
 
 def test_probability_model_density():

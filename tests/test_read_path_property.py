@@ -4,14 +4,16 @@ capacity from one node to more than the graph, in both cache modes,
 for direct reads, ``begin_query`` and searches, including searches
 that raise midway. ``search._ARRAY_ROUND_MIN`` is drawn down to the
 size of these graphs, so untraced searches on a store that can evict
-also run array rounds and replay their reads."""
+also run array rounds and replay their reads. ``store._ARRAY_REPLAY_MIN``
+is drawn at both extremes, so a replay is counted with numpy or read by
+read; a second property hands the store's replay read lists of its own."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from callpath import search
+from callpath import search, store
 from callpath.store import CacheConfig, CacheMode, build_store, open_store
 from callpath.search import run_search
 
@@ -80,6 +82,8 @@ def _operations(n):
 OPERATIONS = [_operations(graph.node_count) for graph in GRAPHS]
 # Array rounds from every frontier, from frontiers of two nodes, or never.
 THRESHOLDS = st.sampled_from([0, 2, 2**62])
+# Every replay counted with numpy, or every replay read by read.
+REPLAY_THRESHOLDS = st.sampled_from([0, 2**62])
 
 
 @st.composite
@@ -91,6 +95,7 @@ def _sessions(draw):
         draw(st.integers(1, n + 1)),
         draw(st.sampled_from(list(CacheMode))),
         draw(THRESHOLDS),
+        draw(REPLAY_THRESHOLDS),
         draw(OPERATIONS[g]),
     )
 
@@ -98,11 +103,12 @@ def _sessions(draw):
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(session=_sessions())
 def test_handle_counts_reads_as_the_reference_lru(stores, session):
-    g, capacity, mode, threshold, ops = session
+    g, capacity, mode, threshold, replay_threshold, ops = session
     graph = GRAPHS[g]
     model = LruRecordModel(capacity, cold=mode is CacheMode.COLD_PER_QUERY)
     with (
         mock.patch.object(search, "_ARRAY_ROUND_MIN", threshold),
+        mock.patch.object(store, "_ARRAY_REPLAY_MIN", replay_threshold),
         open_store(stores[g], CacheConfig(max_cached_nodes=capacity, mode=mode)) as handle,
     ):
         contract = {
@@ -129,5 +135,82 @@ def test_handle_counts_reads_as_the_reference_lru(stores, session):
                 section, u = op
                 read, reference = contract[section]
                 assert read(u) == reference(u)
+                model.read("meta" if section == "kind" else section, u)
+            assert handle.access_stats() == model.stats
+
+
+# Replay lists over more nodes than the search graphs, so repeats come far
+# apart and gaps run past the cache size.
+REPLAY_GRAPH = random_graph(np.random.default_rng(3), 40, 0.05)
+
+
+def _replay_operations(n):
+    node = st.integers(0, n - 1)
+    read = st.integers(-n, n - 1)  # ~u, a negative id, reads u's class kind
+    scattered = st.lists(read, max_size=300)
+    # A cycle over a few nodes, read again and again: each gap is the cycle.
+    cycles = st.tuples(st.lists(read, min_size=1, max_size=n, unique=True), st.integers(1, 8)).map(
+        lambda cycle: cycle[0] * cycle[1]
+    )
+    replay = st.tuples(st.just("replay"), st.booleans(), st.one_of(scattered, cycles))
+    single = st.tuples(st.sampled_from(["fwd", "bwd", "kind"]), node)
+    return st.lists(st.one_of(replay, replay, single, st.just(("begin",))), min_size=1, max_size=20)
+
+
+REPLAY_OPERATIONS = _replay_operations(REPLAY_GRAPH.node_count)
+
+
+@pytest.fixture(scope="module")
+def replay_store(tmp_path_factory):
+    path = tmp_path_factory.mktemp("replay-property") / "g.cgs"
+    build_store(REPLAY_GRAPH, path)
+    return path
+
+
+@st.composite
+def _replay_sessions(draw):
+    n = REPLAY_GRAPH.node_count
+    return (
+        draw(st.integers(1, n + 1)),
+        draw(st.sampled_from(list(CacheMode))),
+        draw(REPLAY_THRESHOLDS),
+        # One block of pairs per count, or one pair per block.
+        draw(st.sampled_from([1, store._COUNT_CELLS])),
+        draw(REPLAY_OPERATIONS),
+    )
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(session=_replay_sessions())
+def test_replay_counts_reads_as_the_reference_lru(replay_store, session):
+    """Any read list handed to ``replay``, among single reads and query
+    starts, is counted as the reference LRU counts the same reads one by
+    one. A store that cannot evict has no ``replay``; its reads go
+    through the contract methods instead."""
+    capacity, mode, replay_threshold, cells, ops = session
+    model = LruRecordModel(capacity, cold=mode is CacheMode.COLD_PER_QUERY)
+    with (
+        mock.patch.object(store, "_ARRAY_REPLAY_MIN", replay_threshold),
+        mock.patch.object(store, "_COUNT_CELLS", cells),
+        open_store(replay_store, CacheConfig(max_cached_nodes=capacity, mode=mode)) as handle,
+    ):
+        single = {"fwd": handle.successors, "bwd": handle.predecessors, "kind": handle.class_kind}
+        for op in ops:
+            if op[0] == "begin":
+                handle.begin_query()
+                model.begin_query()
+            elif op[0] == "replay":
+                _, forward, reads = op
+                run = "fwd" if forward else "bwd"
+                if handle.replay is None:
+                    for u in reads:
+                        single["kind" if u < 0 else run](~u if u < 0 else u)
+                else:
+                    handle.replay(forward, np.array(reads, np.int64))
+                for u in reads:
+                    model.read("meta" if u < 0 else run, ~u if u < 0 else u)
+            else:
+                section, u = op
+                single[section](u)
                 model.read("meta" if section == "kind" else section, u)
             assert handle.access_stats() == model.stats

@@ -29,6 +29,8 @@ from callpath.store import (
     open_store,
 )
 
+from oracles import LruRecordModel, random_graph
+
 BALANCED = SearchConfig(algorithm=Algorithm.BIDIR_BALANCED)
 
 
@@ -286,6 +288,39 @@ def test_stats_counter_identity_under_fuzzing(fig_store):
                     stats.meta_reads + stats.adjacency_reads
                 )
                 assert (stats.cache_hits, stats.cache_misses) == (hits, misses)
+
+
+@pytest.mark.parametrize("working_set", [10, 40], ids=["below-capacity", "above-capacity"])
+def test_warm_evicting_history_does_not_grow_with_reads(tmp_path, working_set):
+    # A warm handle that can evict keeps one previous-read time per read
+    # since its cache was emptied, which in warm mode is never. It must
+    # trim them: the history stays at most node_count + max_cached_nodes +
+    # the longest replayed round, however many reads go through it, and
+    # every count stays the reference LRU's.
+    graph = random_graph(np.random.default_rng(5), 64, 0.05)
+    path = tmp_path / "g.cgs"
+    build_store(graph, path)
+    capacity, longest_round = 16, 300
+    bound = graph.node_count + capacity + longest_round
+    rng = np.random.default_rng(working_set)
+    nodes = rng.choice(graph.node_count, working_set, replace=False)
+    model = LruRecordModel(capacity, cold=False)
+    reads = 0
+    with open_store(path, CacheConfig(max_cached_nodes=capacity, mode=CacheMode.WARM_ACROSS_QUERIES)) as handle:
+        while reads < 100_000:
+            round_reads = rng.choice(nodes, int(rng.integers(1, longest_round + 1)))
+            kinds = rng.random(len(round_reads)) < 0.3
+            round_reads[kinds] = ~round_reads[kinds]
+            handle.begin_query()
+            handle.replay(True, round_reads)
+            for u in round_reads.tolist():
+                model.read("meta" if u < 0 else "fwd", ~u if u < 0 else u)
+            for u in rng.choice(nodes, 100).tolist():
+                handle.predecessors(u)
+                model.read("bwd", u)
+            reads += len(round_reads) + 100
+            assert len(handle._prev) <= bound
+        assert handle.access_stats() == model.stats
 
 
 def test_class_kind_is_a_meta_read_and_method_meta_then_hits(fig_store, fig_graph):
