@@ -58,21 +58,31 @@ with one unpack, a kind from its one byte, and ``method_meta`` the whole
 record. The cache itself is recency stamps, not an ordered dict. Each
 read takes the next tick of a read clock. Per node the handle keeps the
 time of its latest read (``_last``, int64) and its record's section bits
-(``_held``, uint8); per read since ``_base`` it keeps the time of the
-previous read of the same node (``_prev``). An LRU holds the C most
-recently read nodes: the inclusion property of Mattson, Gecsei, Slutz &
-Traiger, "Evaluation Techniques for Storage Hierarchies", IBM Systems
-Journal, 1970. So a read at time t of a node last read at p finds its
-record exactly when p is at or after ``_base`` (a cold ``begin_query``
-moves ``_base`` to the clock) and fewer than C distinct nodes were read
-between them. That holds without counting when t - p <= C; otherwise the
-distinct count is (t - p - 1) less the reads in between whose previous
-read falls after p. A read hits when it finds the record and the record
-holds its bit. Either way it stamps the node and adds its bit, to a
-fresh record when it found none; nothing is ever evicted as a step. When
-the history fills, ``_make_room`` replaces it with one read of each of
-the C most recent nodes, in their order, after a new ``_base``. So it
-holds at most ``node_count`` + C reads, or one round more.
+(``_held``, uint8); per read since ``_base`` it keeps the node read
+(``_nodes``). The records held are those of the nodes whose latest read
+is at or after the horizon (``_horizon``), ``_live`` of them, at most C.
+A read finds its node's record when the node's latest read is at or
+after the horizon, and hits when that record holds its bit. Either way
+it stamps the node and adds its bit, to a fresh record when it found
+none; a fresh record in a full cache evicts the least recent one, which
+moves the horizon past the next latest read, a Python step per read it
+passes. A cold ``begin_query`` moves the horizon and ``_base`` to the
+clock. When the history fills, ``_make_room`` replaces it with one read
+of each held node, in their order. So it holds at most C +
+``_HISTORY_SLACK`` reads, or that and the longest round; ``_last`` and
+``_held`` take 9 bytes per node.
+
+An LRU holds the C most recently read nodes: the inclusion property of
+Mattson, Gecsei, Slutz & Traiger, "Evaluation Techniques for Storage
+Hierarchies", IBM Systems Journal, 1970. So a read at time t of a node
+last read at p finds its record exactly when p is after the cache was
+last emptied and fewer than C distinct nodes were read between them.
+That lets ``_count_round`` count a whole round with numpy: a read whose
+node's record was not held as the round started and that is its node's
+first read in the round finds none, and one within C reads of its
+previous read finds it. Only a far read, t - p > C after the horizon,
+needs the count of distinct nodes (``_distinct``); a round with many is
+read by read instead.
 
 Otherwise no record is ever evicted and recency decides nothing, so the
 cache is one dict of decoded values per section (runs, kinds,
@@ -93,11 +103,16 @@ per-node body would have made them, through ``replay``. ``_replay``
 counts them by the same stamps, with the hits, misses and injected
 latency that ``_load`` would have made. A round of ``_ARRAY_REPLAY_MIN``
 (256) reads or more is counted with numpy, with no Python step per
-read; a smaller one read by read, as ``_load`` does. The split is a
-constant set by timing both over the recorded replays of one disk-cold
-benchmark pass (1,138 rounds, 793,012 reads, the minimum of 9 runs):
-all in numpy took 156 ms, all read by read 226 ms, and any split from
-128 to 1,024 reads 129-148 ms, within the noise of each other.
+read, unless more than one read in ``_FAR_SHARE`` (16) is far; the
+rest are read by read, as ``_load`` does. Both are constants set by
+timing the store calls of one disk-cold benchmark pass (1,138 replays
+of 793,012 reads, 255,582 single reads), replayed on a fresh handle,
+the minimum of 5 to 9 runs on 2 shared vCPUs. Cold at 1,024 cached
+nodes: every round in numpy took 234 ms, every round read by read 408
+ms, and a split at 128, 256 or 1,024 reads 213-226 ms, within the noise
+of each other. Warm at 10,000 cached nodes, where 40% of a round's
+reads can be far: counting every far read took 785 ms, and a far share
+of 4, 16 or 64 330-353 ms, no slower than every round read by read.
 ``close`` drops the views before it unmaps the file.
 """
 
@@ -153,8 +168,12 @@ _FWD, _BWD, _META = 1, 2, 4
 #: ``_replay`` counts a round of at least this many reads with numpy, and a
 #: smaller one read by read (see ``DiskGraph._replay``).
 _ARRAY_REPLAY_MIN = 256
-#: The most cells of one block of ``DiskGraph._distinct_in_round``'s count.
-_COUNT_CELLS = 1 << 20
+#: The read history of an evicting cache has room for its capacity plus
+#: this many reads before ``DiskGraph._make_room`` trims it.
+_HISTORY_SLACK = 1024
+#: ``_replay`` reads a round read by read when more than one read in this
+#: many is far, so that ``DiskGraph._distinct`` would count for it.
+_FAR_SHARE = 16
 
 
 class CacheMode(Enum):
@@ -324,9 +343,11 @@ class DiskGraph:
         self._capacity = capacity
         # When the cache can evict, the recency stamps (see the module
         # docstring): per node the read-clock time of its latest read (-1
-        # before any) and its record's section bits, and per read since
-        # ``_base`` the time of the previous read of its node, at index
-        # ``time - _base``. Each array is also held as a memoryview, which
+        # before any) and its record's section bits; per read since
+        # ``_base`` its node and the time of the previous read of that
+        # node, at index ``time - _base``; the horizon, the earliest time
+        # whose read still finds its record; and how many records the
+        # cache holds. Each array is also held as a memoryview, which
         # single reads index faster. Otherwise ``_last`` is None, and the
         # cache is one dict of decoded values per section bit, plus the
         # MethodMeta.
@@ -335,9 +356,10 @@ class DiskGraph:
         if capacity < n:
             self._last = np.full(n, -1, np.int64)
             self._held = np.zeros(n, np.uint8)
-            self._prev = np.empty(n + capacity, np.int64)
-            self._last_mv, self._held_mv, self._prev_mv = map(memoryview, (self._last, self._held, self._prev))
-            self._base = self._clock = 0
+            self._last_mv, self._held_mv = memoryview(self._last), memoryview(self._held)
+            self._nodes = np.empty(capacity + _HISTORY_SLACK, np.int64)
+            self._nodes_mv = memoryview(self._nodes)
+            self._base = self._clock = self._horizon = self._live = 0
         self._decoded: dict[int, dict] = {_FWD: {}, _BWD: {}, _META: {}}
         self._metas: dict[int, MethodMeta] = {}
         self._run_structs: dict[int, struct.Struct] = {}
@@ -432,7 +454,9 @@ class DiskGraph:
         It notes the read counters for ``end_query``."""
         if self._cache_config.mode is CacheMode.COLD_PER_QUERY:
             if self._last is not None:
-                self._base = self._clock  # no earlier read finds its record
+                # No earlier read finds its record, so the history restarts.
+                self._base = self._horizon = self._clock
+                self._live = 0
             for cache in (*self._decoded.values(), self._metas):
                 cache.clear()
         self._noted = (self._stats.adjacency_reads, self._stats.meta_reads)
@@ -481,17 +505,24 @@ class DiskGraph:
         last = self._last_mv
         if last is not None:
             t, base = self._clock, self._base
-            if t - base == len(self._prev):
+            if t - base == len(self._nodes):
                 self._make_room(1)
                 t, base = self._clock, self._base
             p = last[u]
-            if p >= base and (t - p <= self._capacity or self._distinct(p, t) < self._capacity):
+            if p >= self._horizon:
                 held = self._held_mv[u]
             else:
                 held = 0
+                if self._live < self._capacity:
+                    self._live += 1
+                else:  # evict the least recent record: the horizon's next latest read
+                    nodes, j = self._nodes_mv, self._horizon - base
+                    while last[nodes[j]] != base + j:
+                        j += 1
+                    self._horizon = base + j + 1
             self._held_mv[u] = held | bit
             last[u] = t
-            self._prev_mv[t - base] = p
+            self._nodes_mv[t - base] = u
             self._clock = t + 1
         else:
             decoded = self._decoded[bit]
@@ -534,19 +565,17 @@ class DiskGraph:
         array. The kernel calls this only on a store that can evict.
 
         A round of ``_ARRAY_REPLAY_MIN`` reads or more is counted with
-        numpy: a stable argsort by node finds each read's previous read of
-        the same node, the stack-distance rule finds which reads find
-        their record, and exclusive cumsums within each record's run of
-        found reads give the section bits it holds. Smaller rounds run the
-        same rule read by read."""
+        numpy by ``_count_round``, unless it holds too many far reads to
+        count; the rest are read by read, as ``_load`` does."""
         m = len(reads)
         run_bit = _FWD if forward else _BWD
-        if self._clock - self._base + m > len(self._prev):
+        if self._clock - self._base + m > len(self._nodes):
             self._make_room(m)
-        base, clock, capacity = self._base, self._clock, self._capacity
-        if m < _ARRAY_REPLAY_MIN:
-            last, held, prev = self._last_mv, self._held_mv, self._prev_mv
-            t = clock
+        counted = self._count_round(run_bit, reads) if m >= _ARRAY_REPLAY_MIN else None
+        if counted is None:
+            last, held, nodes = self._last_mv, self._held_mv, self._nodes_mv
+            base, capacity, horizon, live = self._base, self._capacity, self._horizon, self._live
+            t = self._clock
             kind_reads = hits = 0
             for u in reads.tolist():
                 if u < 0:
@@ -556,59 +585,26 @@ class DiskGraph:
                 else:
                     bit = run_bit
                 p = last[u]
-                if p >= base and (t - p <= capacity or self._distinct(p, t) < capacity):
+                if p >= horizon:
                     bits = held[u]
                     if bits & bit:
                         hits += 1
                 else:
                     bits = 0
+                    if live < capacity:
+                        live += 1
+                    else:
+                        j = horizon - base
+                        while last[nodes[j]] != base + j:
+                            j += 1
+                        horizon = base + j + 1
                 held[u] = bits | bit
                 last[u] = t
-                prev[t - base] = p
+                nodes[t - base] = u
                 t += 1
+            self._clock, self._horizon, self._live = t, horizon, live
         else:
-            is_kind = reads < 0
-            nodes = np.where(is_kind, ~reads, reads)
-            # Read by read in node order; within a node, in time order.
-            order = np.argsort(nodes, kind="stable")
-            nodes, is_kind = nodes[order], is_kind[order]
-            t = clock + order
-            first = np.ones(m, bool)
-            first[1:] = nodes[1:] != nodes[:-1]
-            p = np.empty(m, np.int64)
-            p[1:] = t[:-1]
-            p[first] = self._last[nodes[first]]
-            self._prev[t - base] = p
-            found = p >= base
-            far = np.flatnonzero(found & (t - p > capacity))
-            if len(far):
-                found[far] = self._distinct_in_round(p[far], t[far]) < capacity
-            # A record's run of found reads starts at the round's first read
-            # of its node, carrying the bits held before the round when that
-            # read finds it, or at a read that does not find it, carrying none.
-            starts = first | ~found
-            carry = np.where(first & found, self._held[nodes], 0)
-            run_start = np.maximum.accumulate(np.where(starts, np.arange(m), 0))
-            kinds_before = np.cumsum(is_kind) - is_kind
-            runs_before = np.arange(m) - kinds_before
-            carried = carry[run_start]
-            same_before = np.where(
-                is_kind, kinds_before - kinds_before[run_start], runs_before - runs_before[run_start]
-            )
-            bits = np.where(is_kind, _META, run_bit)
-            hits = int(np.count_nonzero(found & ((same_before > 0) | (carried & bits != 0))))
-            kind_reads = int(np.count_nonzero(is_kind))
-            # Each node's last read leaves its record's bits and its stamp.
-            ends = np.ones(m, bool)
-            ends[:-1] = first[1:]
-            ends = np.flatnonzero(ends)
-            runs = run_start[ends]
-            kinds_in = kinds_before[ends] + is_kind[ends] - kinds_before[runs]
-            runs_in = runs_before[ends] + ~is_kind[ends] - runs_before[runs]
-            kept = np.where(kinds_in > 0, _META, 0) | np.where(runs_in > 0, run_bit, 0)
-            self._held[nodes[ends]] = carried[ends] | kept
-            self._last[nodes[ends]] = t[ends]
-        self._clock = clock + m
+            kind_reads, hits = counted
         stats = self._stats
         stats.meta_reads += kind_reads
         stats.adjacency_reads += m - kind_reads
@@ -620,58 +616,131 @@ class DiskGraph:
                 time.sleep(latency)
                 stats.injected_latency_total += latency
 
-    def _distinct(self, p: int, t: int) -> int:
-        """How many distinct nodes were read between times ``p`` and
-        ``t``, both at or after ``_base``: the reads in between less those
-        whose node was read before them but after ``p``."""
-        base = self._base
-        return t - p - 1 - int(np.count_nonzero(self._prev[p - base + 1 : t - base] > p))
+    def _count_round(self, run_bit: int, reads: np.ndarray) -> tuple[int, int] | None:
+        """Count a round's reads with numpy and return its kind reads and
+        hits, or return None, changing nothing, when more than one read in
+        ``_FAR_SHARE`` is far: its node's previous read is at or after the
+        horizon but more than C reads back, so only a count of the nodes
+        read in between tells whether it finds its record.
 
-    def _distinct_in_round(self, p: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """``_distinct`` of each pair of times in ``p`` and ``t`` during a
-        round that starts at ``_clock``, whose previous-read times are
-        already in the history. The part of a span before the round counts
-        the reads there that no later read of their node superseded, from
-        one cumsum; the part in the round counts as ``_distinct`` does, a
-        block of pairs at a time."""
-        base, clock = self._base, self._clock
-        fill = clock - base
-        earlier = self._prev[:fill]
-        latest = np.ones(fill, np.int64)
-        latest[earlier[earlier >= base] - base] = 0
-        before = np.zeros(fill + 1, np.int64)
-        np.cumsum(latest, out=before[1:])
-        nodes_before = before[fill] - before[np.minimum(p - base + 1, fill)]
-        # In the round: the reads in [max(clock, p + 1), t) less the repeats.
-        span = self._prev[fill : int(t.max()) - base]
-        times = np.arange(clock, clock + len(span))
-        block = max(1, _COUNT_CELLS // max(1, len(span)))
-        repeats = np.concatenate([
-            ((span > p[i : i + block, None]) & (times < t[i : i + block, None])).sum(axis=1)
-            for i in range(0, len(p), block)
-        ])
-        return nodes_before + t - np.maximum(p + 1, clock) - repeats
+        A stable argsort by node finds each read's previous read of the
+        same node, the horizon, the stack-distance rule and ``_distinct``
+        find which reads find their record, and exclusive cumsums within
+        each record's run of found reads give the section bits it holds."""
+        m = len(reads)
+        base, clock, capacity, horizon = self._base, self._clock, self._capacity, self._horizon
+        is_kind = reads < 0
+        nodes = np.where(is_kind, ~reads, reads)
+        # Read by read in node order; within a node, in time order.
+        order = np.argsort(nodes, kind="stable")
+        nodes, is_kind = nodes[order], is_kind[order]
+        t = clock + order
+        first = np.ones(m, bool)
+        first[1:] = nodes[1:] != nodes[:-1]
+        p = np.empty(m, np.int64)
+        p[1:] = t[:-1]
+        p[first] = self._last[nodes[first]]
+        found = p >= horizon
+        far = np.flatnonzero(found & (t - p > capacity))
+        if len(far) * _FAR_SHARE > m:
+            return None
+        if len(far):
+            prev = np.empty(m, np.int64)
+            prev[order] = p
+            found[far] = self._distinct(prev, p[far], t[far]) < capacity
+        # A record's run of found reads starts at the round's first read
+        # of its node, carrying the bits held before the round when that
+        # read finds it, or at a read that does not find it, carrying none.
+        starts = first | ~found
+        carry = np.where(first & found, self._held[nodes], 0)
+        run_start = np.maximum.accumulate(np.where(starts, np.arange(m), 0))
+        kinds_before = np.cumsum(is_kind) - is_kind
+        runs_before = np.arange(m) - kinds_before
+        carried = carry[run_start]
+        same_before = np.where(
+            is_kind, kinds_before - kinds_before[run_start], runs_before - runs_before[run_start]
+        )
+        bits = np.where(is_kind, _META, run_bit)
+        hits = int(np.count_nonzero(found & ((same_before > 0) | (carried & bits != 0))))
+        # Each node's last read leaves its record's bits and its stamp.
+        ends = np.ones(m, bool)
+        ends[:-1] = first[1:]
+        ends = np.flatnonzero(ends)
+        runs = run_start[ends]
+        kinds_in = kinds_before[ends] + is_kind[ends] - kinds_before[runs]
+        runs_in = runs_before[ends] + ~is_kind[ends] - runs_before[runs]
+        kept = np.where(kinds_in > 0, _META, 0) | np.where(runs_in > 0, run_bit, 0)
+        self._held[nodes[ends]] = carried[ends] | kept
+        self._last[nodes[ends]] = t[ends]
+        self._nodes[t - base] = nodes
+        self._clock = clock + m
+        # The records held before the round and not read in it.
+        self._evict(self._live - int(np.count_nonzero(p[first] >= horizon)), t[ends])
+        return int(np.count_nonzero(is_kind)), hits
+
+    def _distinct(self, prev: np.ndarray, p: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """How many distinct nodes were read between each time ``t`` in a
+        numpy round that starts at ``_clock`` and ``p``, the previous read
+        of its node, at or after the horizon; ``prev`` holds the previous
+        read of each of the round's reads, in time order. They are the
+        nodes first read in that span: before the round, those whose
+        latest read as it starts falls after p; in it, the reads before t
+        whose own previous read falls before p, less the round's reads up
+        to p when the round holds it."""
+        base, clock, horizon = self._base, self._clock, self._horizon
+        stretch = self._nodes[horizon - base : clock - base]
+        latest = self._last[stretch] == np.arange(horizon, clock)
+        counts = []
+        for a, b in zip(p.tolist(), t.tolist()):
+            before = np.count_nonzero(latest[a + 1 - horizon :]) if a < clock else clock - 1 - a
+            counts.append(before + np.count_nonzero(prev[: b - clock] < a))
+        return np.array(counts)
+
+    def _evict(self, old: int, ends: np.ndarray) -> None:
+        """Settle the cache after a numpy round: ``old`` records held
+        before the round were not read in it, and ``ends`` are the times of
+        the round's last read of each node it read, whose records are now
+        held. Beyond ``max_cached_nodes`` the least recent go: the old ones
+        first, the earliest latest reads from the horizon on, found a
+        doubling stretch at a time; then the round's, by time."""
+        capacity = self._capacity
+        drop = old + len(ends) - capacity
+        self._live = min(capacity, old + len(ends))
+        if drop <= 0:
+            return
+        if drop > old:
+            self._horizon = int(np.partition(ends, drop - old - 1)[drop - old - 1]) + 1
+            return
+        base, j, stop, span = self._base, self._horizon - self._base, self._clock - self._base, 2 * drop
+        while True:
+            stretch = self._nodes[j : min(j + span, stop)]
+            latest = np.flatnonzero(self._last[stretch] == np.arange(base + j, base + j + len(stretch)))
+            if len(latest) >= drop:
+                self._horizon = base + j + int(latest[drop - 1]) + 1
+                return
+            drop -= len(latest)
+            j += len(stretch)
+            span *= 2
 
     def _make_room(self, m: int) -> None:
         """Make room for ``m`` more reads in the history, keeping every
-        count it gives. Only the records of the ``max_cached_nodes`` most
-        recently read nodes can still be found, and only their order
-        matters. So the history is replaced by one read of each of them, in
-        that order, after a new ``_base`` that no other stamp reaches; a
-        node's held bits stay. The history is reallocated only when a round
-        is longer than the room this leaves."""
-        last, capacity = self._last, self._capacity
-        live = np.flatnonzero(last >= self._base)
-        if len(live) > capacity:
-            live = live[np.argpartition(last[live], len(live) - capacity)[len(live) - capacity :]]
-        live = live[np.argsort(last[live])]
-        if len(live) + m > len(self._prev):
-            self._prev = np.empty(len(live) + m + self._node_count, np.int64)
-            self._prev_mv = memoryview(self._prev)
-        self._base = self._clock
-        self._clock += len(live)
-        last[live] = np.arange(self._base, self._clock)
-        self._prev[: len(live)] = -1
+        count it gives. Only the records the cache holds can still be
+        found, and only their order matters; their nodes' latest reads are
+        the latest reads from the horizon on. So the history is replaced by
+        one read of each, in that order, after a new ``_base`` and horizon
+        that no other stamp reaches; a node's held bits stay. It grows only
+        when a round is longer than the room this leaves, so it holds at
+        most C + ``_HISTORY_SLACK`` reads, or that and the longest round."""
+        base, clock = self._base, self._clock
+        records = self._nodes[self._horizon - base : clock - base]
+        records = records[self._last[records] == np.arange(self._horizon, clock)]
+        if len(records) + m > len(self._nodes):
+            self._nodes = np.empty(len(records) + m + _HISTORY_SLACK, np.int64)
+            self._nodes_mv = memoryview(self._nodes)
+        self._base = self._horizon = clock
+        self._clock = clock + len(records)
+        self._last[records] = np.arange(clock, self._clock)
+        self._nodes[: len(records)] = records
 
     def _read_meta(self, u: int, kind: ClassKind) -> MethodMeta:
         name_off, class_off, file_off, _, line = _META_RECORD.unpack_from(

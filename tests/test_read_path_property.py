@@ -5,8 +5,9 @@ for direct reads, ``begin_query`` and searches, including searches
 that raise midway. ``search._ARRAY_ROUND_MIN`` is drawn down to the
 size of these graphs, so untraced searches on a store that can evict
 also run array rounds and replay their reads. ``store._ARRAY_REPLAY_MIN``
-is drawn at both extremes, so a replay is counted with numpy or read by
-read; a second property hands the store's replay read lists of its own."""
+and ``store._FAR_SHARE`` are drawn at their extremes, so a replay is
+counted with numpy, far reads and all, or read by read; a second
+property hands the store's replay read lists of its own."""
 
 from unittest import mock
 
@@ -82,8 +83,10 @@ def _operations(n):
 OPERATIONS = [_operations(graph.node_count) for graph in GRAPHS]
 # Array rounds from every frontier, from frontiers of two nodes, or never.
 THRESHOLDS = st.sampled_from([0, 2, 2**62])
-# Every replay counted with numpy, or every replay read by read.
-REPLAY_THRESHOLDS = st.sampled_from([0, 2**62])
+# (store._ARRAY_REPLAY_MIN, store._FAR_SHARE): every replay counted with
+# numpy, far reads and all; every replay with numpy unless it holds many far
+# reads; or every replay read by read.
+REPLAY_MODES = st.sampled_from([(0, 0), (0, store._FAR_SHARE), (2**62, store._FAR_SHARE)])
 
 
 @st.composite
@@ -95,7 +98,7 @@ def _sessions(draw):
         draw(st.integers(1, n + 1)),
         draw(st.sampled_from(list(CacheMode))),
         draw(THRESHOLDS),
-        draw(REPLAY_THRESHOLDS),
+        draw(REPLAY_MODES),
         draw(OPERATIONS[g]),
     )
 
@@ -103,12 +106,13 @@ def _sessions(draw):
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(session=_sessions())
 def test_handle_counts_reads_as_the_reference_lru(stores, session):
-    g, capacity, mode, threshold, replay_threshold, ops = session
+    g, capacity, mode, threshold, (replay_threshold, far_share), ops = session
     graph = GRAPHS[g]
     model = LruRecordModel(capacity, cold=mode is CacheMode.COLD_PER_QUERY)
     with (
         mock.patch.object(search, "_ARRAY_ROUND_MIN", threshold),
         mock.patch.object(store, "_ARRAY_REPLAY_MIN", replay_threshold),
+        mock.patch.object(store, "_FAR_SHARE", far_share),
         open_store(stores[g], CacheConfig(max_cached_nodes=capacity, mode=mode)) as handle,
     ):
         contract = {
@@ -153,8 +157,22 @@ def _replay_operations(n):
         lambda cycle: cycle[0] * cycle[1]
     )
     replay = st.tuples(st.just("replay"), st.booleans(), st.one_of(scattered, cycles))
+    # A ring of capacity + delta nodes from ``first`` on, each read ``twice``
+    # in a row, all as runs or all as kinds, repeated in one replay or in one
+    # replay each: its gaps sit on the cache size, where only the count of
+    # nodes read in between decides.
+    ring = st.tuples(
+        st.just("ring"),
+        st.booleans(),
+        st.integers(-1, 2),
+        st.integers(1, 2),
+        st.integers(1, 4),
+        node,
+        st.booleans(),
+        st.booleans(),
+    )
     single = st.tuples(st.sampled_from(["fwd", "bwd", "kind"]), node)
-    return st.lists(st.one_of(replay, replay, single, st.just(("begin",))), min_size=1, max_size=20)
+    return st.lists(st.one_of(replay, ring, ring, single, st.just(("begin",))), min_size=1, max_size=20)
 
 
 REPLAY_OPERATIONS = _replay_operations(REPLAY_GRAPH.node_count)
@@ -173,29 +191,44 @@ def _replay_sessions(draw):
     return (
         draw(st.integers(1, n + 1)),
         draw(st.sampled_from(list(CacheMode))),
-        draw(REPLAY_THRESHOLDS),
-        # One block of pairs per count, or one pair per block.
-        draw(st.sampled_from([1, store._COUNT_CELLS])),
+        draw(REPLAY_MODES),
+        # No slack trims the history at almost every read.
+        draw(st.sampled_from([0, store._HISTORY_SLACK])),
         draw(REPLAY_OPERATIONS),
     )
 
 
-@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+def _rings(ops, capacity):
+    """``ops`` with each ring as the replays it stands for."""
+    n = REPLAY_GRAPH.node_count
+    for op in ops:
+        if op[0] != "ring":
+            yield op
+            continue
+        _, forward, delta, twice, repeats, first, kinds, split = op
+        ring = [(first + i) % n for i in range(max(1, min(n, capacity + delta))) for _ in range(twice)]
+        ring = [~u if kinds else u for u in ring]
+        for reads in [ring] * repeats if split else [ring * repeats]:
+            yield ("replay", forward, reads)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
 @hypothesis.given(session=_replay_sessions())
 def test_replay_counts_reads_as_the_reference_lru(replay_store, session):
     """Any read list handed to ``replay``, among single reads and query
     starts, is counted as the reference LRU counts the same reads one by
     one. A store that cannot evict has no ``replay``; its reads go
     through the contract methods instead."""
-    capacity, mode, replay_threshold, cells, ops = session
+    capacity, mode, (replay_threshold, far_share), slack, ops = session
     model = LruRecordModel(capacity, cold=mode is CacheMode.COLD_PER_QUERY)
     with (
         mock.patch.object(store, "_ARRAY_REPLAY_MIN", replay_threshold),
-        mock.patch.object(store, "_COUNT_CELLS", cells),
+        mock.patch.object(store, "_FAR_SHARE", far_share),
+        mock.patch.object(store, "_HISTORY_SLACK", slack),
         open_store(replay_store, CacheConfig(max_cached_nodes=capacity, mode=mode)) as handle,
     ):
         single = {"fwd": handle.successors, "bwd": handle.predecessors, "kind": handle.class_kind}
-        for op in ops:
+        for op in _rings(ops, capacity):
             if op[0] == "begin":
                 handle.begin_query()
                 model.begin_query()

@@ -12,6 +12,7 @@ from zlib import crc32
 import numpy as np
 import pytest
 
+from callpath import store
 from callpath.errors import ChecksumError, InvalidNodeError, StoreFormatError
 from callpath.ingest import SyntheticSpec, generate_synthetic
 from callpath.model import ClassKind, InMemoryGraph, MethodMeta
@@ -292,16 +293,16 @@ def test_stats_counter_identity_under_fuzzing(fig_store):
 
 @pytest.mark.parametrize("working_set", [10, 40], ids=["below-capacity", "above-capacity"])
 def test_warm_evicting_history_does_not_grow_with_reads(tmp_path, working_set):
-    # A warm handle that can evict keeps one previous-read time per read
-    # since its cache was emptied, which in warm mode is never. It must
-    # trim them: the history stays at most node_count + max_cached_nodes +
-    # the longest replayed round, however many reads go through it, and
-    # every count stays the reference LRU's.
+    # A warm handle that can evict keeps a history entry per read since
+    # its cache was emptied, which in warm mode is never. It must trim
+    # them: the history stays at most max_cached_nodes +
+    # store._HISTORY_SLACK + the longest replayed round, however many reads
+    # go through it, and every count stays the reference LRU's.
     graph = random_graph(np.random.default_rng(5), 64, 0.05)
     path = tmp_path / "g.cgs"
     build_store(graph, path)
     capacity, longest_round = 16, 300
-    bound = graph.node_count + capacity + longest_round
+    bound = capacity + store._HISTORY_SLACK + longest_round
     rng = np.random.default_rng(working_set)
     nodes = rng.choice(graph.node_count, working_set, replace=False)
     model = LruRecordModel(capacity, cold=False)
@@ -319,7 +320,7 @@ def test_warm_evicting_history_does_not_grow_with_reads(tmp_path, working_set):
                 handle.predecessors(u)
                 model.read("bwd", u)
             reads += len(round_reads) + 100
-            assert len(handle._prev) <= bound
+            assert len(handle._nodes) <= bound
         assert handle.access_stats() == model.stats
 
 
