@@ -69,10 +69,8 @@ from .search import (
     FrontierPolicy,
     SearchConfig,
     SearchResult,
-    SearchState,
     SearchStatus,
     TraceEvent,
-    reconstruct_path,
     run_search,
 )
 from .store import (
@@ -114,12 +112,10 @@ __all__ = [
     "FrontierPolicy",
     "SearchConfig",
     "SearchResult",
-    "SearchState",
     "SearchStatus",
     "TraceEvent",
     "DEFAULT_POSTPONE_KINDS",
     "run_search",
-    "reconstruct_path",
     # store
     "AccessStats",
     "CacheConfig",

@@ -6,7 +6,9 @@ prebuilt store), the endpoint pairs to query, the algorithm
 configurations to compare, the storage condition, and a repetition
 count. Every (pair, algorithm) cell runs ``repetitions`` times; all
 counters must agree across repetitions (any divergence is a hard
-error), so only the timing columns carry noise. Reports render as CSV
+error), so only the timing columns carry noise. On a store, each cell
+opens a fresh handle, and its read, hit, miss and latency columns are
+one query's, the first repetition's. Reports render as CSV
 (fixed column set, one row per cell), versioned JSON, or Markdown
 tables grouped per metric.
 
@@ -371,12 +373,18 @@ def run_scenario(
         build_store(base, store_path)
 
     def run_cell(s: int, t: int, profile: PairProfile, config: SearchConfig) -> ReportRow:
-        if scenario.condition.on_disk:
-            handle = open_store(store_path, scenario.condition.cache)
-        else:
-            handle = base
+        on_disk = scenario.condition.on_disk
+        handle = open_store(store_path, scenario.condition.cache) if on_disk else base
         try:
-            results = [run_search(handle, s, t, config) for _ in range(scenario.repetitions)]
+            # I/O is one query's, like the other counters: the first
+            # repetition's, from the fresh handle's empty cache.
+            results, stats = [], None
+            for _ in range(scenario.repetitions):
+                if on_disk:
+                    handle.reset_stats()
+                results.append(run_search(handle, s, t, config))
+                if on_disk and stats is None:
+                    stats = handle.access_stats()
             first = results[0]
             if not all(first.same_traversal(other) for other in results[1:]):
                 raise ScenarioError(
@@ -385,9 +393,8 @@ def run_scenario(
             elapsed = [r.elapsed for r in results]
             mean = statistics.fmean(elapsed)
             stddev = statistics.stdev(elapsed) if len(elapsed) > 1 else 0.0
-            stats = handle.access_stats() if scenario.condition.on_disk else None
         finally:
-            if scenario.condition.on_disk:
+            if on_disk:
                 handle.close()
         return ReportRow(
             initial=s,

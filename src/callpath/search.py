@@ -66,36 +66,39 @@ small sparse graphs. ``_ARRAY_ROUND_MIN`` is a constant set by timing
 both bodies (see its comment), not an option: it moves no counter, only
 time.
 
-An untraced query on a store that has ``replay`` (one whose cache can
-evict) runs the array body too, over the store's ``csr`` and
-``kind_codes``, which count nothing. The store still counts every read
-in processing order: the round hands ``replay`` its reads as the int64
-array it built them in, cut at the meeting node and in the order the
-per-node body would have made them, and the store counts a large round
-with numpy, by recency stamps (see ``store``). A traced store query
-runs node by node, so a raising trace hook leaves the per-node counts.
-A store without ``replay`` keeps the per-node body: its hits are
-C-level ``dict.get`` lookups, which array rounds did not beat on the
-disk-warm benchmark (see CHANGES.md). Other backends have no CSR arrays
-and always run node by node.
+An untraced query on a store runs the array body too, over the
+store's ``csr`` and ``kind_codes``, which count nothing. The store still
+counts every read in processing order: the round hands the store's
+``replay`` its reads as the int64 array it built them in, cut at the
+meeting node and in the order the per-node body would have made them,
+and the store counts them with numpy (see ``store``). A traced store
+query runs node by node, so a raising trace hook leaves the per-node
+counts. Other backends have no CSR arrays and always run node by node.
 
-A query costs the nodes it touches, not ``node_count``. It chooses its
-prev/dist tables once, at its start, and keeps them to the end. A query
-that can run array rounds (on an ``InMemoryGraph`` of at least
+A query costs the nodes it touches, not ``node_count``. A query that can
+run array rounds from its start (on an ``InMemoryGraph`` of at least
 ``_ARRAY_ROUND_MIN`` nodes, or untraced on a store of that size whose
 cache can evict) takes int32 arrays, ``_ArrayTables``, which its
-per-node rounds index through memoryviews; every other query takes
-lists, ``_Tables``. Both are tables that earlier queries handed back,
-taken under a distance offset that makes their old entries read as "not
-reached", so nothing is allocated, filled or reset per query; delays and
-postponements live in a dict and a set of a few entries. Tables of
-length ``node_count`` are built only on first use, when the graph size
-changes, and every ~2**30 / node_count queries when the offset runs
-out. Each thread searching at the same time keeps one spare set: about
-28 * node_count bytes of arrays for a query that can run array rounds,
-about 32 * node_count bytes of lists for any other. A plain query reads its
-path off the prev tables it holds; only ``return_state=True`` builds a
-``SearchState``, on fresh tables converted to lists of plain distances.
+per-node rounds index through memoryviews, and keeps them to its end.
+An untraced query on a store whose cache holds every node, so that its
+lookups can hit, starts on lists, ``_Tables``: its per-node rounds read
+hits with C-level ``dict.get`` and index lists, which a memoryview read
+or an array round beats only in large rounds. Each of its per-node
+rounds logs its next frontier, which holds every node the round wrote
+but the meeting node. At its first round of at least ``_ARRAY_MOVE_MIN``
+nodes it takes array tables, copies the endpoints and the logged nodes
+across, hands the lists back and goes on as a query on array tables.
+Every other query takes lists and keeps them. Both kinds are tables that
+earlier queries handed back, taken under a distance offset that makes
+their old entries read as "not reached", so nothing is allocated, filled
+or reset per query; delays and postponements live in a dict and a set of
+a few entries. Tables of length ``node_count`` are built only on first
+use, when the graph size changes, and every ~2**30 / node_count queries
+when the offset runs out. Each thread searching at the same time keeps
+one spare set of each kind it used: about 28 * node_count bytes of
+arrays and about 32 * node_count bytes of lists. A plain query reads
+its path off the prev tables it holds; only ``return_state=True`` builds
+a ``SearchState``, on fresh tables converted to lists of plain distances.
 """
 
 from __future__ import annotations
@@ -177,7 +180,7 @@ class TraceEvent(NamedTuple):
 
 @dataclass
 class SearchState:
-    """Raw per-query bookkeeping, exposed for path reconstruction and tests.
+    """Raw per-query bookkeeping, exposed for tests.
 
     ``prev_forward[v]`` is v's predecessor on the tree grown from the
     initial node; ``prev_backward[v]`` is the node *through which the
@@ -236,22 +239,15 @@ class SearchResult:
         return replace(self, elapsed=0.0) == replace(other, elapsed=0.0)
 
 
-def reconstruct_path(state: SearchState, initial: NodeId, final: NodeId) -> list[Edge]:
-    """Stitch the two predecessor chains at ``state.intermed`` into one path.
+def _join_chains(prev_f, prev_b, intermed: NodeId, initial: NodeId, final: NodeId) -> list[Edge]:
+    """Stitch the two predecessor chains at the meeting node ``intermed``
+    into one path. The prev tables are lists, where None means no
+    predecessor, or int32 memoryviews, where -1 does.
 
     The forward chain is walked from the meeting node back to the
     initial node and reversed, then the backward chain is walked from
     the meeting node to the final node. A chain that fails to terminate
-    at its endpoint is an internal invariant violation.
-    """
-    if state.intermed is None:
-        raise InternalSearchError("reconstruct_path called without a meeting point")
-    return _join_chains(state.prev_forward, state.prev_backward, state.intermed, initial, final)
-
-
-def _join_chains(prev_f, prev_b, intermed: NodeId, initial: NodeId, final: NodeId) -> list[Edge]:
-    """``reconstruct_path`` on the prev tables of a query: lists, where
-    None means no predecessor, or int32 memoryviews, where -1 does."""
+    at its endpoint is an internal invariant violation."""
     chains = []
     for prev, end, name in ((prev_f, initial, "forward"), (prev_b, final, "backward")):
         chain = [intermed]
@@ -356,6 +352,38 @@ _BASE_FLOOR = 1 - 2**30
 _ARRAY_ROUND_MIN = 96
 
 
+#: Frontier size from which a query on a store whose cache holds every
+#: node moves from list to array tables: its per-node rounds read hits
+#: with C-level ``dict.get`` into lists, which array rounds beat only in
+#: large rounds. Timed on the disk-warm benchmark (3 runs each), a move at
+#: 256, 512 or 1,024 nodes gave +39%, +32% and +18% queries/s and +18%,
+#: +15% and +10% median query time: a small query after a large one runs
+#: on a CPU cache that array rounds left colder (see CHANGES.md).
+_ARRAY_MOVE_MIN = 512
+
+
+def _move_to_arrays(lists: _Tables, written, initial: NodeId, final: NodeId, fresh: bool) -> _ArrayTables:
+    """Array tables holding what the list tables ``lists`` hold for the
+    current query: spare ones, or ``fresh`` ones of base 0. Only the
+    endpoints and the nodes of ``written``, per direction the frontiers
+    its rounds left, can hold a distance of this query; each is copied
+    across with its distance moved from the lists' base to the arrays'."""
+    n = len(lists.dist_f)
+    tables = _ArrayTables(n) if fresh else _take_tables(_SPARE_ARRAYS, _ArrayTables, n)
+    shift = tables.base - lists.base
+    for forward, endpoint, prev, dist in (
+        (True, initial, lists.prev_f, lists.dist_f),
+        (False, final, lists.prev_b, lists.dist_b),
+    ):
+        nodes = [endpoint]
+        for frontier in written[forward]:
+            nodes += frontier
+        at = np.array(nodes, np.int64)
+        tables.prev[forward][at] = [-1 if u is None else u for u in map(prev.__getitem__, nodes)]
+        tables.dist[forward][at] = np.fromiter(map(dist.__getitem__, nodes), np.int64, len(nodes)) + shift
+    return tables
+
+
 def _take_tables(spare: list, make, n: int):
     """Reuse spare tables of length ``n`` under a lowered base, or ``make`` fresh ones."""
     try:
@@ -437,22 +465,33 @@ def _search(
         return (result, None) if return_state else result
 
     n = graph.node_count
-    # The query's tables, chosen once. A query that can run array rounds
+    # A per-node read is ``lookup(u)``, then ``load(u)`` only when that
+    # returns None; frontier ids come from the graph, so neither checks them.
+    fwd_reads, bwd_reads, (kind_lookup, kind_load) = _readers(graph)
+    # The query's tables. A query that can run array rounds from its start
     # gets the int32 arrays, whose memoryviews its per-node rounds index
     # too: one on an InMemoryGraph large enough to fill an array round, or
     # an untraced one on a store whose cache can evict, which is handed
-    # each array round's reads to ``replay``. Every other query gets the lists.
+    # each array round's reads to ``replay``. An untraced query on a store
+    # whose lookups can hit (its cache holds every node) starts on the
+    # lists and logs the nodes each round writes in ``written``; at its
+    # first round of ``_ARRAY_MOVE_MIN`` nodes it moves to the arrays.
+    # Every other query gets the lists. Rounds of ``array_min`` nodes or
+    # more run as arrays.
     replay = None if trace is not None else getattr(graph, "replay", None)
-    arrays = n >= _ARRAY_ROUND_MIN and (replay is not None or isinstance(graph, InMemoryGraph))
+    written = None
+    if replay is not None and fwd_reads[0] is not NO_LOOKUP:
+        arrays, array_min = False, _ARRAY_MOVE_MIN
+        written = {True: [], False: []}
+    else:
+        arrays = n >= _ARRAY_ROUND_MIN and (replay is not None or isinstance(graph, InMemoryGraph))
+        array_min = _ARRAY_ROUND_MIN if arrays else inf
     spare, make = (_SPARE_ARRAYS, _ArrayTables) if arrays else (_SPARE_TABLES, _Tables)
     tables = make(n) if return_state else _take_tables(spare, make, n)
     prev_f, prev_b = tables.prev_f, tables.prev_b
     dist_f, dist_b = tables.dist_f, tables.dist_b
     prev_f[initial] = prev_b[final] = -1 if arrays else None
     dist_f[initial] = dist_b[final] = tables.base
-    # A per-node read is ``lookup(u)``, then ``load(u)`` only when that
-    # returns None; frontier ids come from the graph, so neither checks them.
-    fwd_reads, bwd_reads, (kind_lookup, kind_load) = _readers(graph)
     end_query = getattr(graph, "end_query", None)
     # Nodes sitting out rounds -> rounds left (never 0), and the nodes
     # whose postponement fired; both stay a handful of entries.
@@ -502,7 +541,15 @@ def _search(
             forward = _choose_forward(config.frontier_policy, n_f, n_b)
             steps += 1
             todo = todo_f if forward else todo_b
-            if arrays and len(todo) >= _ARRAY_ROUND_MIN:
+            if len(todo) >= array_min:
+                if not arrays:
+                    lists = tables
+                    tables = _move_to_arrays(lists, written, initial, final, return_state)
+                    if not return_state:
+                        _SPARE_TABLES.append(lists)
+                    prev_f, prev_b = tables.prev_f, tables.prev_b
+                    dist_f, dist_b = tables.dist_f, tables.dist_b
+                    arrays, array_min, spare, written = True, _ARRAY_ROUND_MIN, _SPARE_ARRAYS, None
                 if may_postpone and postponable is None:
                     codes = np.array([kind in postpone_kinds for kind in ClassKind])
                     postponable = graph.kind_codes(), codes
@@ -592,6 +639,8 @@ def _search(
                 if met:
                     break
                 todo2.sort()
+                if written is not None:
+                    written[forward].append(todo2)
             if forward:
                 todo_f, set_f = todo2, None
             else:

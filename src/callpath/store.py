@@ -86,7 +86,10 @@ read by read instead.
 
 Otherwise no record is ever evicted and recency decides nothing, so the
 cache is one dict of decoded values per section (runs, kinds,
-``MethodMeta``), and a read is a hit when its dict holds the node.
+``MethodMeta``), and a read is a hit when its dict holds the node. The
+same bits as above (``_held``, one uint8 per node) say which dicts hold
+a node: a decode into a dict sets its bit, and a cold ``begin_query``
+clears the bits with the dicts.
 
 The search kernel reads through ``readers()``. Every read that a lookup
 does not serve goes to ``_load(bit, u)``, which counts it in one Python
@@ -96,12 +99,16 @@ is the section dict's C-level ``get``, and its hits count nothing then.
 ``end_query`` the run and kind reads it made, even when the query
 raises; every read that ``_load`` and ``_replay`` did not count was a
 lookup hit, and ``end_query`` counts it so. When the cache can evict,
-lookups never hit, and the kernel runs its large rounds as numpy over
-zero-copy views of the mapped sections (``csr``, ``kind_codes``), then
-hands the store the round's reads as one int64 array, in the order the
-per-node body would have made them, through ``replay``. ``_replay``
-counts them by the same stamps, with the hits, misses and injected
-latency that ``_load`` would have made. A round of ``_ARRAY_REPLAY_MIN``
+lookups never hit. On either kind of store the kernel runs its large
+rounds as numpy over zero-copy views of the mapped sections (``csr``,
+``kind_codes``), then hands the store the round's reads as one int64
+array, in the order the per-node body would have made them, through
+``replay``. It counts them with the hits, misses and injected latency
+that ``_load`` would have made. Without eviction that is
+``_replay_decoded``: a read whose node's bit is set is a hit, all
+counted with numpy, and each other read is one ``_load``, in order, which
+decodes a miss into its dict. With eviction ``_replay`` counts by the recency stamps. A
+round of ``_ARRAY_REPLAY_MIN``
 (256) reads or more is counted with numpy, with no Python step per
 read, unless more than one read in ``_FAR_SHARE`` (16) is far; the
 rest are read by read, as ``_load`` does. Both are constants set by
@@ -350,13 +357,15 @@ class DiskGraph:
         # cache holds. Each array is also held as a memoryview, which
         # single reads index faster. Otherwise ``_last`` is None, and the
         # cache is one dict of decoded values per section bit, plus the
-        # MethodMeta.
+        # MethodMeta; ``_held`` then has a node's bit set exactly when its
+        # section dict holds the node.
         self._last: np.ndarray | None = None
         self._last_mv: memoryview | None = None
+        self._held = np.zeros(n, np.uint8)
+        self._held_mv = memoryview(self._held)
         if capacity < n:
             self._last = np.full(n, -1, np.int64)
-            self._held = np.zeros(n, np.uint8)
-            self._last_mv, self._held_mv = memoryview(self._last), memoryview(self._held)
+            self._last_mv = memoryview(self._last)
             self._nodes = np.empty(capacity + _HISTORY_SLACK, np.int64)
             self._nodes_mv = memoryview(self._nodes)
             self._base = self._clock = self._horizon = self._live = 0
@@ -404,7 +413,8 @@ class DiskGraph:
 
         ``lookup(u)`` is the section dict's ``get`` when nothing can be
         evicted: a hit costs one C call and is not counted until
-        ``end_query``. When the cache can evict it never hits, so every
+        ``end_query``, and the kernel starts such a store's queries on
+        list tables. When the cache can evict it never hits, so every
         read goes through ``load(u)``, which counts itself, keeps recency
         and decodes from the map. Ids must lie in ``[0, node_count)``.
         """
@@ -441,11 +451,10 @@ class DiskGraph:
 
     @property
     def replay(self):
-        """``_replay`` when the cache can evict, else None: the kernel runs
-        array rounds only on a store that has it and hands it their reads.
-        Without eviction every hit is a C-level ``dict.get``, which makes
-        the per-node body cheaper than an array round (see ``search``)."""
-        return None if self._last is None else self._replay
+        """What counts an array round's reads: ``_replay`` when the cache
+        can evict, ``_replay_decoded`` when it cannot. The kernel runs
+        array rounds only on a store that has it and hands it their reads."""
+        return self._replay_decoded if self._last is None else self._replay
 
     # ---- query/statistics management ----------------------------------------
 
@@ -457,8 +466,10 @@ class DiskGraph:
                 # No earlier read finds its record, so the history restarts.
                 self._base = self._horizon = self._clock
                 self._live = 0
-            for cache in (*self._decoded.values(), self._metas):
-                cache.clear()
+            else:
+                self._held.fill(0)
+                for cache in (*self._decoded.values(), self._metas):
+                    cache.clear()
         self._noted = (self._stats.adjacency_reads, self._stats.meta_reads)
 
     def end_query(self, runs: int, kinds: int) -> None:
@@ -556,6 +567,7 @@ class DiskGraph:
             value = decode.unpack_from(self._map, prefix + 8 * (self._node_count + 1) + 4 * start)
         if last is None:
             decoded[u] = value
+            self._held_mv[u] |= bit
         return value
 
     def _replay(self, forward: bool, reads: np.ndarray) -> None:
@@ -615,6 +627,27 @@ class DiskGraph:
             for _ in range(m - hits):
                 time.sleep(latency)
                 stats.injected_latency_total += latency
+
+    def _replay_decoded(self, forward: bool, reads: np.ndarray) -> None:
+        """``_replay`` for a store that cannot evict: a read whose node's
+        ``_held`` bit is set is a hit, all counted with numpy; each other
+        read is one ``_load``, in order, which counts it, a miss that
+        decodes into its section dict or a hit on an earlier such read.
+        On a warm cache there are none."""
+        run_bit = _FWD if forward else _BWD
+        is_kind = reads < 0
+        nodes = np.where(is_kind, ~reads, reads)
+        bits = np.where(is_kind, _META, run_bit)
+        held = (self._held[nodes] & bits) != 0
+        unheld = np.flatnonzero(~held)
+        for bit, u in zip(bits[unheld].tolist(), nodes[unheld].tolist()):
+            self._load(bit, u)
+        hits = len(reads) - len(unheld)
+        kind_hits = int(np.count_nonzero(is_kind & held))
+        stats = self._stats
+        stats.meta_reads += kind_hits
+        stats.adjacency_reads += hits - kind_hits
+        stats.cache_hits += hits
 
     def _count_round(self, run_bit: int, reads: np.ndarray) -> tuple[int, int] | None:
         """Count a round's reads with numpy and return its kind reads and

@@ -7,6 +7,11 @@ nodes, and node by node otherwise. These tests force the threshold to 0
 by node) and require the same ``SearchResult`` paths and counters and
 the same trace events; where the state is returned, also the same
 prev/dist tables, frontiers, delays and postponements.
+
+A query on a store whose cache holds every node starts on list tables
+and moves to array tables at its first round of
+``search._ARRAY_MOVE_MIN`` nodes; that threshold is forced the same way,
+and the store's read counts must agree too.
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ from callpath.bench import load_scenario
 from callpath.ingest import SyntheticSpec, generate_synthetic
 from callpath.model import resolve_name
 from callpath.search import FrontierPolicy, SearchConfig, run_search
+from callpath.store import CacheConfig, CacheMode, build_store, open_store
 
 from oracles import bfs_reachable
 from test_acceptance import SWEEP_CONFIGS, SWEEP_NODE_COUNT, SWEEP_SEED, _sweep_graph
+from test_search import REGIME_CONFIGS
 
 EVERY_ROUND = 0
 NO_ROUND = 2**62
@@ -101,24 +108,28 @@ def _hub_graph(node_count, seed, acyclic):
     return generate_synthetic(spec)
 
 
-@pytest.mark.parametrize(
-    "node_count, seed, acyclic",
-    [(1_000, 3, False), (1_000, 4, True), (10_000, 5, False), (10_000, 6, True), (30_000, 7, False)],
-)
-def test_bodies_agree_on_generated_hub_graphs(node_count, seed, acyclic):
-    # (30_000, 7, cyclic) is the hub30k graph of the mem-hub benchmark.
-    # One pair with a path, the final node drawn from the initial one's
-    # forward closure, and one uniform pair
-    graph = _hub_graph(node_count, seed, acyclic)
+HUB_GRAPHS = [(1_000, 3, False), (1_000, 4, True), (10_000, 5, False), (10_000, 6, True), (30_000, 7, False)]
+
+
+def _hub_pairs(graph, seed):
+    """One pair with a path, the final node drawn from the initial one's
+    forward closure, and one uniform pair."""
     rng = np.random.default_rng(seed)
     pairs = []
     while not pairs:
-        s = int(rng.integers(node_count))
+        s = int(rng.integers(graph.node_count))
         reachable = sorted(bfs_reachable(graph, s))
         if reachable:
             pairs.append((s, reachable[int(rng.integers(len(reachable)))]))
-    pairs.append(tuple(rng.integers(node_count, size=2).tolist()))
-    for s, t in pairs:
+    pairs.append(tuple(rng.integers(graph.node_count, size=2).tolist()))
+    return pairs
+
+
+@pytest.mark.parametrize("node_count, seed, acyclic", HUB_GRAPHS)
+def test_bodies_agree_on_generated_hub_graphs(node_count, seed, acyclic):
+    # (30_000, 7, cyclic) is the hub30k graph of the mem-hub benchmark
+    graph = _hub_graph(node_count, seed, acyclic)
+    for s, t in _hub_pairs(graph, seed):
         for config in CONFIGS:
             _assert_bodies_agree(graph, s, t, config)
 
@@ -147,3 +158,42 @@ def test_returned_state_agrees_between_bodies(hub_graph):
     for s, t in rng.integers(hub_graph.node_count, size=(6, 2)).tolist():
         for config in CONFIGS:
             _assert_states_agree(hub_graph, s, t, config)
+
+
+def _store_session(path, mode, threshold, queries):
+    """Each query's result, read counts and returned state on a fresh
+    handle whose cache holds every node, run plainly and then with
+    ``return_state``, with moves to the array tables at ``threshold``;
+    and how many queries moved."""
+    moves = []
+    move = search._move_to_arrays
+    with (
+        mock.patch.object(search, "_ARRAY_MOVE_MIN", threshold),
+        mock.patch.object(search, "_move_to_arrays", lambda *args: moves.append(1) or move(*args)),
+        open_store(path, CacheConfig(max_cached_nodes=10**9, mode=mode)) as handle,
+    ):
+        runs = []
+        for s, t, config in queries:
+            result = run_search(handle, s, t, config)
+            stats = handle.access_stats()
+            state_result, state = search._search(handle, s, t, config, return_state=True)
+            runs.append((replace(result, elapsed=0.0), stats, replace(state_result, elapsed=0.0), state))
+            runs.append(handle.access_stats())
+    return runs, len(moves)
+
+
+@pytest.mark.parametrize("mode", list(CacheMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("node_count, seed, acyclic", HUB_GRAPHS[:4])
+def test_moving_to_array_tables_on_a_store_that_holds_every_node(tmp_path, mode, node_count, seed, acyclic):
+    # array tables from the first round, a move after per-node rounds on
+    # the lists, or lists throughout: every result, read count and state
+    # agrees, in both cache modes
+    graph = _hub_graph(node_count, seed, acyclic)
+    build_store(graph, tmp_path / "hub.cgs")
+    queries = [(s, t, config) for s, t in _hub_pairs(graph, seed) for config in REGIME_CONFIGS]
+    never, none_moved = _store_session(tmp_path / "hub.cgs", mode, NO_ROUND, queries)
+    assert none_moved == 0
+    for threshold in (EVERY_ROUND, MIDWAY):
+        runs, moved = _store_session(tmp_path / "hub.cgs", mode, threshold, queries)
+        assert runs == never, threshold
+        assert moved > 0, threshold

@@ -24,8 +24,8 @@ from callpath.bench import (
 from callpath.errors import ScenarioError
 from callpath.fixtures import hub_fixture_spec
 from callpath.ingest import Regime, SyntheticSpec, classify_pair, generate_synthetic
-from callpath.search import Algorithm, FrontierPolicy, SearchConfig
-from callpath.store import CacheConfig, CacheMode, build_store
+from callpath.search import Algorithm, FrontierPolicy, SearchConfig, run_search
+from callpath.store import CacheConfig, CacheMode, build_store, open_store
 
 from oracles import closure_matrix
 
@@ -381,6 +381,36 @@ def test_disk_condition_uses_prebuilt_store(tmp_path):
     )
     report = run_scenario(scenario)
     assert report.rows[0].adjacency_reads > 0
+
+
+@pytest.mark.parametrize("mode", list(CacheMode), ids=lambda mode: mode.value)
+def test_store_rows_report_one_querys_io(tmp_path, mode):
+    # three repetitions on one handle: the row's reads, hits and misses are
+    # those of one query from a fresh handle, like its visits and probes
+    graph = generate_synthetic(SyntheticSpec(node_count=120, out_degree=2, hub_count=2, hub_indegree=10, seed=5))
+    store_path = tmp_path / "g.cgs"
+    build_store(graph, store_path)
+    config = SearchConfig(delay_steps=3)
+    cache = CacheConfig(max_cached_nodes=16, mode=mode)
+    scenario = Scenario(
+        store_path=store_path,
+        pairs=(PairSpec(0, 60),),
+        algorithms=(config,),
+        repetitions=3,
+        condition=StorageCondition(on_disk=True, cache=cache),
+    )
+    row = run_scenario(scenario).rows[0]
+    with open_store(store_path, cache) as handle:
+        result = run_search(handle, 0, 60, config)
+        stats = handle.access_stats()
+    assert stats.meta_reads > 0 and stats.cache_misses > 0
+    assert row.visited_total == result.visited_forward + result.visited_backward
+    assert (row.meta_reads, row.adjacency_reads, row.cache_hits, row.cache_misses) == (
+        stats.meta_reads,
+        stats.adjacency_reads,
+        stats.cache_hits,
+        stats.cache_misses,
+    )
 
 
 # ---------------------------------------------------------------------------

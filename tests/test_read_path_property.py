@@ -2,9 +2,11 @@
 whole node records does (``oracles.LruRecordModel``), under any
 capacity from one node to more than the graph, in both cache modes,
 for direct reads, ``begin_query`` and searches, including searches
-that raise midway. ``search._ARRAY_ROUND_MIN`` is drawn down to the
-size of these graphs, so untraced searches on a store that can evict
-also run array rounds and replay their reads. ``store._ARRAY_REPLAY_MIN``
+that raise midway. ``search._ARRAY_ROUND_MIN`` and
+``search._ARRAY_MOVE_MIN`` are drawn down to the size of these graphs,
+so untraced searches also run array rounds and replay their reads: on a
+store that can evict from their start, on one whose cache holds every
+node after moving from list to array tables. ``store._ARRAY_REPLAY_MIN``
 and ``store._FAR_SHARE`` are drawn at their extremes, so a replay is
 counted with numpy, far reads and all, or read by read; a second
 property hands the store's replay read lists of its own."""
@@ -81,7 +83,8 @@ def _operations(n):
 
 # Built once: a strategy rebuilt inside every draw costs more than the checks.
 OPERATIONS = [_operations(graph.node_count) for graph in GRAPHS]
-# Array rounds from every frontier, from frontiers of two nodes, or never.
+# Array rounds, or the move to array tables, from every frontier, from
+# frontiers of two nodes, or never.
 THRESHOLDS = st.sampled_from([0, 2, 2**62])
 # (store._ARRAY_REPLAY_MIN, store._FAR_SHARE): every replay counted with
 # numpy, far reads and all; every replay with numpy unless it holds many far
@@ -95,8 +98,10 @@ def _sessions(draw):
     n = GRAPHS[g].node_count
     return (
         g,
-        draw(st.integers(1, n + 1)),
+        # as often a cache that holds every node as one that can evict
+        draw(st.one_of(st.integers(1, n + 1), st.integers(n, n + 1))),
         draw(st.sampled_from(list(CacheMode))),
+        draw(THRESHOLDS),
         draw(THRESHOLDS),
         draw(REPLAY_MODES),
         draw(OPERATIONS[g]),
@@ -106,11 +111,12 @@ def _sessions(draw):
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(session=_sessions())
 def test_handle_counts_reads_as_the_reference_lru(stores, session):
-    g, capacity, mode, threshold, (replay_threshold, far_share), ops = session
+    g, capacity, mode, threshold, move_threshold, (replay_threshold, far_share), ops = session
     graph = GRAPHS[g]
     model = LruRecordModel(capacity, cold=mode is CacheMode.COLD_PER_QUERY)
     with (
         mock.patch.object(search, "_ARRAY_ROUND_MIN", threshold),
+        mock.patch.object(search, "_ARRAY_MOVE_MIN", move_threshold),
         mock.patch.object(store, "_ARRAY_REPLAY_MIN", replay_threshold),
         mock.patch.object(store, "_FAR_SHARE", far_share),
         open_store(stores[g], CacheConfig(max_cached_nodes=capacity, mode=mode)) as handle,
@@ -189,7 +195,8 @@ def replay_store(tmp_path_factory):
 def _replay_sessions(draw):
     n = REPLAY_GRAPH.node_count
     return (
-        draw(st.integers(1, n + 1)),
+        # as often a cache that holds every node as one that can evict
+        draw(st.one_of(st.integers(1, n + 1), st.integers(n, n + 1))),
         draw(st.sampled_from(list(CacheMode))),
         draw(REPLAY_MODES),
         # No slack trims the history at almost every read.
@@ -217,8 +224,7 @@ def _rings(ops, capacity):
 def test_replay_counts_reads_as_the_reference_lru(replay_store, session):
     """Any read list handed to ``replay``, among single reads and query
     starts, is counted as the reference LRU counts the same reads one by
-    one. A store that cannot evict has no ``replay``; its reads go
-    through the contract methods instead."""
+    one, by a store that can evict and by one that cannot."""
     capacity, mode, (replay_threshold, far_share), slack, ops = session
     model = LruRecordModel(capacity, cold=mode is CacheMode.COLD_PER_QUERY)
     with (
@@ -235,11 +241,7 @@ def test_replay_counts_reads_as_the_reference_lru(replay_store, session):
             elif op[0] == "replay":
                 _, forward, reads = op
                 run = "fwd" if forward else "bwd"
-                if handle.replay is None:
-                    for u in reads:
-                        single["kind" if u < 0 else run](~u if u < 0 else u)
-                else:
-                    handle.replay(forward, np.array(reads, np.int64))
+                handle.replay(forward, np.array(reads, np.int64))
                 for u in reads:
                     model.read("meta" if u < 0 else run, ~u if u < 0 else u)
             else:

@@ -17,11 +17,10 @@ from callpath.search import (
     Algorithm,
     FrontierPolicy,
     SearchConfig,
-    SearchState,
     SearchStatus,
-    reconstruct_path,
     run_search,
 )
+from callpath.search import SearchState, _join_chains
 
 from callpath.store import CacheConfig, build_store, open_store
 
@@ -368,8 +367,12 @@ def test_postponement_only_applies_backward():
 
 
 # ---------------------------------------------------------------------------
-# reconstruct_path
+# path reconstruction from the prev chains
 # ---------------------------------------------------------------------------
+
+
+def _path_of(state, initial, final):
+    return _join_chains(state.prev_forward, state.prev_backward, state.intermed, initial, final)
 
 
 def _blank_state(n, intermed):
@@ -389,7 +392,7 @@ def _blank_state(n, intermed):
 def test_reconstruct_one_hop():
     state = _blank_state(2, intermed=1)
     state.prev_forward[1] = 0
-    assert reconstruct_path(state, 0, 1) == [Edge(0, 1)]
+    assert _path_of(state, 0, 1) == [Edge(0, 1)]
 
 
 def test_reconstruct_two_sided():
@@ -399,19 +402,14 @@ def test_reconstruct_two_sided():
     state.prev_forward[1] = 0
     state.prev_backward[2] = 3
     state.prev_backward[3] = 4
-    assert reconstruct_path(state, 0, 4) == [Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(3, 4)]
-
-
-def test_reconstruct_requires_meeting_point():
-    with pytest.raises(InternalSearchError):
-        reconstruct_path(_blank_state(3, intermed=None), 0, 2)
+    assert _path_of(state, 0, 4) == [Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(3, 4)]
 
 
 def test_reconstruct_detects_broken_chain():
     state = _blank_state(4, intermed=2)
     state.prev_forward[2] = 1  # chain stops at 1, never reaches initial 0
     with pytest.raises(InternalSearchError):
-        reconstruct_path(state, 0, 2)
+        _path_of(state, 0, 2)
 
 
 def test_reconstruct_detects_cyclic_chain():
@@ -419,7 +417,7 @@ def test_reconstruct_detects_cyclic_chain():
     state.prev_forward[2] = 1
     state.prev_forward[1] = 2
     with pytest.raises(InternalSearchError):
-        reconstruct_path(state, 0, 2)
+        _path_of(state, 0, 2)
 
 
 def test_found_paths_pass_independent_validator_randomized():
@@ -660,6 +658,34 @@ def test_other_queries_take_the_list_tables(hub_graph, monkeypatch):
     assert len(tables) == 1 and type(tables[0]) is search._Tables
 
 
+def test_a_query_that_moves_to_array_tables_hands_back_one_set_each(hub_graph, tmp_path, monkeypatch):
+    # a store whose cache holds every node starts a query on the lists and
+    # moves it to the arrays at its first round of _ARRAY_MOVE_MIN nodes;
+    # the lists go back at the move and the arrays at the end, and a
+    # query after it answers alike on the reused tables and on fresh ones
+    monkeypatch.setattr(search, "_ARRAY_MOVE_MIN", 3)
+    moves = []
+    move = search._move_to_arrays
+    monkeypatch.setattr(search, "_move_to_arrays", lambda *args: moves.append(1) or move(*args))
+    path = tmp_path / "hub.cgs"
+    build_store(hub_graph, path)
+    cache = CacheConfig(max_cached_nodes=hub_graph.node_count)
+    with open_store(path, cache) as reused, open_store(path, cache) as reference:
+        tables, arrays = _pools_after(monkeypatch, [(reused, 670, 973, BALANCED)])
+        assert moves == [1]
+        _fresh(reference, 670, 973, BALANCED)
+        assert len(tables) == 1 and type(tables[0]) is search._Tables
+        assert len(arrays) == 1 and type(arrays[0]) is search._ArrayTables
+        pooled = tables[0], arrays[0]
+        for config in REGIME_CONFIGS:
+            for s, t in [(670, 973), (0, 999), (224, 862)]:
+                got = run_search(reused, s, t, config)
+                assert got.same_traversal(_fresh(reference, s, t, config))
+                assert reused.access_stats() == reference.access_stats()
+        assert (tables[-1], arrays[-1]) == pooled
+        assert len(moves) > 2
+
+
 def test_returned_state_of_array_frontiers_is_lists(hub_graph, monkeypatch):
     # every round an array round, so both last frontiers are arrays; the
     # state holds them as lists of ints, and fresh tables as the
@@ -685,7 +711,7 @@ def test_returned_state_of_array_frontiers_is_lists(hub_graph, monkeypatch):
         reached = [v for v, d in enumerate(dist) if d != inf and v != endpoint]
         assert reached and all(prev[v] is not None for v in reached)
         assert sum(u is not None for u in prev) == len(reached)
-    assert reconstruct_path(state, 670, 973) == list(result.path)
+    assert _path_of(state, 670, 973) == list(result.path)
 
 
 class _FailingGraph:

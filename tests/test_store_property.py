@@ -4,7 +4,8 @@ fails with a ``CallpathError``, never another exception. The recomputed
 edits pass the checksum scan and reach the structure checks, the
 class-kind check and the heap-string checks. ``search._ARRAY_ROUND_MIN``
 is set below the size of the graph, so the search on the evicting
-handle runs array rounds."""
+handle runs array rounds. A store cut at any length either opens or
+fails with a one-line ``CallpathError``."""
 
 import struct
 from unittest import mock
@@ -37,6 +38,8 @@ def store(tmp_path_factory):
 # Built once: positions are drawn below a bound above any file size here
 # and wrapped to the file.
 EDITS = st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=3)
+# Lengths wrapped to the file, so the whole file (no cut) is drawn too.
+CUTS = st.integers(0, 2**16)
 
 
 def _reads(handle):
@@ -70,3 +73,21 @@ def test_an_edited_store_opens_and_reads_or_fails_cleanly(store, edits, recomput
                 return
             with handle:
                 _reads(handle)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(cut=CUTS)
+def test_a_truncated_store_opens_or_fails_in_one_line(store, cut):
+    path, original = store
+    length = cut % (len(original) + 1)
+    path.write_bytes(original[:length])
+    try:
+        handle = open_store(path, CacheConfig(max_cached_nodes=4))
+    except CallpathError as exc:
+        assert length < len(original)
+        message = str(exc)
+        assert message and "\n" not in message
+        return
+    assert length == len(original)
+    with handle:
+        _reads(handle)
