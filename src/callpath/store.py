@@ -106,9 +106,9 @@ array, in the order the per-node body would have made them, through
 ``replay``. It counts them with the hits, misses and injected latency
 that ``_load`` would have made. Without eviction that is
 ``_replay_decoded``: a read whose node's bit is set is a hit, all
-counted with numpy, and each other read is one ``_load``, in order, which
-decodes a miss into its dict. With eviction ``_replay`` counts by the recency stamps. A
-round of ``_ARRAY_REPLAY_MIN``
+counted with numpy, and each other read is one ``_load``, in order,
+which decodes a miss into its dict. With eviction ``_replay`` counts by
+the recency stamps. A round of ``_ARRAY_REPLAY_MIN``
 (256) reads or more is counted with numpy, with no Python step per
 read, unless more than one read in ``_FAR_SHARE`` (16) is far; the
 rest are read by read, as ``_load`` does. Both are constants set by
