@@ -23,7 +23,6 @@ from .bench import (
     emit_report,
     find_regime_pairs,
     load_scenario,
-    parse_report_json,
     run_scenario,
 )
 from .errors import (
@@ -133,7 +132,6 @@ __all__ = [
     "ReportRow",
     "run_scenario",
     "emit_report",
-    "parse_report_json",
     "load_scenario",
     "find_regime_pairs",
     "CSV_COLUMNS",

@@ -181,6 +181,8 @@ def _parse_scenario(doc, base: Path) -> Scenario:
     elif "synthetic" in graph:
         spec = _field(graph, "synthetic", dict, "graph")
         _known(spec, _SYNTHETIC_TYPES, "graph.synthetic")
+        if "node_count" not in spec:
+            raise ScenarioError("graph.synthetic.node_count is required")
         synthetic = SyntheticSpec(
             **{k: _field(spec, k, _SYNTHETIC_TYPES[k], "graph.synthetic") for k in spec}
         )
@@ -475,20 +477,6 @@ def _emit_json(report: ScenarioReport) -> str:
         "rows": [asdict(row) for row in report.rows],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def parse_report_json(text: str) -> ScenarioReport:
-    """Inverse of the JSON emitter; validates the schema tag."""
-    doc = json.loads(text)
-    if doc.get("schema") != REPORT_SCHEMA:
-        raise ScenarioError(f"unsupported report schema {doc.get('schema')!r}")
-    rows = []
-    for raw in doc["rows"]:
-        unknown = set(raw) - set(CSV_COLUMNS)
-        if unknown:
-            raise ScenarioError(f"unknown report row fields {sorted(unknown)}")
-        rows.append(ReportRow(**raw))
-    return ScenarioReport(environment=doc["environment"], rows=tuple(rows))
 
 
 def _emit_markdown(report: ScenarioReport) -> str:

@@ -435,6 +435,8 @@ class SyntheticSpec:
                 f"hub_indegree {self.hub_indegree} infeasible with "
                 f"{self.node_count} nodes"
             )
+        if self.seed < 0:
+            raise SyntheticSpecError("seed must be non-negative")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> InMemoryGraph:
@@ -484,7 +486,9 @@ def generate_synthetic(spec: SyntheticSpec) -> InMemoryGraph:
         hub_src.append(pool[rng.choice(len(pool), size=spec.hub_indegree, replace=False)])
 
     callers = np.concatenate([src, *hub_src])
-    callees = np.concatenate([dst, np.repeat(hubs, spec.hub_indegree)])
+    # With hubs, hub_indegree is below n; without, it is unused, and the cap
+    # keeps a value past int64 out of numpy.
+    callees = np.concatenate([dst, np.repeat(hubs, min(spec.hub_indegree, n))])
     return InMemoryGraph.from_columns(columns, np.column_stack([callers, callees]))
 
 
@@ -508,7 +512,9 @@ def _out_degree_edges(rng, n: int, d: int, acyclic: bool) -> tuple[np.ndarray, n
     node u's pool is node u + 1 + i when acyclic, else i below u and
     i + 1 from u on."""
     sizes = n - 1 - np.arange(n) if acyclic else np.full(n, n - 1)
-    counts = np.minimum(d, sizes)
+    # No node has more than n - 1 callees; capping d first keeps a d past
+    # int64 out of numpy.
+    counts = np.minimum(min(d, n - 1), sizes)
     choice = rng.choice
     idx = np.concatenate(
         [np.empty(0, dtype=np.int64)]

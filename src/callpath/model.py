@@ -13,10 +13,6 @@ looks up each optional method once per query:
 * ``begin_query()`` is called when a search starts (the disk backend
   empties a cold cache there and notes its read counters); without it
   nothing is called.
-* ``class_kind(u)`` returns ``method_meta(u).class_kind`` and is what a
-  postponement probe calls, so a backend can answer it without building
-  the whole record. Without it a probe calls ``method_meta(u)`` and
-  reads the field, with the same result.
 * ``readers()`` returns three ``(lookup, load)`` pairs, for forward
   runs, backward runs and class kinds. The kernel reads node u as
   ``lookup(u)``, and calls ``load(u)`` only when that returns None.
@@ -30,10 +26,10 @@ looks up each optional method once per query:
   and it counts them so.
 
 A backend without ``readers`` gets lookups that never hit and its
-contract methods (``class_kind``, or the ``method_meta`` fallback) as
-loads, so every read is one checked contract call, as any wrapper or
-proxy around a backend expects; without ``end_query`` nothing is
-reported.
+contract methods as loads, a kind load reading the field off
+``method_meta(u)``, so every read is one checked contract call, as any
+wrapper or proxy around a backend expects; without ``end_query``
+nothing is reported.
 
 The search kernel reads an :class:`InMemoryGraph` through more than
 the contract. Rounds with a large frontier run as array operations over
@@ -166,16 +162,16 @@ class InMemoryGraph:
 
     What the access contract serves is built on first read: each run
     as a tuple of Python ints (``successors``, ``predecessors``,
-    ``readers``, ``edges``), each node's ``ClassKind`` (``class_kind``,
-    ``readers``) and its ``MethodMeta`` (``method_meta``). So a graph
-    that is only written to a store (``build_store`` reads the columns
-    and the CSR arrays) never builds them. Each is one
-    ``cached_property``. On Python 3.12 and later, two threads that read
-    one at once may both build it: each gets a complete, equal,
-    immutable value, and the later assignment replaces the earlier, so
-    any reader sees the same answers. On 3.10 and 3.11,
-    ``cached_property`` holds a lock while it builds, so the builds run
-    one after the other. Either way the graph needs no lock of its own.
+    ``readers``), each node's ``ClassKind`` (``readers``) and its
+    ``MethodMeta`` (``method_meta``). So a graph that is only written
+    to a store (``build_store`` reads the columns and the CSR arrays)
+    never builds them. Each is one ``cached_property``. On Python 3.12
+    and later, two threads that read one at once may both build it:
+    each gets a complete, equal, immutable value, and the later
+    assignment replaces the earlier, so any reader sees the same
+    answers. On 3.10 and 3.11, ``cached_property`` holds a lock while it
+    builds, so the builds run one after the other. Either way the graph
+    needs no lock of its own.
     """
 
     def __init__(
@@ -298,18 +294,16 @@ class InMemoryGraph:
     def method_meta(self, u: NodeId) -> MethodMeta:
         return self._metas[check_node(u, self._node_count)]
 
-    def class_kind(self, u: NodeId) -> ClassKind:
-        """``method_meta(u).class_kind``: the one field a search probe reads."""
-        return self._kinds[check_node(u, self._node_count)]
-
     def readers(self):
         """The search kernel's unchecked reads: a ``(lookup, load)`` pair
         each for forward runs, backward runs and class kinds. Each lookup
-        indexes a per-node tuple and never misses."""
+        indexes a per-node tuple and never misses, so the kind lookup is
+        its own load."""
+        kind = self._kinds.__getitem__
         return (
             (self._fwd.__getitem__, self.successors),
             (self._bwd.__getitem__, self.predecessors),
-            (self._kinds.__getitem__, self.class_kind),
+            (kind, kind),
         )
 
     # ---- helpers -------------------------------------------------------------

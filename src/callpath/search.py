@@ -405,13 +405,16 @@ def _as_array(nodes) -> np.ndarray:
 def _readers(graph):
     """The ``(lookup, load)`` pairs of forward runs, backward runs and
     class kinds. A backend without ``readers`` gets lookups that never hit
-    and its contract methods as loads; without ``class_kind`` a kind load
-    reads the field off ``method_meta``."""
+    and its contract methods as loads, a kind load reading the field off
+    ``method_meta``."""
     readers = getattr(graph, "readers", None)
     if readers is not None:
         return readers()
-    class_kind = getattr(graph, "class_kind", None) or (lambda u: graph.method_meta(u).class_kind)
-    return (NO_LOOKUP, graph.successors), (NO_LOOKUP, graph.predecessors), (NO_LOOKUP, class_kind)
+    return (
+        (NO_LOOKUP, graph.successors),
+        (NO_LOOKUP, graph.predecessors),
+        (NO_LOOKUP, lambda u: graph.method_meta(u).class_kind),
+    )
 
 
 def _choose_forward(policy: FrontierPolicy, n_fwd: int, n_bwd: int) -> bool:

@@ -46,7 +46,7 @@ them: one past the heap, not UTF-8, or an empty name is a
 The cache is the model that ``oracles.LruRecordModel`` in the tests
 states: an LRU of at most ``max_cached_nodes`` whole node records, each
 holding the sections read so far. A record has three sections: the
-forward run, the backward run and the meta record, which ``class_kind``
+forward run, the backward run and the meta record, which a kind read
 and ``method_meta`` read alike. A read is one cache hit when the node's
 record holds its section and one miss otherwise, which adds the section
 to the record; either way the record becomes the most recent, and a new
@@ -85,8 +85,9 @@ needs the count of distinct nodes (``_distinct``); a round with many is
 read by read instead.
 
 Otherwise no record is ever evicted and recency decides nothing, so the
-cache is one dict of decoded values per section (runs, kinds,
-``MethodMeta``), and a read is a hit when its dict holds the node. The
+cache is one dict of decoded values per section (the runs of each
+direction, kinds), and a read is a hit when its dict holds the node;
+``method_meta`` decodes the rest of a record from the map each time. The
 same bits as above (``_held``, one uint8 per node) say which dicts hold
 a node: a decode into a dict sets its bit, and a cold ``begin_query``
 clears the bits with the dicts.
@@ -141,6 +142,7 @@ import numpy as np
 from .errors import ChecksumError, StoreFormatError, StoreLimitError
 from .model import (
     NO_LOOKUP,
+    _KINDS,
     ClassKind,
     Direction,
     InMemoryGraph,
@@ -161,9 +163,6 @@ _U32 = struct.Struct("<I")
 _U64x2 = struct.Struct("<QQ")
 
 _SECTION_NAMES = ("meta-index", "string-heap", "forward-adjacency", "backward-adjacency")
-
-#: A class-kind byte is the kind's index here, as ``InMemoryGraph.kind_codes`` gives it.
-_KINDS = tuple(ClassKind)
 
 _MAX_NODES = 2**32
 _MAX_LINE = 2**32
@@ -356,9 +355,9 @@ class DiskGraph:
         # whose read still finds its record; and how many records the
         # cache holds. Each array is also held as a memoryview, which
         # single reads index faster. Otherwise ``_last`` is None, and the
-        # cache is one dict of decoded values per section bit, plus the
-        # MethodMeta; ``_held`` then has a node's bit set exactly when its
-        # section dict holds the node.
+        # cache is one dict of decoded values per section bit; ``_held``
+        # then has a node's bit set exactly when its section dict holds
+        # the node.
         self._last: np.ndarray | None = None
         self._last_mv: memoryview | None = None
         self._held = np.zeros(n, np.uint8)
@@ -370,7 +369,6 @@ class DiskGraph:
             self._nodes_mv = memoryview(self._nodes)
             self._base = self._clock = self._horizon = self._live = 0
         self._decoded: dict[int, dict] = {_FWD: {}, _BWD: {}, _META: {}}
-        self._metas: dict[int, MethodMeta] = {}
         self._run_structs: dict[int, struct.Struct] = {}
         # (fwd csr, bwd csr, kind bytes) as views of the map, built on first use.
         self._views: tuple | None = None
@@ -393,19 +391,10 @@ class DiskGraph:
         return self._load(_BWD, check_node(u, self._node_count))
 
     def method_meta(self, u: NodeId) -> MethodMeta:
+        """One meta read of node ``u``, counted as the kernel's kind reads
+        are, then its whole record decoded from the map."""
         u = check_node(u, self._node_count)
-        kind = self._load(_META, u)
-        if self._last is not None:
-            return self._read_meta(u, kind)
-        meta = self._metas.get(u)
-        if meta is None:
-            meta = self._metas[u] = self._read_meta(u, kind)
-        return meta
-
-    def class_kind(self, u: NodeId) -> ClassKind:
-        """``method_meta(u).class_kind``, counted as the same meta read,
-        but it decodes only the record's kind byte."""
-        return self._load(_META, check_node(u, self._node_count))
+        return self._read_meta(u, self._load(_META, u))
 
     def readers(self):
         """The search kernel's unchecked reads: a ``(lookup, load)`` pair
@@ -468,7 +457,7 @@ class DiskGraph:
                 self._live = 0
             else:
                 self._held.fill(0)
-                for cache in (*self._decoded.values(), self._metas):
+                for cache in self._decoded.values():
                     cache.clear()
         self._noted = (self._stats.adjacency_reads, self._stats.meta_reads)
 

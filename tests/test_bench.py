@@ -18,7 +18,6 @@ from callpath.bench import (
     emit_report,
     find_regime_pairs,
     load_scenario,
-    parse_report_json,
     run_scenario,
 )
 from callpath.errors import ScenarioError
@@ -174,15 +173,13 @@ def test_csv_row_count_is_pairs_times_algorithms():
 
 
 def test_json_report_round_trip():
+    # the document holds the whole report: its schema tag, the environment
+    # and one object per row, keyed by the CSV columns
     report = run_scenario(FIG_PAIR_SCENARIO)
-    text = emit_report(report, "json")
-    parsed = parse_report_json(text)
-    assert parsed == report
-
-
-def test_json_report_schema_validated():
-    with pytest.raises(ScenarioError, match="schema"):
-        parse_report_json(json.dumps({"schema": "bogus@9", "rows": []}))
+    doc = json.loads(emit_report(report, "json"))
+    assert doc["schema"] == "callpath-report@1"
+    assert all(tuple(row) == CSV_COLUMNS for row in doc["rows"])
+    assert ScenarioReport(doc["environment"], tuple(ReportRow(**row) for row in doc["rows"])) == report
 
 
 def test_markdown_report_tables():
@@ -518,6 +515,7 @@ def _edited(path, value):
             _edited(("condition",), {"storage": "memory", "cache": {"mod": "warm"}}),
             "condition.cache: unknown field(s) ['mod']",
         ),
+        (_edited(("graph", "synthetic"), {"out_degree": 2}), "graph.synthetic.node_count is required"),
     ],
 )
 def test_load_scenario_rejects_malformed_fields(tmp_path, doc, field):

@@ -160,6 +160,46 @@ def test_generate_past_the_store_limit_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, edges",
+    [
+        (("--out-degree", str(10**21)), 20),
+        (("--out-degree", "2", "--hub-indegree", str(10**21)), 10),
+    ],
+    ids=["out-degree", "unused-hub-indegree"],
+)
+def test_generate_takes_integers_past_int64_where_they_are_capped(tmp_path, capsys, flags, edges):
+    # numpy refuses an integer past int64: an out-degree is capped at the
+    # n - 1 other nodes, and a hub indegree without hubs is unused
+    out = tmp_path / "g.jsonl"
+    code = run_cli("generate", "--nodes", "5", *flags, "--out", str(out))
+    assert code == 0 and capsys.readouterr().err == ""
+    with out.open() as fh:
+        assert import_jsonl(fh).edge_count == edges
+
+
+def test_generate_negative_seed_exits_one(tmp_path, capsys):
+    out = tmp_path / "g.jsonl"
+    code = run_cli("generate", "--nodes", "5", "--out-degree", "2", "--seed", "-1", "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "seed must be non-negative" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bench_negative_synthetic_seed_exits_one(tmp_path, capsys):
+    doc = json.loads((DATA / "scenarios" / "regimes.json").read_text())
+    doc["graph"]["synthetic"]["seed"] = -1
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli("bench", "--scenario", str(path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "seed must be non-negative" in err
+    assert "Traceback" not in err
+
+
 def test_generate_requires_density_choice():
     with pytest.raises(SystemExit) as excinfo:
         run_cli("generate", "--nodes", "10")

@@ -343,6 +343,8 @@ def test_spec_validation():
         SyntheticSpec(node_count=5, edge_probability=1.5)
     with pytest.raises(SyntheticSpecError):
         SyntheticSpec(node_count=5, out_degree=1, hub_count=2, hub_indegree=5)
+    with pytest.raises(SyntheticSpecError, match="seed"):
+        SyntheticSpec(node_count=5, out_degree=2, seed=-1)  # numpy's seeds are non-negative
     with pytest.raises(SyntheticSpecError, match="format limit"):
         SyntheticSpec(node_count=2**32, out_degree=3)  # a CGS1 store holds fewer
     SyntheticSpec(node_count=2**32 - 1, out_degree=3)

@@ -96,18 +96,19 @@ def test_self_loops_are_stored():
 
 
 def test_rows_and_kind_codes_serve_what_the_contract_serves(hub_graph):
-    # the search reads the kind codes instead of class_kind, and the
-    # store writes the columns instead of each method_meta; they must
-    # hold the same values
+    # array rounds read the kind codes and node-by-node rounds the kind
+    # lookup of readers(), and the store writes the columns instead of
+    # each method_meta; they must hold the same values
     kinds = tuple(ClassKind)
+    kind_lookup = hub_graph.readers()[2][0]
     codes = hub_graph.kind_codes()
     assert codes.dtype == np.int8 and not codes.flags.writeable
     assert hub_graph.kind_codes() is codes
     columns = hub_graph.columns()
     assert columns.class_kinds is codes
     for u in range(hub_graph.node_count):
-        assert kinds[codes[u]] is hub_graph.class_kind(u)
         meta = hub_graph.method_meta(u)
+        assert kinds[codes[u]] is kind_lookup(u) is meta.class_kind
         assert (meta.method_name, meta.class_name, meta.file, meta.line) == (
             columns.method_names[u], columns.class_names[u], columns.files[u], columns.lines[u]
         )
@@ -263,7 +264,6 @@ def test_node_id_check_shared_by_backends_search_and_closure(tmp_path, fig_graph
                 lambda: graph.successors(node),
                 lambda: graph.predecessors(node),
                 lambda: graph.method_meta(node),
-                lambda: graph.class_kind(node),
                 lambda: reachable_set(graph, node, Direction.FORWARD),
             ] + [
                 lambda config=config: run_search(graph, node, np.int64(3), config)
@@ -280,8 +280,8 @@ def test_node_id_check_shared_by_backends_search_and_closure(tmp_path, fig_graph
                 continue
             assert graph.successors(node) == (1, 2, 3)
             assert reachable_set(graph, node, Direction.FORWARD) == {1, 2, 3}
-            assert graph.class_kind(node) is ClassKind.CONCRETE
-            for call in calls[5:]:
+            assert graph.method_meta(node).class_kind is ClassKind.CONCRETE
+            for call in calls[4:]:
                 result = call()
                 assert result.path == (Edge(0, 3),)
                 assert all(type(v) is int for edge in result.path for v in edge)

@@ -31,10 +31,8 @@ def hub_store(tmp_path_factory, hub_graph):
 
 
 def _direct_reads(handle, nodes):
-    return [
-        (handle.successors(u), handle.predecessors(u), handle.method_meta(u), handle.class_kind(u))
-        for u in nodes
-    ]
+    kind = handle.readers()[2][1]  # the kernel's kind load
+    return [(handle.successors(u), handle.predecessors(u), handle.method_meta(u), kind(u)) for u in nodes]
 
 
 @pytest.mark.parametrize("mode", list(CacheMode), ids=lambda mode: mode.value)

@@ -60,10 +60,6 @@ class _Recorder:
         self.log.append(("meta", u))
         return self._graph.method_meta(u)
 
-    def class_kind(self, u):
-        self.log.append(("meta", u))
-        return self._graph.class_kind(u)
-
 
 def _search(graph, s, t, config, events):
     try:
@@ -125,7 +121,8 @@ def test_handle_counts_reads_as_the_reference_lru(stores, session):
             "fwd": (handle.successors, graph.successors),
             "bwd": (handle.predecessors, graph.predecessors),
             "meta": (handle.method_meta, graph.method_meta),
-            "kind": (handle.class_kind, graph.class_kind),
+            # the kernel's kind loads
+            "kind": (handle.readers()[2][1], graph.readers()[2][1]),
         }
         for op in ops:
             if op[0] == "begin":
@@ -233,7 +230,7 @@ def test_replay_counts_reads_as_the_reference_lru(replay_store, session):
         mock.patch.object(store, "_HISTORY_SLACK", slack),
         open_store(replay_store, CacheConfig(max_cached_nodes=capacity, mode=mode)) as handle,
     ):
-        single = {"fwd": handle.successors, "bwd": handle.predecessors, "kind": handle.class_kind}
+        single = {"fwd": handle.successors, "bwd": handle.predecessors, "kind": handle.readers()[2][1]}
         for op in _rings(ops, capacity):
             if op[0] == "begin":
                 handle.begin_query()

@@ -782,14 +782,14 @@ def test_concurrent_searches_on_one_graph_match_sequential(hub_graph):
 
 
 # ---------------------------------------------------------------------------
-# the optional class_kind method
+# a backend with only the required methods
 # ---------------------------------------------------------------------------
 
 
 class _RequiredMethodsOnly:
     """A backend with the required access methods and, when ``inner`` has
-    them, the store's ``begin_query`` and stats. Without ``class_kind``
-    the kernel's probes fall back to ``method_meta``; not being an
+    them, the store's ``begin_query`` and stats. Without ``readers`` the
+    kernel's probes read the kind off ``method_meta``; not being an
     InMemoryGraph, it has every round run node by node."""
 
     def __init__(self, inner):
@@ -802,7 +802,7 @@ class _RequiredMethodsOnly:
                 setattr(self, name, getattr(inner, name))
 
 
-def test_probes_without_class_kind_give_the_same_traversal_and_io(hub_graph, tmp_path):
+def test_probes_without_readers_give_the_same_traversal_and_io(hub_graph, tmp_path):
     # a 64-node cold cache, so records are evicted and read again
     path = tmp_path / "hub.cgs"
     build_store(hub_graph, path)
@@ -810,7 +810,7 @@ def test_probes_without_class_kind_give_the_same_traversal_and_io(hub_graph, tmp
     pairs = _pairs(np.random.default_rng(505), hub_graph, 12)
     with open_store(path, cache) as bare, open_store(path, cache) as inner:
         wrapped = _RequiredMethodsOnly(inner)
-        assert not hasattr(wrapped, "class_kind")
+        assert not hasattr(wrapped, "readers")
         probes = 0
         for config in REGIME_CONFIGS:
             for s, t in pairs:
@@ -821,7 +821,3 @@ def test_probes_without_class_kind_give_the_same_traversal_and_io(hub_graph, tmp
         stats = bare.access_stats()
     assert probes > 0 and stats.meta_reads == probes
     assert stats.cache_misses > len(REGIME_CONFIGS) * len(pairs) * 64
-    assert all(
-        hub_graph.class_kind(u) is hub_graph.method_meta(u).class_kind
-        for u in range(hub_graph.node_count)
-    )

@@ -45,8 +45,9 @@ CUTS = st.integers(0, 2**16)
 def _reads(handle):
     """Every read of every node, then one postponing search."""
     n = handle.node_count
+    kind = handle.readers()[2][1]  # the kernel's kind load
     for u in range(n):
-        for read in (handle.successors, handle.predecessors, handle.method_meta, handle.class_kind):
+        for read in (handle.successors, handle.predecessors, handle.method_meta, kind):
             try:
                 read(u)
             except CallpathError:
