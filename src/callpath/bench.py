@@ -207,25 +207,24 @@ def _parse_scenario(doc, base: Path) -> Scenario:
         for i, entry in enumerate(_field(doc, "algorithms", list, "", []))
     ]
 
-    condition = StorageCondition()
     cond = _field(doc, "condition", dict, "", {})
     _known(cond, ("storage", "cache"), "condition")
     cache_doc = _field(cond, "cache", dict, "condition", {})
     where = "condition.cache"
     _known(cache_doc, ("max_cached_nodes", "latency_per_miss_ms", "mode"), where)
+    # Checked whatever the storage, though only a store reads it.
+    try:
+        cache = CacheConfig(
+            max_cached_nodes=_field(cache_doc, "max_cached_nodes", int, where, 1024),
+            latency_per_miss=_field(cache_doc, "latency_per_miss_ms", float, where, 0) / 1000,
+            mode=_field(cache_doc, "mode", CacheMode, where, CacheMode.COLD_PER_QUERY),
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
     storage = cond.get("storage", "memory")
-    if storage == "disk":
-        try:
-            cache = CacheConfig(
-                max_cached_nodes=_field(cache_doc, "max_cached_nodes", int, where, 1024),
-                latency_per_miss=_field(cache_doc, "latency_per_miss_ms", float, where, 0) / 1000,
-                mode=_field(cache_doc, "mode", CacheMode, where, CacheMode.COLD_PER_QUERY),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-        condition = StorageCondition(on_disk=True, cache=cache)
-    elif storage != "memory":
+    if storage not in ("memory", "disk"):
         raise ScenarioError(f"unknown storage condition {storage!r}")
+    condition = StorageCondition(on_disk=storage == "disk", cache=cache)
 
     return Scenario(
         graph_jsonl=graph_jsonl,

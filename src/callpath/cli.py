@@ -354,6 +354,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Some argparse versions read ``--option=--`` as an empty list.
+    if any(type(value) is list for value in vars(args).values()):
+        parser.error("'--' is not an option value")
     handler, formats = _COMMANDS[args.command]
     if args.format not in formats:
         parser.error(f"--format {args.format!r} not supported for {args.command}")

@@ -34,12 +34,14 @@ nothing is reported.
 The search kernel reads an :class:`InMemoryGraph` through more than
 the contract. Rounds with a large frontier run as array operations over
 its CSR arrays (``csr``) and postponement tests over its per-node kind
-codes (``kind_codes``). A store has both, and a ``replay`` that counts
-the reads of such a round, handed over in the order the per-node body
-would have made them, as its loads would have; a backend runs array
-rounds only when it has all three. A store whose lookups can hit starts
-each query on list tables and moves to array tables at its first large
-round (see ``search``). Any other backend is searched node by node.
+codes (``kind_codes``), traced or not; it counts no reads, so it has no
+``replay``. A store has both, and a ``replay`` that counts the reads of
+such a round, handed over in the order the per-node body would have
+made them, as its loads would have; any other backend runs array rounds
+only when it has all three, and only untraced. A store whose lookups
+can hit starts each query on list tables and moves to array tables at
+its first large round (see ``search``). Any other backend is searched
+node by node.
 
 Graphs are immutable once built, so concurrent readers are safe; the
 per-node objects an :class:`InMemoryGraph` builds on first read are

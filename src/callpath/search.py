@@ -96,13 +96,28 @@ a few entries. Tables of length ``node_count`` are built only on first
 use, when the graph size changes, and every ~2**30 / node_count queries
 when the offset runs out. Each thread searching at the same time keeps
 one spare set of each kind it used: about 28 * node_count bytes of
-arrays and about 32 * node_count bytes of lists. A plain query reads
-its path off the prev tables it holds; only ``return_state=True`` builds
-a ``SearchState``, on fresh tables converted to lists of plain distances.
+arrays and about 32 * node_count bytes of lists. Both kinds hold -1 for
+no predecessor and ``_UNREACHED`` for an entry never written. Every
+query reads its path off the prev tables it holds; ``return_state=True``
+also builds a ``SearchState`` from the query's own tables before it
+hands them back.
+
+A query whose endpoints are equal meets before its first round, but it
+takes the same path as every other: it takes and hands back tables, and
+on a graph's first query it may build the graph's per-node objects (see
+``model``) and the tables, and with ``return_state=True`` it returns a
+``SearchState``, not None.
+
+A round in which every occurrence of the chosen frontier sits out the
+round only counts delays down, and the next round repeats it. An
+untraced query counts such rounds at once, up to the one in which a
+countdown would end; a traced one runs each, one event per occurrence.
+So a huge ``delay_steps`` costs no more than a small one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import inf
@@ -152,6 +167,9 @@ class SearchConfig:
     frontier_policy: FrontierPolicy = FrontierPolicy.PAPER_LITERAL
 
     def __post_init__(self) -> None:
+        # As ``check_node``: Python and numpy integers, but not bool.
+        if isinstance(self.delay_steps, bool) or not isinstance(self.delay_steps, (int, np.integer)):
+            raise ValueError(f"delay_steps must be an integer, got {self.delay_steps!r}")
         if self.delay_steps < 0:
             raise ValueError("delay_steps must be non-negative")
         if self.probe_only and self.algorithm is not Algorithm.BIDIR_POSTPONE:
@@ -189,13 +207,14 @@ class SearchState:
     ``delay`` maps each node still sitting out rounds to the rounds
     left, and ``postponed`` holds the nodes whose postponement fired.
 
-    Only ``_search(..., return_state=True)`` builds one. It runs the
-    query on fresh tables of length ``node_count`` and hands them over
-    as lists holding plain distances, ``None`` for no predecessor and
-    ``inf`` for not reached, whichever tables the query ran on (array
-    tables are converted), and the frontiers as lists. A plain query
-    reuses tables from earlier queries (see ``_Tables`` and
-    ``_ArrayTables``) and builds no state.
+    Only ``_search(..., return_state=True)`` builds one, from the
+    query's own tables (reused from earlier queries, see ``_Tables``
+    and ``_ArrayTables``), before it hands them back. It keeps the
+    entries the query wrote, as lists of length ``node_count`` holding
+    plain distances, ``None`` for no predecessor and ``inf`` for not
+    reached, whichever tables the query ran on, and the frontiers as
+    lists. A query with equal endpoints returns one too, which holds
+    just the endpoint at distance 0 both ways.
     """
 
     todo_forward: list[NodeId]
@@ -241,8 +260,8 @@ class SearchResult:
 
 def _join_chains(prev_f, prev_b, intermed: NodeId, initial: NodeId, final: NodeId) -> list[Edge]:
     """Stitch the two predecessor chains at the meeting node ``intermed``
-    into one path. The prev tables are lists, where None means no
-    predecessor, or int32 memoryviews, where -1 does.
+    into one path. The prev tables are lists or int32 memoryviews, where
+    -1 means no predecessor.
 
     The forward chain is walked from the meeting node back to the
     initial node and reversed, then the backward chain is walked from
@@ -253,7 +272,7 @@ def _join_chains(prev_f, prev_b, intermed: NodeId, initial: NodeId, final: NodeI
         chain = [intermed]
         for _ in range(len(prev) + 1):
             u = prev[chain[-1]]
-            if u is None or u < 0:
+            if u < 0:
                 break
             chain.append(u)
         else:
@@ -266,30 +285,32 @@ def _join_chains(prev_f, prev_b, intermed: NodeId, initial: NodeId, final: NodeI
     return [Edge(u, v) for chain in (forward, backward) for u, v in zip(chain, chain[1:])]
 
 
+#: A dist entry no query has written: above every ``base + d``.
+_UNREACHED = 2**31 - 1
+
+
 class _Tables:
     """The prev/dist lists of one query, kept for the next one.
 
-    Distances are stored as ``base + d``. Each reuse lowers ``base`` by
-    ``n + 2``, more than any distance a query can record (a recorded
-    distance is the length of a simple path, at most ``n - 1``), so
-    every entry left by an earlier query compares larger than any
-    distance of the current one and reads as "not reached": nothing is
-    reset between queries. Only the endpoints' prev entries are cleared;
-    every other node on a prev chain was relaxed by the current query.
+    A prev of -1 means no predecessor, and an entry never written holds
+    ``_UNREACHED``. Distances are stored as ``base + d``. Each reuse
+    lowers ``base`` by ``n + 2``, more than any distance a query can
+    record (a recorded distance is the length of a simple path, at most
+    ``n - 1``), so every entry left by an earlier query compares larger
+    than any distance of the current one and reads as "not reached":
+    nothing is reset between queries. Only the endpoints' prev entries
+    are cleared; every other node on a prev chain was relaxed by the
+    current query.
     """
 
     __slots__ = ("prev_f", "prev_b", "dist_f", "dist_b", "base")
 
     def __init__(self, n: int) -> None:
-        self.prev_f: list[NodeId | None] = [None] * n
-        self.prev_b: list[NodeId | None] = [None] * n
-        self.dist_f: list[float] = [inf] * n
-        self.dist_b: list[float] = [inf] * n
+        self.prev_f: list[NodeId] = [-1] * n
+        self.prev_b: list[NodeId] = [-1] * n
+        self.dist_f: list[int] = [_UNREACHED] * n
+        self.dist_b: list[int] = [_UNREACHED] * n
         self.base = 0
-
-
-#: A dist entry no query has written: above every ``base + d``.
-_UNREACHED = 2**31 - 1
 
 
 class _ArrayTables:
@@ -298,8 +319,7 @@ class _ArrayTables:
     ``prev[forward]`` and ``dist[forward]`` are int32 arrays, read and
     written by the array round; ``prev_f`` ... ``dist_b`` are memoryviews
     on them, which the per-node round indexes like the lists of
-    ``_Tables``, under the same falling ``base``. A prev of -1 means no
-    predecessor, and an entry never written holds ``_UNREACHED``.
+    ``_Tables``, under the same falling ``base`` and encoding.
     ``mark[v] == stamp`` says v sits in the opposite frontier; ``stamp``
     only rises, so a new marking clears nothing. ``scratch`` holds
     per-round working values.
@@ -324,12 +344,6 @@ class _ArrayTables:
             self.stamp = 0
         self.stamp += 1
         self.mark[_as_array(nodes)] = self.stamp
-
-    def as_lists(self, forward: bool) -> tuple[list[NodeId | None], list[float]]:
-        """One direction's prev and dist tables as the lists of ``SearchState``."""
-        prev = [None if u < 0 else u for u in self.prev[forward].tolist()]
-        dist = [inf if d == _UNREACHED else d for d in self.dist[forward].tolist()]
-        return prev, dist
 
 
 #: Tables handed back by finished queries, lists and arrays apart.
@@ -362,14 +376,14 @@ _ARRAY_ROUND_MIN = 96
 _ARRAY_MOVE_MIN = 512
 
 
-def _move_to_arrays(lists: _Tables, written, initial: NodeId, final: NodeId, fresh: bool) -> _ArrayTables:
-    """Array tables holding what the list tables ``lists`` hold for the
-    current query: spare ones, or ``fresh`` ones of base 0. Only the
-    endpoints and the nodes of ``written``, per direction the frontiers
-    its rounds left, can hold a distance of this query; each is copied
-    across with its distance moved from the lists' base to the arrays'."""
+def _move_to_arrays(lists: _Tables, written, initial: NodeId, final: NodeId) -> _ArrayTables:
+    """Spare array tables holding what the list tables ``lists`` hold for
+    the current query, which hands the lists back. Only the endpoints and
+    the nodes of ``written``, per direction the frontiers its rounds left,
+    can hold a distance of this query; each is copied across with its
+    distance moved from the lists' base to the arrays'."""
     n = len(lists.dist_f)
-    tables = _ArrayTables(n) if fresh else _take_tables(_SPARE_ARRAYS, _ArrayTables, n)
+    tables = _take_tables(_SPARE_ARRAYS, _ArrayTables, n)
     shift = tables.base - lists.base
     for forward, endpoint, prev, dist in (
         (True, initial, lists.prev_f, lists.dist_f),
@@ -379,8 +393,9 @@ def _move_to_arrays(lists: _Tables, written, initial: NodeId, final: NodeId, fre
         for frontier in written[forward]:
             nodes += frontier
         at = np.array(nodes, np.int64)
-        tables.prev[forward][at] = [-1 if u is None else u for u in map(prev.__getitem__, nodes)]
+        tables.prev[forward][at] = list(map(prev.__getitem__, nodes))
         tables.dist[forward][at] = np.fromiter(map(dist.__getitem__, nodes), np.int64, len(nodes)) + shift
+    _SPARE_TABLES.append(lists)
     return tables
 
 
@@ -452,21 +467,6 @@ def _search(
     if begin_query is not None:
         begin_query()
     t0 = perf_counter()
-    if initial == final:
-        result = SearchResult(
-            status=SearchStatus.FOUND,
-            path=(),
-            length=0,
-            meeting_point=initial,
-            visited_forward=0,
-            visited_backward=0,
-            postponements=0,
-            probe_count=0,
-            steps=0,
-            elapsed=perf_counter() - t0,
-        )
-        return (result, None) if return_state else result
-
     n = graph.node_count
     # A per-node read is ``lookup(u)``, then ``load(u)`` only when that
     # returns None; frontier ids come from the graph, so neither checks them.
@@ -490,10 +490,10 @@ def _search(
         arrays = n >= _ARRAY_ROUND_MIN and (replay is not None or isinstance(graph, InMemoryGraph))
         array_min = _ARRAY_ROUND_MIN if arrays else inf
     spare, make = (_SPARE_ARRAYS, _ArrayTables) if arrays else (_SPARE_TABLES, _Tables)
-    tables = make(n) if return_state else _take_tables(spare, make, n)
+    tables = _take_tables(spare, make, n)
     prev_f, prev_b = tables.prev_f, tables.prev_b
     dist_f, dist_b = tables.dist_f, tables.dist_b
-    prev_f[initial] = prev_b[final] = -1 if arrays else None
+    prev_f[initial] = prev_b[final] = -1
     dist_f[initial] = dist_b[final] = tables.base
     end_query = getattr(graph, "end_query", None)
     # Nodes sitting out rounds -> rounds left (never 0), and the nodes
@@ -528,7 +528,8 @@ def _search(
     # Array rounds test postponability by kind code; built on the first.
     postponable = None
 
-    intermed: NodeId | None = None
+    # A query whose endpoints are equal meets before its first round.
+    intermed: NodeId | None = initial if initial == final else None
     steps = 0
     visited_f = 0
     visited_b = 0
@@ -537,19 +538,24 @@ def _search(
 
     last_du = alt = None
     try:
-        while True:
+        while intermed is None:
             n_f, n_b = len(todo_f), len(todo_b)
             if not (n_f or n_b):
                 break
             forward = _choose_forward(config.frontier_policy, n_f, n_b)
             steps += 1
             todo = todo_f if forward else todo_b
+            if delay and trace is None and all(u in delay for u in todo):
+                # Every occurrence sits out this round, so rounds repeat it
+                # until a countdown would end: count those at once.
+                occurs = Counter(todo if type(todo) is list else todo.tolist())
+                wait = min((delay[u] - 1) // k for u, k in occurs.items())
+                steps += wait
+                for u, k in occurs.items():
+                    delay[u] -= wait * k
             if len(todo) >= array_min:
                 if not arrays:
-                    lists = tables
-                    tables = _move_to_arrays(lists, written, initial, final, return_state)
-                    if not return_state:
-                        _SPARE_TABLES.append(lists)
+                    tables = _move_to_arrays(tables, written, initial, final)
                     prev_f, prev_b = tables.prev_f, tables.prev_b
                     dist_f, dist_b = tables.dist_f, tables.dist_b
                     arrays, array_min, spare, written = True, _ARRAY_ROUND_MIN, _SPARE_ARRAYS, None
@@ -676,24 +682,23 @@ def _search(
         steps=steps,
         elapsed=perf_counter() - t0,
     )
-    if not return_state:
-        spare.append(tables)
-        return result
-    if arrays:
-        prev_f, dist_f = tables.as_lists(True)
-        prev_b, dist_b = tables.as_lists(False)
-    state = SearchState(
-        todo_forward=todo_f if type(todo_f) is list else todo_f.tolist(),
-        todo_backward=todo_b if type(todo_b) is list else todo_b.tolist(),
-        prev_forward=prev_f,
-        prev_backward=prev_b,
-        dist_forward=dist_f,
-        dist_backward=dist_b,
-        delay=delay,
-        postponed=postponed,
-        intermed=intermed,
-    )
-    return result, state
+    if return_state:
+        # Built before the tables go back. The entries below ``top`` are
+        # exactly those this query wrote.
+        base, top = tables.base, tables.base + n
+        result = result, SearchState(
+            todo_forward=todo_f if type(todo_f) is list else todo_f.tolist(),
+            todo_backward=todo_b if type(todo_b) is list else todo_b.tolist(),
+            prev_forward=[u if d < top and u >= 0 else None for u, d in zip(prev_f, dist_f)],
+            prev_backward=[u if d < top and u >= 0 else None for u, d in zip(prev_b, dist_b)],
+            dist_forward=[d - base if d < top else inf for d in dist_f],
+            dist_backward=[d - base if d < top else inf for d in dist_b],
+            delay=delay,
+            postponed=postponed,
+            intermed=intermed,
+        )
+    spare.append(tables)
+    return result
 
 
 #: What an occurrence of an array round that does not expand does.

@@ -516,6 +516,14 @@ def _edited(path, value):
             "condition.cache: unknown field(s) ['mod']",
         ),
         (_edited(("graph", "synthetic"), {"out_degree": 2}), "graph.synthetic.node_count is required"),
+        # a memory scenario's cache block is checked as a store's is
+        (
+            _edited(
+                ("condition",),
+                {"storage": "memory", "cache": {"max_cached_nodes": "x", "mode": [3], "latency_per_miss_ms": -5}},
+            ),
+            "condition.cache",
+        ),
     ],
 )
 def test_load_scenario_rejects_malformed_fields(tmp_path, doc, field):

@@ -104,6 +104,16 @@ def test_path_out_of_range_numbers_exit_two(capsys, flag, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--delay", "--cache-nodes", "--latency-ms"])
+def test_path_double_dash_value_exits_two(capsys, flag):
+    # some argparse versions read "--flag=--" as an empty list, others
+    # as the text "--"; neither is a number
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("path", "--graph", FIG, "--from", "0", "--to", "3", f"{flag}=--")
+    assert excinfo.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_path_text_output_is_pure_function_of_inputs(capsys):
     args = ("path", "--graph", FIG, "--from", "0", "--to", "3")
     run_cli(*args)

@@ -59,6 +59,19 @@ def test_uni_same_node(fig_graph):
     assert result.length == 0
 
 
+@pytest.mark.parametrize("config", [UNI, BALANCED, SearchConfig(delay_steps=3)])
+def test_equal_endpoints_meet_before_the_first_round(fig_graph, config):
+    # the query takes the main path and its state, built from its own
+    # tables, holds the one endpoint at distance 0 in both directions
+    result, state = search._search(fig_graph, 2, 2, config, return_state=True)
+    assert result.same_traversal(run_search(fig_graph, 2, 2, config))
+    assert (result.meeting_point, result.steps, result.probe_count) == (2, 0, 0)
+    assert state.intermed == 2
+    assert state.prev_forward == state.prev_backward == [None] * fig_graph.node_count
+    unreached = [inf] * fig_graph.node_count
+    assert state.dist_forward == state.dist_backward == unreached[:2] + [0] + unreached[3:]
+
+
 def test_uni_unreachable(fig_graph):
     result = run_search(fig_graph, 3, 0, UNI)
     assert result.status is SearchStatus.NO_PATH
@@ -205,6 +218,73 @@ def test_postpone_config_validation(fig_graph):
         SearchConfig(algorithm=Algorithm.BIDIR_BALANCED, probe_only=True)
     with pytest.raises(ValueError):
         SearchConfig(delay_steps=-1)
+    # a fractional countdown never reaches 1, so its node would never be released
+    for delay in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="delay_steps must be an integer"):
+            SearchConfig(delay_steps=delay)
+    assert SearchConfig(delay_steps=np.int64(2)).delay_steps == 2
+
+
+def _hub60_graph():
+    """The 60-node graph on which a postponing query from 4 to 56 once ran
+    one round per step of the delay."""
+    return generate_synthetic(
+        SyntheticSpec(node_count=60, out_degree=2, hub_count=5, hub_indegree=10, seed=1)
+    )
+
+
+def test_a_huge_delay_counts_its_waiting_rounds_at_once():
+    # the backward frontier holds only the postponed node while the
+    # forward one is exhausted, so 10**30 - 1 rounds only count down
+    result = run_search(_hub60_graph(), 4, 56, SearchConfig(delay_steps=10**30))
+    assert result.found and result.length == 2
+    assert result.steps == 10**30 + 2
+    assert result.postponements == 1
+
+
+@pytest.mark.parametrize("delay", range(4, 12))
+def test_waiting_rounds_of_a_node_that_occurs_twice(delay):
+    # t's callers c1 and interface y enter the backward frontier; y is
+    # postponed while the chain c1 <- c2 <- ... grows one node a round. When
+    # y fires, the chain's last node offers u a distance and y a lower one,
+    # so u occurs twice in the next frontier; it is postponed at its first
+    # occurrence and waits at both from then on, so each waiting round
+    # counts its delay down twice
+    s, u, y, t = 0, 1, delay + 3, delay + 4
+    chain = list(range(2, delay + 3))
+    kinds = [ClassKind.CONCRETE] * (delay + 5)
+    kinds[u] = kinds[y] = ClassKind.INTERFACE
+    edges = [(s, u), (u, y), (y, t), (chain[0], t), (u, chain[-1])]
+    edges += [(b, a) for a, b in zip(chain, chain[1:])]
+    graph = chain_graph(kinds, edges)
+    config = SearchConfig(delay_steps=delay)
+    trace = []
+    result = run_search(graph, s, t, config)
+    assert result.same_traversal(run_search(graph, s, t, config, trace=trace))
+    assert result.path == (Edge(s, u), Edge(u, y), Edge(y, t))
+    waits = [event.step for event in trace if event.node == u and event.action == "delayed"]
+    assert any(waits.count(step) == 2 for step in waits)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_waiting_rounds_counted_at_once_match_traced_rounds(policy):
+    # a traced query runs every round, one event per occurrence; an
+    # untraced one counts the rounds in which every occurrence waits at
+    # once. The small random graphs also put a waiting node in a frontier twice
+    graphs = [_hub60_graph()]
+    rng = np.random.default_rng(60)
+    for _ in range(40):
+        n = int(rng.integers(3, 12))
+        graphs.append(random_graph(rng, n, float(rng.uniform(0.1, 0.5))))
+    for graph in graphs:
+        n = graph.node_count
+        for delay in (2, 3, 40) if n == 60 else (2, 3):
+            config = SearchConfig(delay_steps=delay, frontier_policy=policy)
+            for s in range(0, n, 3 if n == 60 else 1):
+                for t in range(n):
+                    assert run_search(graph, s, t, config).same_traversal(
+                        run_search(graph, s, t, config, trace=[])
+                    ), (n, delay, s, t)
 
 
 def test_postpone_pathology_visits_more_backward():
@@ -372,7 +452,11 @@ def test_postponement_only_applies_backward():
 
 
 def _path_of(state, initial, final):
-    return _join_chains(state.prev_forward, state.prev_backward, state.intermed, initial, final)
+    # a state's None, no predecessor, is the tables' -1
+    prev_f, prev_b = (
+        [-1 if u is None else u for u in prev] for prev in (state.prev_forward, state.prev_backward)
+    )
+    return _join_chains(prev_f, prev_b, state.intermed, initial, final)
 
 
 def _blank_state(n, intermed):
@@ -528,8 +612,17 @@ REGIME_CONFIGS = load_scenario(
 
 
 def _fresh(graph, s, t, config):
-    """The reference: ``return_state=True`` always builds fresh tables."""
-    return search._search(graph, s, t, config, return_state=True)[0]
+    """The reference: a query on empty pools builds fresh tables. The
+    pools are put back as they were."""
+    pools = search._SPARE_TABLES, search._SPARE_ARRAYS
+    kept = [pool[:] for pool in pools]
+    for pool in pools:
+        pool.clear()
+    try:
+        return run_search(graph, s, t, config)
+    finally:
+        for pool, spare in zip(pools, kept):
+            pool[:] = spare
 
 
 def _reuse_graphs(hub_graph):
@@ -689,13 +782,13 @@ def test_a_query_that_moves_to_array_tables_hands_back_one_set_each(hub_graph, t
 def test_returned_state_of_array_frontiers_is_lists(hub_graph, monkeypatch):
     # every round an array round, so both last frontiers are arrays; the
     # state holds them as lists of ints, and fresh tables as the
-    # documented None / inf lists, and nothing goes back to the pools
+    # documented None / inf lists, and one set goes back to the pools
     monkeypatch.setattr(search, "_ARRAY_ROUND_MIN", 0)
     monkeypatch.setattr(search, "_SPARE_ARRAYS", [])
     config = replace(BALANCED, frontier_policy=FrontierPolicy.SMALLER_FIRST)
     result, state = search._search(hub_graph, 670, 973, config, return_state=True)
     assert result.found and result.visited_forward and result.visited_backward
-    assert search._SPARE_ARRAYS == []
+    assert len(search._SPARE_ARRAYS) == 1
     assert state.todo_forward or state.todo_backward
     for todo in (state.todo_forward, state.todo_backward):
         assert type(todo) is list and all(type(u) is int for u in todo)
@@ -712,6 +805,28 @@ def test_returned_state_of_array_frontiers_is_lists(hub_graph, monkeypatch):
         assert reached and all(prev[v] is not None for v in reached)
         assert sum(u is not None for u in prev) == len(reached)
     assert _path_of(state, 670, 973) == list(result.path)
+
+
+@pytest.mark.parametrize("arrays", [False, True], ids=["lists", "arrays"])
+def test_a_state_holds_only_the_entries_of_its_query(hub_graph, monkeypatch, arrays):
+    # a state is built from reused tables, which hold what earlier queries
+    # wrote under higher offsets; it must equal the state of the same
+    # query on fresh tables
+    backend = hub_graph if arrays else _RequiredMethodsOnly(hub_graph)
+    rng = np.random.default_rng(408)
+    monkeypatch.setattr(search, "_SPARE_TABLES", [])
+    monkeypatch.setattr(search, "_SPARE_ARRAYS", [])
+    for config in REGIME_CONFIGS:
+        for s, t in _pairs(rng, hub_graph, 3):
+            reused = search._search(backend, s, t, config, return_state=True)
+            pools = search._SPARE_TABLES[:], search._SPARE_ARRAYS[:]
+            search._SPARE_TABLES.clear()
+            search._SPARE_ARRAYS.clear()
+            fresh = search._search(backend, s, t, config, return_state=True)
+            search._SPARE_TABLES[:], search._SPARE_ARRAYS[:] = pools
+            assert reused[0].same_traversal(fresh[0]) and reused[1] == fresh[1], (s, t, config)
+    spare = search._SPARE_ARRAYS if arrays else search._SPARE_TABLES
+    assert len(spare) == 1 and spare[0].base < 0
 
 
 class _FailingGraph:
