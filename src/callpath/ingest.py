@@ -537,6 +537,8 @@ def reachable_count(graph, start: NodeId, direction: Direction) -> int:
 def reachable_set(graph, start: NodeId, direction: Direction) -> set[NodeId]:
     """All nodes reachable from ``start`` (start itself excluded even on cycles)."""
     start = check_node(start, graph.node_count)
+    if not isinstance(direction, Direction):
+        raise ValueError(f"direction must be a Direction, got {direction!r}")
     step = graph.successors if direction is Direction.FORWARD else graph.predecessors
     seen: set[NodeId] = {start}
     queue: deque[NodeId] = deque([start])

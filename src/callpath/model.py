@@ -11,37 +11,33 @@ here and ``store.DiskGraph`` are the two backends. The search kernel
 looks up each optional method once per query:
 
 * ``begin_query()`` is called when a search starts (the disk backend
-  empties a cold cache there and notes its read counters); without it
-  nothing is called.
-* ``readers()`` returns three ``(lookup, load)`` pairs, for forward
-  runs, backward runs and class kinds. The kernel reads node u as
-  ``lookup(u)``, and calls ``load(u)`` only when that returns None.
-  Neither checks u, since the kernel passes only ids it read from the
-  graph. Both backends have it: an ``InMemoryGraph`` lookup never
-  misses; a store's lookups count nothing and its loads count the read
-  they make.
+  empties a cold cache there); without it nothing is called.
+* ``readers()`` returns three callables, for forward runs, backward
+  runs and class kinds; the kernel reads node u as ``read(u)``. None
+  checks u, since the kernel passes only ids it read from the graph.
+  Both backends have it: an ``InMemoryGraph``'s readers index its
+  per-node tuples; a store's count the misses they make, but not the
+  reads.
 * ``end_query(runs, kinds)`` receives, once per query and even when
   the query raised, the number of run and kind reads it made. Only the
-  store has it: the reads its loads did not count were lookup hits,
-  and it counts them so.
+  store has it, and it adds them to its read counts.
 
-A backend without ``readers`` gets lookups that never hit and its
-contract methods as loads, a kind load reading the field off
-``method_meta(u)``, so every read is one checked contract call, as any
-wrapper or proxy around a backend expects; without ``end_query``
-nothing is reported.
+A backend without ``readers`` is read through its contract methods, a
+kind read taking the field off ``method_meta(u)``, so every read is
+one checked contract call, as any wrapper or proxy around a backend
+expects; without ``end_query`` nothing is reported.
 
 The search kernel reads an :class:`InMemoryGraph` through more than
 the contract. Rounds with a large frontier run as array operations over
 its CSR arrays (``csr``) and postponement tests over its per-node kind
 codes (``kind_codes``), traced or not; it counts no reads, so it has no
-``replay``. A store has both, and a ``replay`` that counts the reads of
-such a round, handed over in the order the per-node body would have
-made them, as its loads would have; any other backend runs array rounds
-only when it has all three, and only untraced. A store whose lookups
-can hit starts each query on list tables and moves to array tables at
-its first large round (see ``search``). Any other backend is searched
-node by node.
+``replay``. A store has both, and a ``replay`` that counts the misses
+of such a round's reads, handed over in the order the per-node body
+would have made them, as its readers would have; any other backend runs
+array rounds only when it has all three, and only untraced. A store
+that holds every node (``holds_every_node``) starts each query on list
+tables and moves to array tables at its first large round (see
+``search``). Any other backend is searched node by node.
 
 Graphs are immutable once built, so concurrent readers are safe; the
 per-node objects an :class:`InMemoryGraph` builds on first read are
@@ -119,19 +115,20 @@ class MethodMeta:
         return f"{self.class_name}.{self.method_name}"
 
 
-#: A ``readers()`` lookup that never hits, so every read goes to the load.
-NO_LOOKUP = {}.get
+def is_integer(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer; ``bool`` is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_node(u: object, node_count: int) -> int:
     """Return node id ``u`` as a Python ``int`` if it lies in ``[0, node_count)``.
 
-    Python and numpy integers are accepted; ``bool`` and every other
-    type raise InvalidNodeError, as does an out-of-range id. This is the
+    Integers are taken as ``is_integer`` takes them; every other type
+    raises InvalidNodeError, as does an out-of-range id. This is the
     one node-id check every backend, search and closure entry point uses.
     """
     if type(u) is not int:
-        if isinstance(u, bool) or not isinstance(u, (int, np.integer)):
+        if not is_integer(u):
             raise InvalidNodeError(u, node_count)
         u = int(u)
     if not 0 <= u < node_count:
@@ -297,16 +294,9 @@ class InMemoryGraph:
         return self._metas[check_node(u, self._node_count)]
 
     def readers(self):
-        """The search kernel's unchecked reads: a ``(lookup, load)`` pair
-        each for forward runs, backward runs and class kinds. Each lookup
-        indexes a per-node tuple and never misses, so the kind lookup is
-        its own load."""
-        kind = self._kinds.__getitem__
-        return (
-            (self._fwd.__getitem__, self.successors),
-            (self._bwd.__getitem__, self.predecessors),
-            (kind, kind),
-        )
+        """The search kernel's unchecked reads of forward runs, backward
+        runs and class kinds: each indexes a per-node tuple."""
+        return self._fwd.__getitem__, self._bwd.__getitem__, self._kinds.__getitem__
 
     # ---- helpers -------------------------------------------------------------
 

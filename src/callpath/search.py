@@ -38,22 +38,21 @@ very different amounts of the graph:
 
 The benchmark module reports both so their behavior can be compared.
 
-Each round runs one of two bodies; both do exactly the same thing to
-the frontier, so a round's body decides its speed, never the result.
-The per-node body walks the frontier in order and, for each node,
-applies its delay countdown, probe and postponement, then relaxes its
-neighbours one by one. It runs on every backend and reads every one the
-same way, through the ``(lookup, load)`` pairs of ``graph.readers()``
-(see ``model``): a probe is ``kind_lookup(u)``, and an expansion
-``lookup(u)`` for u's run in that direction, each followed by the
-matching load only when the lookup returns None. Lookups of an
-``InMemoryGraph`` never miss; a store whose cache cannot evict serves
-its hits from C-level dicts; a backend without ``readers`` always goes
-to its checked contract methods. The kernel only reports what it read:
-each query hands the store's ``end_query`` its visits and its probes
-once, in a ``finally``, and the store counts as hits the reads its loads
-did not count. Each visit or probe is counted before its read, so a
-read that raises leaves both sides equal.
+Each round runs one of two bodies; both do exactly the same thing to the
+frontier, so a round's body decides its speed, never the result. The
+per-node body walks the frontier in order and, for each node, applies
+its delay countdown, probe and postponement, then relaxes its neighbours
+one by one. It runs on every backend and reads every one the same way,
+through the three callables of ``graph.readers()`` (see ``model``): a
+probe is ``read_kind(u)``, and an expansion one read of u's run in that
+direction. An ``InMemoryGraph``'s readers index tuples; a store whose
+cache holds every node serves its hits from C-level dicts; a backend
+without ``readers`` is read through its checked contract methods. The
+kernel counts its own reads: each query hands the store's ``end_query``
+its visits and its probes once, in a ``finally``, and the store adds
+them to its read counts, having counted only the misses. Each visit or
+probe is counted before its read, so a read that raises leaves both
+sides equal.
 
 On an ``InMemoryGraph`` of at least ``_ARRAY_ROUND_MIN`` nodes, a round
 whose frontier holds at least that many runs the array body,
@@ -79,11 +78,11 @@ A query costs the nodes it touches, not ``node_count``. A query that can
 run array rounds from its start (on an ``InMemoryGraph`` of at least
 ``_ARRAY_ROUND_MIN`` nodes, or untraced on a store of that size whose
 cache can evict) takes int32 arrays, ``_ArrayTables``, which its
-per-node rounds index through memoryviews, and keeps them to its end.
-An untraced query on a store whose cache holds every node, so that its
-lookups can hit, starts on lists, ``_Tables``: its per-node rounds read
-hits with C-level ``dict.get`` and index lists, which a memoryview read
-or an array round beats only in large rounds. Each of its per-node
+per-node rounds index through memoryviews, and keeps them to its end. An
+untraced query on a store whose cache holds every node
+(``holds_every_node``) starts on lists, ``_Tables``: its per-node rounds
+read hits with a C-level dict lookup and index lists, which a memoryview
+read or an array round beats only in large rounds. Each of its per-node
 rounds logs its next frontier, which holds every node the round wrote
 but the meeting node. At its first round of at least ``_ARRAY_MOVE_MIN``
 nodes it takes array tables, copies the endpoints and the logged nodes
@@ -127,7 +126,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalSearchError
-from .model import NO_LOOKUP, ClassKind, Direction, Edge, InMemoryGraph, NodeId, check_node
+from .model import ClassKind, Direction, Edge, InMemoryGraph, NodeId, check_node, is_integer
 
 DEFAULT_POSTPONE_KINDS = frozenset({ClassKind.INTERFACE, ClassKind.ABSTRACT})
 DEFAULT_DELAY_STEPS = 3
@@ -167,8 +166,15 @@ class SearchConfig:
     frontier_policy: FrontierPolicy = FrontierPolicy.PAPER_LITERAL
 
     def __post_init__(self) -> None:
-        # As ``check_node``: Python and numpy integers, but not bool.
-        if isinstance(self.delay_steps, bool) or not isinstance(self.delay_steps, (int, np.integer)):
+        # A field of another type would run a different query, unrefused.
+        if not isinstance(self.algorithm, Algorithm):
+            raise ValueError(f"algorithm must be an Algorithm, got {self.algorithm!r}")
+        if not isinstance(self.frontier_policy, FrontierPolicy):
+            raise ValueError(f"frontier_policy must be a FrontierPolicy, got {self.frontier_policy!r}")
+        kinds = self.postpone_kinds
+        if not isinstance(kinds, frozenset) or not all(isinstance(kind, ClassKind) for kind in kinds):
+            raise ValueError(f"postpone_kinds must be a frozenset of ClassKind, got {kinds!r}")
+        if not is_integer(self.delay_steps):
             raise ValueError(f"delay_steps must be an integer, got {self.delay_steps!r}")
         if self.delay_steps < 0:
             raise ValueError("delay_steps must be non-negative")
@@ -368,7 +374,7 @@ _ARRAY_ROUND_MIN = 96
 
 #: Frontier size from which a query on a store whose cache holds every
 #: node moves from list to array tables: its per-node rounds read hits
-#: with C-level ``dict.get`` into lists, which array rounds beat only in
+#: with a C-level dict lookup into lists, which array rounds beat only in
 #: large rounds. Timed on the disk-warm benchmark (3 runs each), a move at
 #: 256, 512 or 1,024 nodes gave +39%, +32% and +18% queries/s and +18%,
 #: +15% and +10% median query time: a small query after a large one runs
@@ -418,18 +424,13 @@ def _as_array(nodes) -> np.ndarray:
 
 
 def _readers(graph):
-    """The ``(lookup, load)`` pairs of forward runs, backward runs and
-    class kinds. A backend without ``readers`` gets lookups that never hit
-    and its contract methods as loads, a kind load reading the field off
-    ``method_meta``."""
+    """The reads of forward runs, backward runs and class kinds. A backend
+    without ``readers`` is read through its contract methods, a kind read
+    taking the field off ``method_meta``."""
     readers = getattr(graph, "readers", None)
     if readers is not None:
         return readers()
-    return (
-        (NO_LOOKUP, graph.successors),
-        (NO_LOOKUP, graph.predecessors),
-        (NO_LOOKUP, lambda u: graph.method_meta(u).class_kind),
-    )
+    return graph.successors, graph.predecessors, lambda u: graph.method_meta(u).class_kind
 
 
 def _choose_forward(policy: FrontierPolicy, n_fwd: int, n_bwd: int) -> bool:
@@ -468,22 +469,21 @@ def _search(
         begin_query()
     t0 = perf_counter()
     n = graph.node_count
-    # A per-node read is ``lookup(u)``, then ``load(u)`` only when that
-    # returns None; frontier ids come from the graph, so neither checks them.
-    fwd_reads, bwd_reads, (kind_lookup, kind_load) = _readers(graph)
+    # Frontier ids come from the graph, so the per-node reads do not check them.
+    read_fwd, read_bwd, read_kind = _readers(graph)
     # The query's tables. A query that can run array rounds from its start
     # gets the int32 arrays, whose memoryviews its per-node rounds index
     # too: one on an InMemoryGraph large enough to fill an array round, or
     # an untraced one on a store whose cache can evict, which is handed
     # each array round's reads to ``replay``. An untraced query on a store
-    # whose lookups can hit (its cache holds every node) starts on the
-    # lists and logs the nodes each round writes in ``written``; at its
-    # first round of ``_ARRAY_MOVE_MIN`` nodes it moves to the arrays.
+    # whose cache holds every node starts on the lists and logs the nodes
+    # each round writes in ``written``; at its first round of
+    # ``_ARRAY_MOVE_MIN`` nodes it moves to the arrays.
     # Every other query gets the lists. Rounds of ``array_min`` nodes or
     # more run as arrays.
     replay = None if trace is not None else getattr(graph, "replay", None)
     written = None
-    if replay is not None and fwd_reads[0] is not NO_LOOKUP:
+    if replay is not None and getattr(graph, "holds_every_node", False):
         arrays, array_min = False, _ARRAY_MOVE_MIN
         written = {True: [], False: []}
     else:
@@ -588,11 +588,11 @@ def _search(
                 if forward:
                     if set_b is None:
                         set_b = set(todo_b if type(todo_b) is list else todo_b.tolist())
-                    other_set, dist, prev, (lookup, load) = set_b, dist_f, prev_f, fwd_reads
+                    other_set, dist, prev, read = set_b, dist_f, prev_f, read_fwd
                 else:
                     if set_f is None:
                         set_f = set(todo_f if type(todo_f) is list else todo_f.tolist())
-                    other_set, dist, prev, (lookup, load) = set_f, dist_b, prev_b, bwd_reads
+                    other_set, dist, prev, read = set_f, dist_b, prev_b, read_bwd
                 todo2 = []
                 met = False
                 for u in todo:
@@ -607,9 +607,7 @@ def _search(
                         continue
                     if probing and not forward and u not in postponed:
                         probes += 1
-                        kind = kind_lookup(u)
-                        if kind is None:
-                            kind = kind_load(u)
+                        kind = read_kind(u)
                         if may_postpone and kind in postpone_kinds:
                             postponed.add(u)
                             if delay_steps > 1:
@@ -623,9 +621,7 @@ def _search(
                         visited_f += 1
                     else:
                         visited_b += 1
-                    neighbors = lookup(u)
-                    if neighbors is None:
-                        neighbors = load(u)
+                    neighbors = read(u)
                     if trace is not None:
                         trace.append(TraceEvent(steps, forward, u, "expanded"))
                     # On list tables, one ``alt`` object per distance: a level's

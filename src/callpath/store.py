@@ -84,32 +84,34 @@ previous read finds it. Only a far read, t - p > C after the horizon,
 needs the count of distinct nodes (``_distinct``); a round with many is
 read by read instead.
 
-Otherwise no record is ever evicted and recency decides nothing, so the
-cache is one dict of decoded values per section (the runs of each
-direction, kinds), and a read is a hit when its dict holds the node;
-``method_meta`` decodes the rest of a record from the map each time. The
-same bits as above (``_held``, one uint8 per node) say which dicts hold
-a node: a decode into a dict sets its bit, and a cold ``begin_query``
-clears the bits with the dicts.
+Otherwise (``holds_every_node``) no record is ever evicted and recency
+decides nothing, so the cache is one dict of decoded values per section
+(the runs of each direction, kinds), and a read is a hit when its dict
+holds the node; ``method_meta`` decodes the rest of a record from the
+map each time. The same bits as above (``_held``, one uint8 per node)
+say which dicts hold a node: a decode into a dict sets its bit, and a
+cold ``begin_query`` clears the bits with the dicts.
 
-The search kernel reads through ``readers()``. Every read that a lookup
-does not serve goes to ``_load(bit, u)``, which counts it in one Python
-frame without the node-id check. When nothing can be evicted a lookup
-is the section dict's C-level ``get``, and its hits count nothing then.
-``begin_query`` notes the read counters, and the kernel hands
-``end_query`` the run and kind reads it made, even when the query
-raises; every read that ``_load`` and ``_replay`` did not count was a
-lookup hit, and ``end_query`` counts it so. When the cache can evict,
-lookups never hit. On either kind of store the kernel runs its large
-rounds as numpy over zero-copy views of the mapped sections (``csr``,
-``kind_codes``), then hands the store the round's reads as one int64
-array, in the order the per-node body would have made them, through
-``replay``. It counts them with the hits, misses and injected latency
-that ``_load`` would have made. Without eviction that is
-``_replay_decoded``: a read whose node's bit is set is a hit, all
-counted with numpy, and each other read is one ``_load``, in order,
-which decodes a miss into its dict. With eviction ``_replay`` counts by
-the recency stamps. A round of ``_ARRAY_REPLAY_MIN``
+Each count has one owner. Whoever reads counts the read: each contract
+method its own, and the search kernel, which reads through
+``readers()`` and ``replay``, hands ``end_query`` the run and kind
+reads it made, even when the query raises. The store counts only the
+misses and the injected latency, and ``AccessStats.cache_hits`` is the
+rest of the reads. The contract methods read through the same
+callables as the kernel, one per section: when the cache can evict,
+``_load(bit, u)``, which keeps the recency stamps and decodes from the
+map in one Python frame without the node-id check; otherwise the
+section dict's ``__getitem__``, so a hit is one C call and only a miss
+reaches ``_load``, through the dict's ``__missing__``. On either kind
+of store the kernel runs its large rounds as numpy over zero-copy views
+of the mapped sections (``csr``, ``kind_codes``), then hands the store
+the round's reads as one int64 array, in the order the per-node body
+would have made them, through ``replay``. It counts the misses and
+injected latency that ``_load`` would have made. Without eviction that
+is ``_replay_decoded``: a read whose node's bit is set is a hit, found
+with numpy, and each other read goes, in order, through its section
+dict, which loads a miss into the dict. With eviction ``_replay``
+counts by the recency stamps. A round of ``_ARRAY_REPLAY_MIN``
 (256) reads or more is counted with numpy, with no Python step per
 read, unless more than one read in ``_FAR_SHARE`` (16) is far; the
 rest are read by read, as ``_load`` does. Both are constants set by
@@ -141,7 +143,6 @@ import numpy as np
 
 from .errors import ChecksumError, StoreFormatError, StoreLimitError
 from .model import (
-    NO_LOOKUP,
     _KINDS,
     ClassKind,
     Direction,
@@ -150,6 +151,7 @@ from .model import (
     NodeColumns,
     NodeId,
     check_node,
+    is_integer,
     materialize,
 )
 
@@ -197,8 +199,12 @@ class CacheConfig:
     mode: CacheMode = CacheMode.COLD_PER_QUERY
 
     def __post_init__(self) -> None:
+        if not is_integer(self.max_cached_nodes):
+            raise ValueError(f"max_cached_nodes must be an integer, got {self.max_cached_nodes!r}")
         if self.max_cached_nodes < 1:
             raise ValueError("max_cached_nodes must be at least 1")
+        if not isinstance(self.mode, CacheMode):
+            raise ValueError(f"mode must be a CacheMode, got {self.mode!r}")
         if not 0 <= self.latency_per_miss <= _MAX_LATENCY:  # also rejects NaN
             raise ValueError(
                 f"latency_per_miss must be finite and non-negative, at most {_MAX_LATENCY} s"
@@ -209,18 +215,21 @@ class CacheConfig:
 class AccessStats:
     """Monotone read counters since open or the last reset.
 
-    Every metadata or adjacency read is classified as exactly one cache
-    hit or miss, so ``cache_hits + cache_misses`` always equals
-    ``meta_reads + adjacency_reads``. The reads a search's ``readers()``
-    lookups served are counted, as hits, by ``end_query`` when the
-    search returns or raises.
+    Every metadata or adjacency read is exactly one cache hit or miss.
+    The store counts the misses, and ``cache_hits`` is the rest of the
+    reads. A contract call counts its own read; the reads a search made
+    through ``readers()`` and ``replay`` are added by ``end_query`` when
+    it returns or raises.
     """
 
     meta_reads: int = 0
     adjacency_reads: int = 0
-    cache_hits: int = 0
     cache_misses: int = 0
     injected_latency_total: float = 0.0
+
+    @property
+    def cache_hits(self) -> int:
+        return self.meta_reads + self.adjacency_reads - self.cache_misses
 
     def copy(self) -> "AccessStats":
         return replace(self)
@@ -326,6 +335,21 @@ def is_store_file(path: str | Path) -> bool:
         return False
 
 
+class _Decoded(dict):
+    """One section's decoded values by node, on a store that holds every
+    node: ``d[u]`` serves a hit in one C call, and a miss calls ``load(u)``,
+    which decodes the value into the dict."""
+
+    __slots__ = ("load",)
+
+    def __init__(self, load) -> None:
+        super().__init__()
+        self.load = load
+
+    def __missing__(self, u: int):
+        return self.load(u)
+
+
 class DiskGraph:
     """Graph-access handle over a CGS1 file.
 
@@ -355,9 +379,9 @@ class DiskGraph:
         # whose read still finds its record; and how many records the
         # cache holds. Each array is also held as a memoryview, which
         # single reads index faster. Otherwise ``_last`` is None, and the
-        # cache is one dict of decoded values per section bit; ``_held``
-        # then has a node's bit set exactly when its section dict holds
-        # the node.
+        # cache is one ``_Decoded`` dict per section bit; ``_held`` then
+        # has a node's bit set exactly when its section dict holds the
+        # node.
         self._last: np.ndarray | None = None
         self._last_mv: memoryview | None = None
         self._held = np.zeros(n, np.uint8)
@@ -368,7 +392,12 @@ class DiskGraph:
             self._nodes = np.empty(capacity + _HISTORY_SLACK, np.int64)
             self._nodes_mv = memoryview(self._nodes)
             self._base = self._clock = self._horizon = self._live = 0
-        self._decoded: dict[int, dict] = {_FWD: {}, _BWD: {}, _META: {}}
+        self._decoded = {bit: _Decoded(partial(self._load, bit)) for bit in (_FWD, _BWD, _META)}
+        # ``readers()``: per section (fwd, bwd, meta) its dict's lookup, or
+        # its ``_load`` when the cache can evict and the dicts stay empty.
+        self._reads = tuple(
+            decoded.__getitem__ if self._last is None else decoded.load for decoded in self._decoded.values()
+        )
         self._run_structs: dict[int, struct.Struct] = {}
         # (fwd csr, bwd csr, kind bytes) as views of the map, built on first use.
         self._views: tuple | None = None
@@ -385,33 +414,41 @@ class DiskGraph:
         return self._edge_count
 
     def successors(self, u: NodeId) -> tuple[int, ...]:
-        return self._load(_FWD, check_node(u, self._node_count))
+        u = check_node(u, self._node_count)
+        self._stats.adjacency_reads += 1
+        return self._reads[0](u)
 
     def predecessors(self, u: NodeId) -> tuple[int, ...]:
-        return self._load(_BWD, check_node(u, self._node_count))
+        u = check_node(u, self._node_count)
+        self._stats.adjacency_reads += 1
+        return self._reads[1](u)
 
     def method_meta(self, u: NodeId) -> MethodMeta:
-        """One meta read of node ``u``, counted as the kernel's kind reads
-        are, then its whole record decoded from the map."""
+        """One meta read of node ``u``, the kernel's kind read, then its
+        whole record decoded from the map."""
         u = check_node(u, self._node_count)
-        return self._read_meta(u, self._load(_META, u))
+        self._stats.meta_reads += 1
+        return self._read_meta(u, self._reads[2](u))
 
     def readers(self):
-        """The search kernel's unchecked reads: a ``(lookup, load)`` pair
-        each for forward runs, backward runs and class kinds.
+        """The search kernel's unchecked reads of forward runs, backward
+        runs and class kinds, which the contract methods read through
+        too. Each counts the miss it makes but not the read: the kernel
+        hands its reads to ``end_query``.
 
-        ``lookup(u)`` is the section dict's ``get`` when nothing can be
-        evicted: a hit costs one C call and is not counted until
-        ``end_query``, and the kernel starts such a store's queries on
-        list tables. When the cache can evict it never hits, so every
-        read goes through ``load(u)``, which counts itself, keeps recency
-        and decodes from the map. Ids must lie in ``[0, node_count)``.
+        When the cache holds every node, each is its section dict's
+        ``__getitem__``: a hit costs one C call, and the kernel starts
+        such a store's queries on list tables. When it can evict, each is
+        ``_load``, which keeps recency and decodes from the map. Ids must
+        lie in ``[0, node_count)``.
         """
-        fwd, bwd, kind = partial(self._load, _FWD), partial(self._load, _BWD), partial(self._load, _META)
-        if self._last is not None:
-            return (NO_LOOKUP, fwd), (NO_LOOKUP, bwd), (NO_LOOKUP, kind)
-        decoded = self._decoded
-        return (decoded[_FWD].get, fwd), (decoded[_BWD].get, bwd), (decoded[_META].get, kind)
+        return self._reads
+
+    @property
+    def holds_every_node(self) -> bool:
+        """Whether the cache has room for every node, so that nothing is
+        ever evicted."""
+        return self._last is None
 
     def csr(self, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
         """One direction's (offsets, ids) as zero-copy read-only views of
@@ -448,8 +485,7 @@ class DiskGraph:
     # ---- query/statistics management ----------------------------------------
 
     def begin_query(self) -> None:
-        """Searches call this on entry; in cold mode it empties the cache.
-        It notes the read counters for ``end_query``."""
+        """Searches call this on entry; in cold mode it empties the cache."""
         if self._cache_config.mode is CacheMode.COLD_PER_QUERY:
             if self._last is not None:
                 # No earlier read finds its record, so the history restarts.
@@ -459,19 +495,13 @@ class DiskGraph:
                 self._held.fill(0)
                 for cache in self._decoded.values():
                     cache.clear()
-        self._noted = (self._stats.adjacency_reads, self._stats.meta_reads)
 
     def end_query(self, runs: int, kinds: int) -> None:
         """Searches call this on exit, even when they raise, with the
-        ``runs`` run reads and ``kinds`` kind reads they made since
-        ``begin_query``. Those that no load counted were served by a
-        ``readers()`` lookup: they count as hits."""
-        stats = self._stats
-        adjacency, meta = self._noted
-        hits = runs + kinds - (stats.adjacency_reads - adjacency) - (stats.meta_reads - meta)
-        stats.adjacency_reads = adjacency + runs
-        stats.meta_reads = meta + kinds
-        stats.cache_hits += hits
+        ``runs`` run reads and ``kinds`` kind reads they made through
+        ``readers()`` and ``replay``, which counted only their misses."""
+        self._stats.adjacency_reads += runs
+        self._stats.meta_reads += kinds
 
     def access_stats(self) -> AccessStats:
         return self._stats.copy()
@@ -500,8 +530,9 @@ class DiskGraph:
 
     def _load(self, bit: int, u: int) -> tuple[int, ...] | ClassKind:
         """One read of section ``bit`` of node ``u``: its run in that
-        direction, or its class kind for ``_META``."""
-        stats = self._stats
+        direction, or its class kind for ``_META``. It counts a miss, not
+        the read. When the cache holds every node, only a miss of the
+        section dict comes here, and the value is decoded into the dict."""
         last = self._last_mv
         if last is not None:
             t, base = self._clock, self._base
@@ -520,34 +551,22 @@ class DiskGraph:
                     while last[nodes[j]] != base + j:
                         j += 1
                     self._horizon = base + j + 1
-            self._held_mv[u] = held | bit
             last[u] = t
             self._nodes_mv[t - base] = u
             self._clock = t + 1
         else:
-            decoded = self._decoded[bit]
-            value = decoded.get(u)
-            if value is not None:
-                stats.cache_hits += 1
-                if bit == _META:
-                    stats.meta_reads += 1
-                else:
-                    stats.adjacency_reads += 1
-                return value
-            held = 0
-        if held & bit:
-            stats.cache_hits += 1
-        else:
+            held = self._held_mv[u]
+        self._held_mv[u] = held | bit
+        if not held & bit:
+            stats = self._stats
             stats.cache_misses += 1
             latency = self._cache_config.latency_per_miss
             if latency > 0:
                 time.sleep(latency)
                 stats.injected_latency_total += latency
         if bit == _META:
-            stats.meta_reads += 1
             value = _KINDS[self._map[self._section_offsets[0] + _META_RECORD.size * u + _KIND_OFFSET]]
         else:
-            stats.adjacency_reads += 1
             prefix = self._section_offsets[bit + 1]
             start, end = _U64x2.unpack_from(self._map, prefix + 8 * u)
             decode = self._run_structs.get(end - start)
@@ -555,12 +574,11 @@ class DiskGraph:
                 decode = self._run_structs[end - start] = struct.Struct(f"<{end - start}I")
             value = decode.unpack_from(self._map, prefix + 8 * (self._node_count + 1) + 4 * start)
         if last is None:
-            decoded[u] = value
-            self._held_mv[u] |= bit
+            self._decoded[bit][u] = value
         return value
 
     def _replay(self, forward: bool, reads: np.ndarray) -> None:
-        """Count an array round's reads as ``_load`` would have: ``u`` is
+        """Count an array round's misses as ``_load`` would have: ``u`` is
         a read of u's run in the round's direction, ``~u`` a read of u's
         class kind, in the order the per-node body makes them, as an int64
         array. The kernel calls this only on a store that can evict.
@@ -572,17 +590,16 @@ class DiskGraph:
         run_bit = _FWD if forward else _BWD
         if self._clock - self._base + m > len(self._nodes):
             self._make_room(m)
-        counted = self._count_round(run_bit, reads) if m >= _ARRAY_REPLAY_MIN else None
-        if counted is None:
+        hits = self._count_round(run_bit, reads) if m >= _ARRAY_REPLAY_MIN else None
+        if hits is None:
             last, held, nodes = self._last_mv, self._held_mv, self._nodes_mv
             base, capacity, horizon, live = self._base, self._capacity, self._horizon, self._live
             t = self._clock
-            kind_reads = hits = 0
+            hits = 0
             for u in reads.tolist():
                 if u < 0:
                     u = ~u
                     bit = _META
-                    kind_reads += 1
                 else:
                     bit = run_bit
                 p = last[u]
@@ -604,12 +621,7 @@ class DiskGraph:
                 nodes[t - base] = u
                 t += 1
             self._clock, self._horizon, self._live = t, horizon, live
-        else:
-            kind_reads, hits = counted
         stats = self._stats
-        stats.meta_reads += kind_reads
-        stats.adjacency_reads += m - kind_reads
-        stats.cache_hits += hits
         stats.cache_misses += m - hits
         latency = self._cache_config.latency_per_miss
         if latency > 0:
@@ -618,29 +630,23 @@ class DiskGraph:
                 stats.injected_latency_total += latency
 
     def _replay_decoded(self, forward: bool, reads: np.ndarray) -> None:
-        """``_replay`` for a store that cannot evict: a read whose node's
-        ``_held`` bit is set is a hit, all counted with numpy; each other
-        read is one ``_load``, in order, which counts it, a miss that
-        decodes into its section dict or a hit on an earlier such read.
-        On a warm cache there are none."""
+        """``_replay`` for a store that holds every node: a read whose
+        node's ``_held`` bit is set is a hit, found with numpy; each other
+        read goes, in order, through its section dict, which loads a miss
+        into the dict or hits on an earlier such read. On a warm cache
+        there are none."""
         run_bit = _FWD if forward else _BWD
         is_kind = reads < 0
         nodes = np.where(is_kind, ~reads, reads)
         bits = np.where(is_kind, _META, run_bit)
-        held = (self._held[nodes] & bits) != 0
-        unheld = np.flatnonzero(~held)
+        unheld = np.flatnonzero((self._held[nodes] & bits) == 0)
+        decoded = self._decoded
         for bit, u in zip(bits[unheld].tolist(), nodes[unheld].tolist()):
-            self._load(bit, u)
-        hits = len(reads) - len(unheld)
-        kind_hits = int(np.count_nonzero(is_kind & held))
-        stats = self._stats
-        stats.meta_reads += kind_hits
-        stats.adjacency_reads += hits - kind_hits
-        stats.cache_hits += hits
+            decoded[bit][u]  # a miss loads through ``_Decoded.__missing__``
 
-    def _count_round(self, run_bit: int, reads: np.ndarray) -> tuple[int, int] | None:
-        """Count a round's reads with numpy and return its kind reads and
-        hits, or return None, changing nothing, when more than one read in
+    def _count_round(self, run_bit: int, reads: np.ndarray) -> int | None:
+        """Count a round's reads with numpy and return its hits, or
+        return None, changing nothing, when more than one read in
         ``_FAR_SHARE`` is far: its node's previous read is at or after the
         horizon but more than C reads back, so only a count of the nodes
         read in between tells whether it finds its record.
@@ -698,7 +704,7 @@ class DiskGraph:
         self._clock = clock + m
         # The records held before the round and not read in it.
         self._evict(self._live - int(np.count_nonzero(p[first] >= horizon)), t[ends])
-        return int(np.count_nonzero(is_kind)), hits
+        return hits
 
     def _distinct(self, prev: np.ndarray, p: np.ndarray, t: np.ndarray) -> np.ndarray:
         """How many distinct nodes were read between each time ``t`` in a

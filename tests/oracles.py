@@ -136,7 +136,8 @@ class LruRecordModel:
     u's record holds that section and a miss otherwise; either way u
     becomes the most recent record and the section is added to it. A new
     record beyond ``capacity`` evicts the least recent record whole.
-    ``begin_query`` empties the cache in cold mode.
+    ``begin_query`` empties the cache in cold mode. It counts the reads
+    and the misses, and the hits follow from them, as in ``AccessStats``.
     """
 
     def __init__(self, capacity: int, cold: bool) -> None:
@@ -151,9 +152,7 @@ class LruRecordModel:
         else:
             self.stats.adjacency_reads += 1
         sections = self.records.pop(u, set())
-        if section in sections:
-            self.stats.cache_hits += 1
-        else:
+        if section not in sections:
             self.stats.cache_misses += 1
             sections.add(section)
         self.records[u] = sections

@@ -15,6 +15,7 @@ from callpath.ingest import (
     generate_synthetic,
     import_jsonl,
     reachable_count,
+    reachable_set,
     regime_for_counts,
 )
 from callpath.model import ClassKind, Direction, InMemoryGraph, MethodMeta
@@ -405,6 +406,14 @@ def test_reachable_count_fig(fig_graph):
     assert reachable_count(fig_graph, 0, Direction.FORWARD) == 3
     assert reachable_count(fig_graph, 3, Direction.FORWARD) == 0
     assert reachable_count(fig_graph, 3, Direction.BACKWARD) == 1
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward", None, 1])
+def test_reachable_refuses_a_direction_that_is_not_a_direction(fig_graph, direction):
+    # "forward" was taken silently: it walked predecessors and found set()
+    for reach in (reachable_set, reachable_count):
+        with pytest.raises(ValueError, match="direction must be a Direction"):
+            reach(fig_graph, 0, direction)
 
 
 def test_reachable_count_matches_matrix_oracle():

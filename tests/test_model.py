@@ -97,10 +97,10 @@ def test_self_loops_are_stored():
 
 def test_rows_and_kind_codes_serve_what_the_contract_serves(hub_graph):
     # array rounds read the kind codes and node-by-node rounds the kind
-    # lookup of readers(), and the store writes the columns instead of
+    # read of readers(), and the store writes the columns instead of
     # each method_meta; they must hold the same values
     kinds = tuple(ClassKind)
-    kind_lookup = hub_graph.readers()[2][0]
+    kind_read = hub_graph.readers()[2]
     codes = hub_graph.kind_codes()
     assert codes.dtype == np.int8 and not codes.flags.writeable
     assert hub_graph.kind_codes() is codes
@@ -108,7 +108,7 @@ def test_rows_and_kind_codes_serve_what_the_contract_serves(hub_graph):
     assert columns.class_kinds is codes
     for u in range(hub_graph.node_count):
         meta = hub_graph.method_meta(u)
-        assert kinds[codes[u]] is kind_lookup(u) is meta.class_kind
+        assert kinds[codes[u]] is kind_read(u) is meta.class_kind
         assert (meta.method_name, meta.class_name, meta.file, meta.line) == (
             columns.method_names[u], columns.class_names[u], columns.files[u], columns.lines[u]
         )

@@ -1,7 +1,8 @@
 """The search kernel's cached reads against the access contract.
 
-A store handle searched directly serves cache hits through its
-``readers()`` lookups and counts them in ``end_query``; when its cache
+A store handle searched directly reads through its ``readers()``,
+which count only misses, and ``end_query`` adds the query's reads; when
+its cache holds every node, a hit is one dict lookup. When its cache
 can evict, it runs rounds of ``search._ARRAY_ROUND_MIN`` nodes or more
 as array operations over its mapped sections and replays their reads.
 A second handle reached through ``_RequiredMethodsOnly`` has neither
@@ -21,6 +22,7 @@ from callpath.store import CacheConfig, CacheMode, build_store, open_store
 
 from oracles import bfs_reachable
 from test_search import REGIME_CONFIGS, _pairs, _RequiredMethodsOnly
+from test_store import kernel_kind_read
 
 
 @pytest.fixture(scope="module")
@@ -31,14 +33,14 @@ def hub_store(tmp_path_factory, hub_graph):
 
 
 def _direct_reads(handle, nodes):
-    kind = handle.readers()[2][1]  # the kernel's kind load
+    kind = kernel_kind_read(handle)
     return [(handle.successors(u), handle.predecessors(u), handle.method_meta(u), kind(u)) for u in nodes]
 
 
 @pytest.mark.parametrize("mode", list(CacheMode), ids=lambda mode: mode.value)
 @pytest.mark.parametrize("room", ["evicting", "all-nodes"])
 def test_cached_reads_match_the_contract_path(hub_store, hub_graph, mode, room):
-    # 64 cached nodes evict, so every read goes through ``load``; room for
+    # 64 cached nodes evict, so every read goes through ``_load``; room for
     # every node serves hits from the section dicts
     n = hub_graph.node_count
     cache = CacheConfig(max_cached_nodes=64 if room == "evicting" else n, mode=mode)
@@ -82,7 +84,7 @@ class _Tripwire(list):
 
 def test_a_query_that_raised_counts_its_cache_hits(hub_store, hub_graph):
     # a warm cache with room for every node serves repeated queries from
-    # its lookups; those hits must be counted even when the query raises
+    # its section dicts; those hits must be counted even when the query raises
     cache = CacheConfig(max_cached_nodes=hub_graph.node_count, mode=CacheMode.WARM_ACROSS_QUERIES)
     pairs = _pairs(np.random.default_rng(607), hub_graph, 4)
     interrupted = 0

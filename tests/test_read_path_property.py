@@ -23,6 +23,7 @@ from callpath.search import run_search
 from oracles import LruRecordModel, random_graph
 from test_read_path import _Interrupted, _Tripwire
 from test_search import REGIME_CONFIGS
+from test_store import kernel_kind_read
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -121,8 +122,8 @@ def test_handle_counts_reads_as_the_reference_lru(stores, session):
             "fwd": (handle.successors, graph.successors),
             "bwd": (handle.predecessors, graph.predecessors),
             "meta": (handle.method_meta, graph.method_meta),
-            # the kernel's kind loads
-            "kind": (handle.readers()[2][1], graph.readers()[2][1]),
+            # the kernel's kind reads
+            "kind": (kernel_kind_read(handle), graph.readers()[2]),
         }
         for op in ops:
             if op[0] == "begin":
@@ -230,7 +231,7 @@ def test_replay_counts_reads_as_the_reference_lru(replay_store, session):
         mock.patch.object(store, "_HISTORY_SLACK", slack),
         open_store(replay_store, CacheConfig(max_cached_nodes=capacity, mode=mode)) as handle,
     ):
-        single = {"fwd": handle.successors, "bwd": handle.predecessors, "kind": handle.readers()[2][1]}
+        single = {"fwd": handle.successors, "bwd": handle.predecessors, "kind": kernel_kind_read(handle)}
         for op in _rings(ops, capacity):
             if op[0] == "begin":
                 handle.begin_query()
@@ -239,6 +240,8 @@ def test_replay_counts_reads_as_the_reference_lru(replay_store, session):
                 _, forward, reads = op
                 run = "fwd" if forward else "bwd"
                 handle.replay(forward, np.array(reads, np.int64))
+                kinds = sum(u < 0 for u in reads)
+                handle.end_query(len(reads) - kinds, kinds)
                 for u in reads:
                     model.read("meta" if u < 0 else run, ~u if u < 0 else u)
             else:

@@ -223,6 +223,21 @@ def test_postpone_config_validation(fig_graph):
         with pytest.raises(ValueError, match="delay_steps must be an integer"):
             SearchConfig(delay_steps=delay)
     assert SearchConfig(delay_steps=np.int64(2)).delay_steps == 2
+    # an enum's value, or a set of them, is not the member: "uni" ran a
+    # balanced query labelled postpone-3, "paper" ran smaller-first, and
+    # {"interface"} probed but never postponed
+    for field, value in (
+        ("algorithm", "uni"),
+        ("algorithm", None),
+        ("frontier_policy", "paper"),
+        ("postpone_kinds", frozenset({"interface"})),
+        ("postpone_kinds", frozenset({ClassKind.INTERFACE, "abstract"})),
+        ("postpone_kinds", {ClassKind.INTERFACE}),
+        ("postpone_kinds", (ClassKind.INTERFACE,)),
+    ):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+    assert SearchConfig(postpone_kinds=frozenset()).postpone_kinds == frozenset()
 
 
 def _hub60_graph():

@@ -35,6 +35,22 @@ from oracles import LruRecordModel, random_graph
 BALANCED = SearchConfig(algorithm=Algorithm.BIDIR_BALANCED)
 
 
+def kernel_kind_read(graph):
+    """The search kernel's kind read of ``graph``, each read reported to
+    its ``end_query``, if it has one, as the kernel reports its reads."""
+    kind = graph.readers()[2]
+    end_query = getattr(graph, "end_query", None)
+    if end_query is None:
+        return kind
+
+    def read(u):
+        value = kind(u)
+        end_query(0, 1)
+        return value
+
+    return read
+
+
 @pytest.fixture()
 def fig_store(tmp_path, fig_graph):
     path = tmp_path / "fig.cgs"
@@ -217,6 +233,25 @@ def test_cache_config_rejects_non_finite_or_negative_latency(latency):
         CacheConfig(latency_per_miss=latency)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_cached_nodes", 2.5),
+        ("max_cached_nodes", 4.0),
+        ("max_cached_nodes", True),
+        ("max_cached_nodes", "4"),
+        ("mode", "cold"),
+        ("mode", None),
+    ],
+)
+def test_cache_config_rejects_a_wrongly_typed_field(field, value):
+    # "cold" kept the cache across queries, 2.5 failed in numpy at
+    # open_store and True was taken as 1
+    with pytest.raises(ValueError, match=field):
+        CacheConfig(**{field: value})
+    assert CacheConfig(max_cached_nodes=np.int64(4)).max_cached_nodes == 4
+
+
 @pytest.mark.parametrize("latency", [1e305, threading.TIMEOUT_MAX * 2])
 def test_cache_config_rejects_a_latency_sleep_cannot_take(latency):
     # time.sleep raises OverflowError beyond its bound, at the first miss
@@ -261,7 +296,7 @@ def test_stats_counter_identity_under_fuzzing(fig_store):
                 0: ("fwd", handle.successors),
                 1: ("bwd", handle.predecessors),
                 2: ("meta", handle.method_meta),
-                3: ("meta", handle.readers()[2][1]),  # the kernel's kind load
+                3: ("meta", kernel_kind_read(handle)),
             }
             for _ in range(500):
                 op = int(rng.integers(7))
@@ -314,6 +349,7 @@ def test_warm_evicting_history_does_not_grow_with_reads(tmp_path, working_set):
             round_reads[kinds] = ~round_reads[kinds]
             handle.begin_query()
             handle.replay(True, round_reads)
+            handle.end_query(len(round_reads) - int(kinds.sum()), int(kinds.sum()))
             for u in round_reads.tolist():
                 model.read("meta" if u < 0 else "fwd", ~u if u < 0 else u)
             for u in rng.choice(nodes, 100).tolist():
@@ -324,11 +360,49 @@ def test_warm_evicting_history_does_not_grow_with_reads(tmp_path, working_set):
         assert handle.access_stats() == model.stats
 
 
+@pytest.mark.parametrize("capacity", [3, 4], ids=["evicting", "every-node"])
+def test_kernel_reads_count_misses_until_end_query_adds_the_reads(fig_store, capacity):
+    # The kernel's reads, through readers() and replay, count only their
+    # misses, and end_query adds the reads; a contract call counts its own.
+    # The hits are the rest of the reads after every step.
+    cache = CacheConfig(max_cached_nodes=capacity, mode=CacheMode.WARM_ACROSS_QUERIES)
+    with open_store(fig_store, cache) as handle:
+        read_fwd, read_bwd, read_kind = handle.readers()
+
+        def counts():
+            stats = handle.access_stats()
+            assert stats.cache_hits == stats.meta_reads + stats.adjacency_reads - stats.cache_misses
+            return stats.adjacency_reads, stats.meta_reads, stats.cache_misses
+
+        handle.begin_query()
+        assert read_fwd(0) == (1, 2, 3) and read_kind(0) is ClassKind.CONCRETE
+        read_fwd(0)
+        read_bwd(3)
+        assert counts() == (0, 0, 3)
+        handle.replay(True, np.array([0, ~0, 1, ~1, 1], np.int64))
+        assert counts() == (0, 0, 5)
+        handle.end_query(3 + 3, 1 + 2)
+        assert counts() == (6, 3, 5)
+        handle.successors(1)  # a hit
+        assert counts() == (7, 3, 5)
+        handle.predecessors(2)  # a miss
+        assert counts() == (8, 3, 6)
+        handle.method_meta(2)  # a miss, then a hit
+        handle.method_meta(2)
+        assert counts() == (8, 5, 7)
+
+
+@pytest.mark.parametrize("capacity, every", [(1, False), (3, False), (4, True), (5, True)])
+def test_holds_every_node_when_the_cache_has_room_for_every_node(fig_store, capacity, every):
+    with open_store(fig_store, CacheConfig(max_cached_nodes=capacity)) as handle:
+        assert handle.holds_every_node is every
+
+
 def test_class_kind_is_a_meta_read_and_method_meta_then_hits(fig_store, fig_graph):
-    # the kernel's kind load is one meta read of a node's record, and
+    # the kernel's kind read is one meta read of a node's record, and
     # method_meta's read of the same record then hits
     with open_store(fig_store) as handle:
-        kind = handle.readers()[2][1]
+        kind = kernel_kind_read(handle)
         for u in range(fig_graph.node_count):
             assert kind(u) is fig_graph.method_meta(u).class_kind
             assert handle.method_meta(u) == fig_graph.method_meta(u)

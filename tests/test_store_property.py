@@ -19,7 +19,7 @@ from callpath.search import SearchConfig, run_search
 from callpath.store import CacheConfig, build_store, open_store
 
 from oracles import random_graph
-from test_store import _HEADER_FORMAT, _with_crcs
+from test_store import _HEADER_FORMAT, _with_crcs, kernel_kind_read
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -45,7 +45,7 @@ CUTS = st.integers(0, 2**16)
 def _reads(handle):
     """Every read of every node, then one postponing search."""
     n = handle.node_count
-    kind = handle.readers()[2][1]  # the kernel's kind load
+    kind = kernel_kind_read(handle)
     for u in range(n):
         for read in (handle.successors, handle.predecessors, handle.method_meta, kind):
             try:
