@@ -49,6 +49,14 @@ index maps to a node id arithmetically. ``choice(array)`` is
 ``array[choice(len(array))]`` for the same stream, so these are the
 draws a per-node pool array would make; tests/test_generator_golden.py
 pins the graphs they give.
+
+The background's per-node ``choice`` calls are not made one by one.
+``_choice_rows`` computes what they return, and leaves the generator
+in the state they would, with array operations over a block of nodes
+at a time (see there). It reproduces numpy's own algorithm, which
+numpy does not promise to keep; a numpy that changes it fails the
+golden tests, and tests/test_generator_property.py then shows whether
+the per-node loop in tests/oracles.py moved with it.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import CallpathError, JsonlFormatError, SyntheticSpecError
-from .model import ClassKind, Direction, InMemoryGraph, NodeColumns, NodeId, check_node
+from .model import ClassKind, Direction, InMemoryGraph, NodeColumns, NodeId, check_node, is_integer
 from .store import _MAX_NODES
 
 # "Few vs many" reachability boundary, as a fraction of the node count,
@@ -414,6 +422,20 @@ class SyntheticSpec:
     acyclic: bool = False
 
     def __post_init__(self) -> None:
+        # A field of another type would fail late, in numpy, or build
+        # another graph unrefused (True as an out-degree of 1).
+        for name in ("node_count", "hub_count", "hub_indegree", "seed"):
+            if not is_integer(getattr(self, name)):
+                raise SyntheticSpecError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.out_degree is not None and not is_integer(self.out_degree):
+            raise SyntheticSpecError(f"out_degree must be an integer, got {self.out_degree!r}")
+        p = self.edge_probability
+        if p is not None and (isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating))):
+            raise SyntheticSpecError(f"edge_probability must be a number, got {p!r}")
+        if not isinstance(self.hub_kind, ClassKind):
+            raise SyntheticSpecError(f"hub_kind must be a ClassKind, got {self.hub_kind!r}")
+        if not isinstance(self.acyclic, bool):
+            raise SyntheticSpecError(f"acyclic must be a bool, got {self.acyclic!r}")
         if self.node_count < 1:
             raise SyntheticSpecError("node_count must be positive")
         if self.node_count >= _MAX_NODES:
@@ -470,11 +492,15 @@ def generate_synthetic(spec: SyntheticSpec) -> InMemoryGraph:
 
     # Hub wiring happens after the background edges and never replaces
     # one: callers are drawn from nodes not already calling the hub, so
-    # each hub gains exactly hub_indegree new incoming edges.
+    # each hub gains exactly hub_indegree new incoming edges. One pass
+    # over the edges finds every hub's background callers.
+    into_hub = np.isin(dst, hubs)
+    order = np.argsort(dst[into_hub])
+    background = np.split(src[into_hub][order], np.searchsorted(dst[into_hub][order], hubs[1:]))
     hub_src = []
-    for h in hubs.tolist():
+    for h, known in zip(hubs.tolist(), background):
         eligible = np.ones(h if spec.acyclic else n, dtype=bool)
-        eligible[src[dst == h]] = False
+        eligible[known] = False
         if not spec.acyclic:
             eligible[h] = False
         pool = np.flatnonzero(eligible)
@@ -492,16 +518,24 @@ def generate_synthetic(spec: SyntheticSpec) -> InMemoryGraph:
     return InMemoryGraph.from_columns(columns, np.column_stack([callers, callees]))
 
 
+# Transient arrays per block of rows hold about this many draws.
+_BLOCK_DRAWS = 1 << 17
+
+
 def _bernoulli_edges(rng, n: int, p: float, acyclic: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Edge u -> v for every ordered pair whose uniform draw is below p;
-    row u draws its n uniforms with one ``rng.random(n)``, in id order."""
+    """Edge u -> v for every ordered pair whose uniform draw is below p.
+    Row u's n uniforms are the stream's next n doubles, in id order; one
+    ``rng.random((rows, n))`` per block of rows reads them as one
+    ``rng.random(n)`` per row would."""
     src, dst = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     if p > 0.0:
-        for u in range(n):
-            v = np.flatnonzero(rng.random(n) < p)
-            v = v[v > u] if acyclic else v[v != u]
-            src.append(np.full(len(v), u, dtype=np.int64))
-            dst.append(v)
+        rows = max(1, _BLOCK_DRAWS // n)
+        for first in range(0, n, rows):
+            u, v = np.nonzero(rng.random((min(rows, n - first), n)) < p)
+            u += first
+            keep = v > u if acyclic else v != u
+            src.append(u[keep])
+            dst.append(v[keep])
     return np.concatenate(src), np.concatenate(dst)
 
 
@@ -515,13 +549,127 @@ def _out_degree_edges(rng, n: int, d: int, acyclic: bool) -> tuple[np.ndarray, n
     # No node has more than n - 1 callees; capping d first keeps a d past
     # int64 out of numpy.
     counts = np.minimum(min(d, n - 1), sizes)
-    choice = rng.choice
-    idx = np.concatenate(
-        [np.empty(0, dtype=np.int64)]
-        + [choice(size, size=k, replace=False) for size, k in zip(sizes.tolist(), counts.tolist()) if k]
-    )
+    idx = _choice_rows(rng, sizes, counts)
     src = np.repeat(np.arange(n), counts)
     return src, idx + src + 1 if acyclic else idx + (idx >= src)
+
+
+def _choice_rows(rng, sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """What ``rng.choice(size, k, replace=False)`` returns for each row
+    with k > 0, in row order and concatenated; ``rng`` is left where
+    those calls would leave it. Sizes lie below 2**32 - 1.
+
+    numpy shuffles a whole ``arange(size)`` when size > 10,000 and k >
+    size // 50; such rows still call ``choice``. For every other row it
+    runs Floyd's algorithm and then shuffles the k picks (Fisher-Yates),
+    one bounded draw per step, and ``_floyd_rows`` reproduces that for a
+    block of rows at a time.
+    """
+    keep = counts > 0
+    sizes, counts = sizes[keep], counts[keep]
+    tail = (sizes > 10_000) & (counts > sizes // 50)
+    cuts = [0, *(np.flatnonzero(tail[1:] != tail[:-1]) + 1).tolist(), len(sizes)]
+    parts = [np.empty(0, dtype=np.int64)]
+    for first, end in zip(cuts, cuts[1:]):
+        if first == end:
+            continue
+        if tail[first]:
+            pairs = zip(sizes[first:end].tolist(), counts[first:end].tolist())
+            parts += [rng.choice(size, k, replace=False) for size, k in pairs]
+            continue
+        rows = max(1, _BLOCK_DRAWS // (2 * int(counts[first:end].max())))
+        for lo in range(first, end, rows):
+            hi = min(lo + rows, end)
+            parts.append(_floyd_rows(rng, sizes[lo:hi], counts[lo:hi]))
+    return np.concatenate(parts)
+
+
+def _floyd_rows(rng, sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``rng.choice(size, k, replace=False)`` for rows that numpy samples
+    by Floyd's algorithm (Bentley & Floyd, CACM 1987), concatenated.
+
+    A row's draws are Floyd's, with inclusive bounds size - k ..
+    size - 1 (a bound of 0 draws nothing and gives 0), then the
+    shuffle's, with bounds k - 1 .. 1. Every bound is known up front, so
+    one ``_bounded_draws`` call makes the whole block's draws; they are
+    laid out one column per step, with a row's unused steps masked.
+    """
+    width = int(counts.max())
+    k = counts[:, None]
+    steps = np.arange(2 * width - 1)
+    bounds = np.where(steps < width, sizes[:, None] - k + steps, 2 * width - 1 - steps)
+    live = np.where(steps < width, steps < k, bounds < k) & (bounds > 0)
+    draws = np.zeros(bounds.shape, dtype=np.int64)
+    draws[live] = _bounded_draws(rng, bounds[live])
+    draws, bounds = draws.T.copy(), bounds[:, :width].T
+    picks = draws[:width]
+
+    # Floyd keeps a draw unless it is taken, and then takes its bound.
+    # Every earlier draw is taken, kept or not, and so is every bound taken
+    # instead; a draw equal to the bound of step s < t refers to step s.
+    order = np.argsort(picks, axis=0, kind="stable")
+    ranked = np.take_along_axis(picks, order, axis=0)
+    taken = np.zeros(picks.shape, dtype=bool)
+    np.put_along_axis(taken, order[1:], ranked[1:] == ranked[:-1], axis=0)
+    rows = np.arange(len(sizes))
+    refers = picks - (sizes - counts)
+    for t in range(1, width):
+        hit = (refers[t] >= 0) & (refers[t] < t)
+        taken[t] |= hit & taken[np.where(hit, refers[t], 0), rows]
+    idx = np.where(taken, bounds, picks)
+
+    # The shuffle swaps step i with the drawn one, i from k - 1 down to 1.
+    for i in range(width - 1, 0, -1):
+        j = np.where(counts > i, draws[2 * width - 1 - i], i)
+        held = idx[j, rows]
+        idx[j, rows] = idx[i]
+        idx[i] = held
+    return idx.T[steps[:width] < k]
+
+
+# After a rejected draw, the draws that follow are worked out again this
+# many at a time, so a rejection costs a bounded amount of work.
+_REDRAW_WINDOW = 4096
+
+
+def _bounded_draws(rng, bounds: np.ndarray) -> np.ndarray:
+    """The draws numpy makes in [0, b] for each inclusive bound b of
+    ``bounds`` (each in [1, 2**32 - 2]), one after another.
+
+    Each is Lemire's method ("Fast Random Integer Generation in an
+    Interval", ACM TOMACS 2019) on the 32-bit stream: raw value x gives
+    (x * (b + 1)) >> 32, unless the product's low 32 bits fall below
+    (2**32 - b - 1) % (b + 1); then the draw is rejected and takes the
+    next raw value, and every later draw moves on by one. Exactly the
+    raw values used are taken from ``rng``, so it ends where the draws
+    one by one would.
+    """
+    total = len(bounds)
+    span = bounds.astype(np.uint64) + 1
+    raw = rng.integers(0, 2**32, size=total, dtype=np.uint32)
+    out = np.empty(total, dtype=np.int64)
+    start = spent = 0  # spent: raw values taken by rejected draws
+    window = total
+    while start < total:
+        stop = min(start + window, total)
+        if stop + spent > len(raw):
+            more = rng.integers(0, 2**32, size=stop + spent - len(raw), dtype=np.uint32)
+            raw = np.concatenate([raw, more])
+        product = raw[start + spent : stop + spent] * span[start:stop]
+        low = product & 0xFFFFFFFF
+        # numpy computes the threshold only when low < b + 1, its upper bound.
+        near = np.flatnonzero(low < span[start:stop])
+        near_span = span[start:stop][near]
+        rejected = near[low[near] < (2**32 - near_span) % near_span]
+        end = start + int(rejected[0]) if len(rejected) else stop
+        out[start:end] = product[: end - start] >> 32
+        if end == stop:
+            window *= 2
+        else:
+            spent += 1
+            window = _REDRAW_WINDOW
+        start = end
+    return out
 
 
 # ---------------------------------------------------------------------------

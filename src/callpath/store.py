@@ -205,7 +205,10 @@ class CacheConfig:
             raise ValueError("max_cached_nodes must be at least 1")
         if not isinstance(self.mode, CacheMode):
             raise ValueError(f"mode must be a CacheMode, got {self.mode!r}")
-        if not 0 <= self.latency_per_miss <= _MAX_LATENCY:  # also rejects NaN
+        latency = self.latency_per_miss
+        if isinstance(latency, bool) or not isinstance(latency, (int, float, np.integer, np.floating)):
+            raise ValueError(f"latency_per_miss must be a number, got {latency!r}")
+        if not 0 <= latency <= _MAX_LATENCY:  # also rejects NaN
             raise ValueError(
                 f"latency_per_miss must be finite and non-negative, at most {_MAX_LATENCY} s"
             )

@@ -1,8 +1,8 @@
-"""Independent oracles the test suite checks search results against.
+"""Independent oracles the test suite checks results against.
 
-Everything here recomputes answers from raw adjacency with textbook
-methods (queue BFS, boolean-matrix closure), deliberately sharing no
-code with the search implementations it judges.
+Everything here recomputes answers with textbook methods (queue BFS,
+boolean-matrix closure, one numpy call per node), deliberately sharing
+no code with the implementations it judges.
 """
 
 from __future__ import annotations
@@ -80,6 +80,39 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> InMemoryGraph:
     draws = rng.random((n, n))
     edges = [(u, v) for u in range(n) for v in range(n) if draws[u, v] < p]
     return InMemoryGraph(metas, edges)
+
+
+def choice_loop(rng: np.random.Generator, sizes, counts) -> np.ndarray:
+    """One ``rng.choice(size, k, replace=False)`` per row with k > 0, in
+    row order, concatenated."""
+    picks = [rng.choice(size, k, replace=False) for size, k in zip(sizes, counts) if k]
+    return np.concatenate([np.empty(0, dtype=np.int64), *picks])
+
+
+def out_degree_edges(rng: np.random.Generator, n: int, d: int, acyclic: bool):
+    """The generator's out-degree background, drawn node by node: node u
+    calls min(d, pool) distinct nodes of its pool, the later nodes when
+    acyclic and every other node otherwise. Index i of the pool is node
+    u + 1 + i when acyclic, else i below u and i + 1 from u on."""
+    sizes = [n - 1 - u if acyclic else n - 1 for u in range(n)]
+    counts = [min(d, size) for size in sizes]
+    idx = choice_loop(rng, sizes, counts)
+    src = np.repeat(np.arange(n), counts)
+    return src, idx + src + 1 if acyclic else idx + (idx >= src)
+
+
+def bernoulli_edges(rng: np.random.Generator, n: int, p: float, acyclic: bool):
+    """The generator's edge-probability background, one ``rng.random(n)``
+    per node: u -> v where draw v of row u is below p."""
+    src, dst = [], []
+    if p > 0.0:
+        for u in range(n):
+            row = rng.random(n)
+            for v in range(u + 1 if acyclic else 0, n):
+                if v != u and row[v] < p:
+                    src.append(u)
+                    dst.append(v)
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
 
 
 def layered_bfs(graph, initial: int, final: int) -> dict:

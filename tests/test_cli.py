@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -137,6 +138,15 @@ def test_import_normalized_export(tmp_path, capsys):
     assert graph.node_count == 4 and graph.edge_count == 3
 
 
+def test_import_from_stdin_reads_as_from_the_file(tmp_path, capsys, monkeypatch):
+    from_file, from_stdin = tmp_path / "file.jsonl", tmp_path / "stdin.jsonl"
+    assert run_cli("--quiet", "import", "--graph", FIG, "--out", str(from_file)) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(FIG).read_text(encoding="utf-8")))
+    assert run_cli("import", "--graph", "-", "--out", str(from_stdin)) == 0
+    assert "nodes=4 edges=3" in capsys.readouterr().out
+    assert from_stdin.read_bytes() == from_file.read_bytes()
+
+
 def test_import_malformed_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"record": "edge", "caller": 0, "callee": 1}\n')
@@ -155,6 +165,16 @@ def test_generate_deterministic(tmp_path, capsys):
     assert run_cli(*args, "--out", str(b)) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_generate_without_out_writes_the_out_bytes_to_stdout(tmp_path, capsys):
+    out = tmp_path / "g.jsonl"
+    args = ("generate", "--nodes", "60", "--out-degree", "2", "--hubs", "3",
+            "--hub-indegree", "10", "--seed", "5", "--acyclic")
+    assert run_cli("--quiet", *args, "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert run_cli(*args) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 def test_generate_past_the_store_limit_exits_one(tmp_path, capsys):

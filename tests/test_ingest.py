@@ -351,6 +351,35 @@ def test_spec_validation():
     SyntheticSpec(node_count=2**32 - 1, out_degree=3)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("node_count", 10.5),
+        ("node_count", "10"),
+        ("out_degree", True),
+        ("out_degree", 2.0),
+        ("hub_count", 1.0),
+        ("hub_indegree", None),
+        ("hub_kind", "interface"),
+        ("seed", 1.5),
+        ("seed", False),
+        ("acyclic", 1),
+        ("edge_probability", "0.5"),
+        ("edge_probability", True),
+    ],
+)
+def test_spec_rejects_a_wrongly_typed_field(field, value):
+    # 10.5 nodes and a seed of 1.5 failed in numpy, "interface" with an
+    # AttributeError, and True was taken as an out-degree of 1
+    fields = {"node_count": 10, "out_degree": 2}
+    if field == "edge_probability":
+        del fields["out_degree"]
+    with pytest.raises(SyntheticSpecError, match=field):
+        SyntheticSpec(**{**fields, field: value})
+    spec = SyntheticSpec(node_count=np.int64(10), out_degree=np.int32(2), seed=np.uint64(3), hub_count=np.int8(1))
+    assert generate_synthetic(spec).edge_count == 10 * 2 + 1
+
+
 def test_hub_census():
     spec = SyntheticSpec(
         node_count=1000, out_degree=3, hub_count=10, hub_indegree=50, seed=7

@@ -242,11 +242,14 @@ def test_cache_config_rejects_non_finite_or_negative_latency(latency):
         ("max_cached_nodes", "4"),
         ("mode", "cold"),
         ("mode", None),
+        ("latency_per_miss", "0"),
+        ("latency_per_miss", True),
+        ("latency_per_miss", None),
     ],
 )
 def test_cache_config_rejects_a_wrongly_typed_field(field, value):
     # "cold" kept the cache across queries, 2.5 failed in numpy at
-    # open_store and True was taken as 1
+    # open_store, True was taken as 1 and "0" failed in a comparison
     with pytest.raises(ValueError, match=field):
         CacheConfig(**{field: value})
     assert CacheConfig(max_cached_nodes=np.int64(4)).max_cached_nodes == 4
