@@ -103,6 +103,12 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One (pair, algorithm) cell of a report; its fields are the CSV
+    columns, in order.
+
+    ``timing_valid`` is always True and says nothing about the cell: the
+    column is kept because the CSV column list is append-only."""
+
     initial: int
     final: int
     initial_name: str

@@ -32,16 +32,20 @@ sections are written from its node columns with numpy. A handle maps
 the file read-only once and decodes rows, metadata records and heap
 strings straight from the map; the file must not be modified while a
 handle is open. ``open_store`` verifies every checksum up front (a
-corrupt or truncated file fails naming the damaged section), then
-checks with numpy over the map that the adjacency sections are well
-formed: each prefix rises from 0 to ``edge_count``, every id is below
-``node_count``, each run is strictly ascending and bwd is the transpose
-of fwd, and that every class-kind byte is a ``ClassKind`` code. So a
-reader never indexes past a section, and the ids and kinds a search
-reads back are valid. All of this happens before any access
-accounting starts. Heap strings are checked when ``method_meta`` reads
-them: one past the heap, not UTF-8, or an empty name is a
-``StoreFormatError`` naming the node.
+corrupt or truncated file fails naming the damaged section). It then
+builds, once, the views of the map that the search kernel reads: per
+adjacency section its offsets as ``<i8`` and its ids as ``<u4``, and
+the strided class-kind bytes of the meta records. It checks with numpy
+over exactly those views that each prefix rises from 0 to
+``edge_count``, every id is below ``node_count``, each run is strictly
+ascending and bwd is the transpose of fwd, and that every class-kind
+byte is a ``ClassKind`` code. What it checked is what the handle serves
+(``csr``, ``kind_codes``); when a check fails it drops the views, so
+the map can be closed. So a reader never indexes past a section, and
+the ids and kinds a search reads back are valid. All of this happens
+before any access accounting starts. Heap strings are checked when
+``method_meta`` reads them: one past the heap, not UTF-8, or an empty
+name is a ``StoreFormatError`` naming the node.
 
 The cache is the model that ``oracles.LruRecordModel`` in the tests
 states: an LRU of at most ``max_cached_nodes`` whole node records, each
@@ -103,8 +107,8 @@ callables as the kernel, one per section: when the cache can evict,
 map in one Python frame without the node-id check; otherwise the
 section dict's ``__getitem__``, so a hit is one C call and only a miss
 reaches ``_load``, through the dict's ``__missing__``. On either kind
-of store the kernel runs its large rounds as numpy over zero-copy views
-of the mapped sections (``csr``, ``kind_codes``), then hands the store
+of store the kernel runs its large rounds as numpy over the views
+``open_store`` checked (``csr``, ``kind_codes``), then hands the store
 the round's reads as one int64 array, in the order the per-node body
 would have made them, through ``replay``. It counts the misses and
 injected latency that ``_load`` would have made. Without eviction that
@@ -170,8 +174,7 @@ _MAX_NODES = 2**32
 _MAX_LINE = 2**32
 #: The longest ``time.sleep`` the platform takes, in seconds.
 _MAX_LATENCY = threading.TIMEOUT_MAX
-#: The sections of a cached node record, as bits. A run's bit plus one is
-#: its section's index in the header table (fwd 2, bwd 3).
+#: The sections of a cached node record, as bits.
 _FWD, _BWD, _META = 1, 2, 4
 #: ``_replay`` counts a round of at least this many reads with numpy, and a
 #: smaller one read by read (see ``DiskGraph._replay``).
@@ -371,8 +374,15 @@ class DiskGraph:
         except Exception:
             self._map.close()
             raise
-        (self._node_count, self._edge_count, self._section_offsets) = layout
+        # (fwd csr, bwd csr, kind bytes) as the views of the map that
+        # ``open_store`` checked; ``csr`` and ``kind_codes`` serve them.
+        (self._node_count, self._edge_count, (meta, heap, fwd, bwd), self._views) = layout
         n, capacity = self._node_count, cache.max_cached_nodes
+        # Where each section starts in the map: the meta records, the heap
+        # (which ends where fwd starts), and per run bit its prefix
+        # offsets and its ids.
+        self._meta_start, self._heap_start, self._heap_end = meta, heap, fwd
+        self._run_starts = {bit: (start, start + 8 * (n + 1)) for bit, start in ((_FWD, fwd), (_BWD, bwd))}
         self._capacity = capacity
         # When the cache can evict, the recency stamps (see the module
         # docstring): per node the read-clock time of its latest read (-1
@@ -402,8 +412,6 @@ class DiskGraph:
             decoded.__getitem__ if self._last is None else decoded.load for decoded in self._decoded.values()
         )
         self._run_structs: dict[int, struct.Struct] = {}
-        # (fwd csr, bwd csr, kind bytes) as views of the map, built on first use.
-        self._views: tuple | None = None
         self._stats = AccessStats()
 
     # ---- access contract ---------------------------------------------------
@@ -454,29 +462,18 @@ class DiskGraph:
         return self._last is None
 
     def csr(self, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-        """One direction's (offsets, ids) as zero-copy read-only views of
-        the map: offsets as ``<i8``, which ``open_store`` proved rise from
-        0 to ``edge_count``, and ids as ``<u4``. Reading them counts nothing."""
-        views = self._views or self._map_views()
-        return views[0] if direction is Direction.FORWARD else views[1]
+        """One direction's (offsets, ids) as the zero-copy read-only views
+        of the map that ``open_store`` checked: offsets as ``<i8``, proved
+        to rise from 0 to ``edge_count``, and ids as ``<u4``, proved below
+        ``node_count``. Reading them counts nothing."""
+        return self._views[0] if direction is Direction.FORWARD else self._views[1]
 
     def kind_codes(self) -> np.ndarray:
-        """Each node's class-kind byte, a strided zero-copy view of the
-        meta records, which ``open_store`` proved each the kind's index in
-        ``tuple(ClassKind)``, as ``InMemoryGraph.kind_codes`` gives it.
-        Reading it counts nothing."""
-        return (self._views or self._map_views())[2]
-
-    def _map_views(self) -> tuple:
-        n, m, buf = self._node_count, self._edge_count, self._map
-        meta, _, *adjacency = self._section_offsets
-        csr = [
-            (np.frombuffer(buf, "<i8", n + 1, offset), np.frombuffer(buf, "<u4", m, offset + 8 * (n + 1)))
-            for offset in adjacency
-        ]
-        kinds = np.ndarray((n,), np.uint8, buf, meta + _KIND_OFFSET, (_META_RECORD.size,))
-        self._views = (*csr, kinds)
-        return self._views
+        """Each node's class-kind byte, the strided zero-copy read-only
+        view of the meta records that ``open_store`` checked, each byte
+        the kind's index in ``tuple(ClassKind)``, as
+        ``InMemoryGraph.kind_codes`` gives it. Reading it counts nothing."""
+        return self._views[2]
 
     @property
     def replay(self):
@@ -513,7 +510,7 @@ class DiskGraph:
         self._stats = AccessStats()
 
     def close(self) -> None:
-        self._views = None  # an exported view would keep the map from closing
+        self._views = None  # a view of the map would keep it from closing
         self._map.close()
 
     def __enter__(self) -> "DiskGraph":
@@ -568,14 +565,14 @@ class DiskGraph:
                 time.sleep(latency)
                 stats.injected_latency_total += latency
         if bit == _META:
-            value = _KINDS[self._map[self._section_offsets[0] + _META_RECORD.size * u + _KIND_OFFSET]]
+            value = _KINDS[self._map[self._meta_start + _META_RECORD.size * u + _KIND_OFFSET]]
         else:
-            prefix = self._section_offsets[bit + 1]
+            prefix, ids = self._run_starts[bit]
             start, end = _U64x2.unpack_from(self._map, prefix + 8 * u)
             decode = self._run_structs.get(end - start)
             if decode is None:
                 decode = self._run_structs[end - start] = struct.Struct(f"<{end - start}I")
-            value = decode.unpack_from(self._map, prefix + 8 * (self._node_count + 1) + 4 * start)
+            value = decode.unpack_from(self._map, ids + 4 * start)
         if last is None:
             self._decoded[bit][u] = value
         return value
@@ -775,7 +772,7 @@ class DiskGraph:
 
     def _read_meta(self, u: int, kind: ClassKind) -> MethodMeta:
         name_off, class_off, file_off, _, line = _META_RECORD.unpack_from(
-            self._map, self._section_offsets[0] + _META_RECORD.size * u
+            self._map, self._meta_start + _META_RECORD.size * u
         )
         try:  # UnicodeDecodeError is a ValueError, and so is an empty name
             return MethodMeta(
@@ -790,8 +787,8 @@ class DiskGraph:
             raise StoreFormatError(f"node {u}: {exc}") from exc
 
     def _read_string(self, offset: int) -> str:
-        heap, end = self._section_offsets[1:3]
-        start = heap + offset + _U32.size  # the bytes follow their u32 length
+        end = self._heap_end
+        start = self._heap_start + offset + _U32.size  # the bytes follow their u32 length
         if start > end:
             raise ValueError(f"string offset {offset} is past the string heap")
         stop = start + _U32.unpack_from(self._map, start - _U32.size)[0]
@@ -814,9 +811,12 @@ def _map_file(path: Path) -> mmap.mmap:
         return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
-def _verify(buf: mmap.mmap, path: Path) -> tuple[int, int, list[int]]:
-    """Validate header layout and all five checksums; returns
-    (node_count, edge_count, [section offsets])."""
+def _verify(buf: mmap.mmap, path: Path) -> tuple[int, int, list[int], tuple]:
+    """Validate the header layout, all five checksums and the sections
+    the kernel reads; returns (node_count, edge_count, [section offsets],
+    views), where views are the views of the map that were checked: the
+    fwd and bwd (offsets ``<i8``, ids ``<u4``) and the class-kind bytes.
+    When a check fails no view is left on the map, so it can be closed."""
     file_size = len(buf)
     header = buf[: _HEADER.size]
     fields = _HEADER.unpack(header)
@@ -871,40 +871,38 @@ def _verify(buf: mmap.mmap, path: Path) -> tuple[int, int, list[int]]:
             actual = crc32(view[offsets[idx] : offsets[idx] + sizes[idx]])
             if actual != crcs[idx + 1]:
                 raise ChecksumError.mismatch(_SECTION_NAMES[idx], crcs[idx + 1], actual)
-    problem = _kind_problem(buf, node_count, offsets[0]) or _adjacency_problem(
-        buf, node_count, edge_count, offsets
+    n, m = node_count, edge_count
+    views = (
+        *[
+            (np.frombuffer(buf, "<i8", n + 1, start), np.frombuffer(buf, "<u4", m, start + 8 * (n + 1)))
+            for start in offsets[2:]
+        ],
+        np.ndarray((n,), np.uint8, buf, offsets[0] + _KIND_OFFSET, (_META_RECORD.size,)),
     )
+    problem = _kind_problem(views[2]) or _adjacency_problem(views[:2], n, m)
     if problem is not None:
+        del views  # the traceback keeps this frame, and a view on the map keeps it open
         raise StoreFormatError(f"{path}: {problem}")
-    return node_count, edge_count, offsets
+    return n, m, offsets, views
 
 
-def _kind_problem(buf: mmap.mmap, n: int, meta: int) -> str | None:
+def _kind_problem(kinds: np.ndarray) -> str | None:
     """The first meta record whose class-kind byte is not a ``ClassKind``
-    code, named with its byte, or None. Like ``_adjacency_problem`` it
-    keeps no view of the map."""
-    kinds = np.ndarray((n,), np.uint8, buf, meta + _KIND_OFFSET, (_META_RECORD.size,))
+    code, named with its byte, or None."""
     bad = np.flatnonzero(kinds >= len(_KINDS))
     if len(bad):
         return f"node {bad[0]}: unknown class-kind byte {kinds[bad[0]]}"
     return None
 
 
-def _adjacency_problem(buf: mmap.mmap, n: int, m: int, offsets: list[int]) -> str | None:
-    """What makes the fwd and bwd sections other than the CSR layouts of
-    one edge set, naming the section, or None when nothing does.
-
-    The arrays are views of the map; they are gone when this returns, so
-    the map can still be closed if the caller raises.
-    """
-    runs = []
-    for idx in (2, 3):
-        name = _SECTION_NAMES[idx]
-        prefix = np.frombuffer(buf, "<u8", n + 1, offsets[idx])
-        ids = np.frombuffer(buf, "<u4", m, offsets[idx] + 8 * (n + 1))
+def _adjacency_problem(csr: tuple, n: int, m: int) -> str | None:
+    """What makes the fwd and bwd (offsets, ids) other than the CSR
+    layouts of one edge set, naming the section, or None when nothing
+    does. Offsets that rise from 0 to ``m`` lie in [0, m], whatever the
+    sign of their ``<i8`` reading."""
+    for name, (prefix, ids) in zip(_SECTION_NAMES[2:], csr):
         if prefix[0] != 0 or prefix[-1] != m or (prefix[1:] < prefix[:-1]).any():
             return f"{name}: prefix offsets do not rise from 0 to {m}"
-        prefix = prefix.astype(np.int64)  # at most m, which the file size bounds
         if m and ids.max() >= n:
             return f"{name}: node id {int(ids.max())} out of range for {n} nodes"
         # Each id must exceed the one before it, except where a run starts.
@@ -913,12 +911,11 @@ def _adjacency_problem(buf: mmap.mmap, n: int, m: int, offsets: list[int]) -> st
         rises[starts[(starts > 0) & (starts < m)] - 1] = True
         if not rises.all():
             return f"{name}: a run of ids is not strictly ascending"
-        runs.append((prefix, ids))
     # Both sections as (callee, caller) keys: the forward edges sorted by
     # callee must be the backward runs, which are already in that order.
     width = np.uint64(n)
     keys = []
-    for (prefix, ids), ids_are_callees in zip(runs, (True, False)):
+    for (prefix, ids), ids_are_callees in zip(csr, (True, False)):
         owners = np.repeat(np.arange(n, dtype=np.uint64), np.diff(prefix))
         keys.append(ids * width + owners if ids_are_callees else owners * width + ids)
     if not np.array_equal(np.sort(keys[0]), keys[1]):

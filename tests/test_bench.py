@@ -380,6 +380,29 @@ def test_disk_condition_uses_prebuilt_store(tmp_path):
     assert report.rows[0].adjacency_reads > 0
 
 
+@pytest.mark.parametrize("storage", ["memory", "disk"])
+def test_scenario_file_with_a_store_graph_reports_as_the_graph(tmp_path, storage):
+    # a scenario whose graph is a store path, relative to the file, reports
+    # what the same scenario reports on the graph the store was built from
+    spec = {"node_count": 120, "out_degree": 2, "hub_count": 2, "hub_indegree": 10, "seed": 5}
+    build_store(generate_synthetic(SyntheticSpec(**spec)), tmp_path / "g.cgs")
+    doc = {
+        "pairs": [{"initial": 0, "final": 60}, {"initial": 10, "final": 11}],
+        "algorithms": [{"algorithm": "postpone", "delay_steps": 3}, {"algorithm": "balanced"}],
+        "condition": {"storage": storage, "cache": {"max_cached_nodes": 16}},
+        "repetitions": 1,
+    }
+    reports = []
+    for name, graph in (("store", {"store": "g.cgs"}), ("synthetic", {"synthetic": spec})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**doc, "graph": graph}))
+        reports.append(run_scenario(load_scenario(path), workdir=tmp_path))
+    assert load_scenario(tmp_path / "store.json").store_path == (tmp_path / "g.cgs").resolve()
+    untimed = [[replace(row, mean_elapsed_s=0.0, stddev_elapsed_s=0.0) for row in r.rows] for r in reports]
+    assert untimed[0] == untimed[1]
+    assert all((row.cache_misses > 0) == (storage == "disk") for row in reports[0].rows)
+
+
 @pytest.mark.parametrize("mode", list(CacheMode), ids=lambda mode: mode.value)
 def test_store_rows_report_one_querys_io(tmp_path, mode):
     # three repetitions on one handle: the row's reads, hits and misses are

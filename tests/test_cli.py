@@ -86,6 +86,15 @@ def test_path_flag_conflicts_exit_two():
     assert excinfo.value.code == 2
 
 
+def test_path_frontier_with_uni_exits_two(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("path", "--graph", FIG, "--from", "0", "--to", "3", "--algo", "uni", "--frontier", "smaller")
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--frontier does not apply to --algo uni" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -290,6 +299,21 @@ def test_reach_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc == {"node": 0, "name": "Tranceiver.transmit", "forward": 3, "backward": 0}
+
+
+def test_reach_pair_json(capsys):
+    code = run_cli("--format", "json", "reach", "--graph", FIG, "Transformer.encode", "Tranceiver.send")
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc == {
+        "initial": 1,
+        "final": 3,
+        "initial_name": "Transformer.encode",
+        "final_name": "Tranceiver.send",
+        "forward": 0,
+        "backward": 1,
+        "regime": "P2-like",
+    }
 
 
 def test_bench_writes_csv_matching_library(tmp_path, capsys):

@@ -243,6 +243,30 @@ def test_import_rejects_non_scalar_edge_ids_and_bool_lines(record):
     assert excinfo.value.lineno == 2
 
 
+_NODE_B = '"method": "b", "class": "B", "kind": "concrete"'
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("[0, 1]", "record must be a JSON object"),
+        ('{"record": "vertex", "id": 1}', "unknown record type 'vertex'"),
+        ('{"record": "node", %s}' % _NODE_B, "node record missing 'id'"),
+        ('{"record": "node", "id": [1], %s}' % _NODE_B, "node id must be a JSON scalar"),
+        ('{"record": "node", "id": 1, "method": "b", "class": "", "kind": "concrete"}', "node record needs a non-empty 'class'"),
+        ('{"record": "node", "id": 1, %s, "file": 3}' % _NODE_B, "'file' must be a string"),
+        ('{"record": "edge", "caller": 0}', "edge record missing 'callee'"),
+    ],
+    ids=["not-an-object", "unknown-record", "no-id", "list-id", "empty-class", "file-not-a-string", "no-callee"],
+)
+def test_import_per_line_error_is_one_line_naming_its_line(record, message):
+    lines = ['{"record": "node", "id": 0, "method": "a", "class": "A", "kind": "concrete"}', record]
+    with pytest.raises(JsonlFormatError) as excinfo:
+        import_jsonl(lines)
+    assert excinfo.value.lineno == 2
+    assert str(excinfo.value) == f"line 2: {message}"
+
+
 def test_import_edge_ids_match_by_json_type():
     # true == 1 == 1.0 in Python, but they are three different JSON ids
     lines = [

@@ -11,6 +11,7 @@ from callpath.model import (
     Edge,
     InMemoryGraph,
     MethodMeta,
+    NodeColumns,
     materialize,
     resolve_name,
 )
@@ -199,6 +200,26 @@ def test_meta_validation_rejects_empty_names():
         MethodMeta(0, "m", "", ClassKind.CONCRETE)
     with pytest.raises(ValueError):
         MethodMeta(0, "m", "X", ClassKind.CONCRETE, line=-1)
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        ("files", ("f",), r"node columns differ in length: \[2, 2, 2, 1, 2\]"),
+        ("method_names", ("a", ""), "method_name must be non-empty"),
+        ("class_names", ("", "B"), "class_name must be non-empty"),
+        ("lines", (0, -1), "line must be non-negative"),
+        ("class_kinds", np.array([2, 3], np.int8), r"class kind codes must lie in \[0, 3\)"),
+        ("class_kinds", np.array([2, -1], np.int8), r"class kind codes must lie in \[0, 3\)"),
+        ("class_kinds", np.array([2.0, 2.0]), r"class kind codes must lie in \[0, 3\)"),
+    ],
+)
+def test_from_columns_checks_the_columns_as_method_meta_checks_a_record(column, value, message):
+    columns = NodeColumns(("a", "b"), ("A", "B"), np.array([2, 0], np.int8), ("", ""), (0, 7))
+    graph = InMemoryGraph.from_columns(columns, [(0, 1)])
+    assert graph.method_meta(1) == MethodMeta(1, "b", "B", ClassKind.INTERFACE, "", 7)
+    with pytest.raises(ValueError, match=message):
+        InMemoryGraph.from_columns(columns._replace(**{column: value}), [(0, 1)])
 
 
 def test_resolve_name(fig_graph):

@@ -729,6 +729,22 @@ def test_array_tables_refilled_when_the_offset_runs_out(hub_graph, monkeypatch):
         assert bases[first:] == [-(i % 4) * step for i in range(len(bases) - first)]
 
 
+def test_array_tables_start_their_marks_over_when_the_stamp_runs_out(hub_graph, monkeypatch):
+    # every query of the run starts on spare array tables whose stamp is
+    # the last int32 stamp, so its first marking starts over from 0 while
+    # the marks of earlier queries are still in the table
+    monkeypatch.setattr(search, "_ARRAY_ROUND_MIN", 0)
+    monkeypatch.setattr(search, "_SPARE_ARRAYS", [])
+    rng = np.random.default_rng(406)
+    for config in REGIME_CONFIGS:
+        for s, t in _pairs(rng, hub_graph, 4):
+            for tables in search._SPARE_ARRAYS:
+                tables.stamp = search._UNREACHED
+            assert run_search(hub_graph, s, t, config).same_traversal(_fresh(hub_graph, s, t, config))
+            if s != t:
+                assert 0 < search._SPARE_ARRAYS[-1].stamp < search._UNREACHED
+
+
 def _pools_after(monkeypatch, queries):
     """The spare list and array tables after ``queries`` run on empty pools."""
     monkeypatch.setattr(search, "_SPARE_TABLES", [])

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from callpath import store
-from callpath.errors import ChecksumError, InvalidNodeError, StoreFormatError
+from callpath.errors import ChecksumError, InvalidNodeError, StoreFormatError, StoreLimitError
 from callpath.ingest import SyntheticSpec, generate_synthetic
-from callpath.model import ClassKind, InMemoryGraph, MethodMeta
+from callpath.model import ClassKind, Direction, InMemoryGraph, MethodMeta
 from callpath.search import (
     Algorithm,
     FrontierPolicy,
@@ -149,6 +149,59 @@ def test_store_bytes_match_golden_sha256(tmp_path, fig_graph, hub_graph, name):
 # ---------------------------------------------------------------------------
 # cache behavior and stats
 # ---------------------------------------------------------------------------
+
+
+class _TooManyNodes:
+    """A graph stub past the format's node limit; ``build_store`` must
+    refuse it before reading anything else."""
+
+    node_count = 2**32
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (_TooManyNodes(), "node_count 4294967296 exceeds format limit 4294967295"),
+        (
+            InMemoryGraph([MethodMeta(0, "m", "C", ClassKind.CONCRETE, "f", 2**32)], []),
+            "line number 4294967296 exceeds format limit",
+        ),
+    ],
+    ids=["node-count", "line"],
+)
+def test_build_store_refuses_a_graph_past_the_format_limits(tmp_path, graph, message):
+    path = tmp_path / "big.cgs"
+    with pytest.raises(StoreLimitError, match=message):
+        build_store(graph, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("capacity", [16, 1000], ids=["evicting", "every-node"])
+def test_the_views_a_store_serves_are_the_graphs_arrays(tmp_path, hub_graph, capacity):
+    # csr and kind_codes serve, before any query, the views of the map
+    # that open_store checked: the in-memory graph's arrays value for
+    # value, read-only, and read without moving any count
+    path = tmp_path / "hub.cgs"
+    build_store(hub_graph, path)
+    with open_store(path, CacheConfig(max_cached_nodes=capacity)) as handle:
+        assert handle.holds_every_node is (capacity >= hub_graph.node_count)
+        stats = handle.access_stats()
+        views = []
+        for direction in Direction:
+            offsets, ids = handle.csr(direction)
+            assert (offsets.dtype, ids.dtype) == (np.dtype("<i8"), np.dtype("<u4"))
+            expected = hub_graph.csr(direction)
+            assert np.array_equal(offsets, expected[0]) and np.array_equal(ids, expected[1])
+            views += [offsets, ids]
+        kinds = handle.kind_codes()
+        assert kinds.dtype == np.dtype("u1")
+        assert np.array_equal(kinds, hub_graph.kind_codes())
+        for view in (*views, kinds):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = view[0]
+        assert handle.access_stats() == stats
+        del offsets, ids, views, kinds, view  # the views must go before the map closes
 
 
 def test_second_read_hits_cache(fig_store):
@@ -430,6 +483,19 @@ def test_corrupt_section_names_it(tmp_path, fig_graph):
     assert excinfo.value.section == "backward-adjacency"
 
 
+def test_corrupt_header_checksum_names_the_header(tmp_path, fig_graph):
+    # every header field passes its layout check, so only its CRC, the
+    # trailer's first u32, can tell
+    path = tmp_path / "header-crc.cgs"
+    build_store(fig_graph, path)
+    data = bytearray(path.read_bytes())
+    data[-20] ^= 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(ChecksumError) as excinfo:
+        open_store(path)
+    assert excinfo.value.section == "header"
+
+
 def test_truncated_file_names_damaged_section(tmp_path, fig_graph):
     path = tmp_path / "trunc.cgs"
     build_store(fig_graph, path)
@@ -604,6 +670,19 @@ def test_version_mismatch(tmp_path, fig_graph):
     struct.pack_into("<I", data, 4, 999)
     path.write_bytes(bytes(data))
     with pytest.raises(StoreFormatError, match="version"):
+        open_store(path)
+
+
+def test_trailer_offset_mismatch_with_valid_checksums_is_format_error(tmp_path, fig_graph):
+    # the header's trailer offset points 4 bytes past the trailer, under a
+    # header CRC recomputed for it
+    path = tmp_path / "trailer.cgs"
+    build_store(fig_graph, path)
+    data = bytearray(path.read_bytes())
+    header = struct.unpack_from(_HEADER_FORMAT, data)
+    struct.pack_into("<Q", data, struct.calcsize(_HEADER_FORMAT) - 8, header[12] + 4)
+    path.write_bytes(_with_crcs(data, header))
+    with pytest.raises(StoreFormatError, match="trailer offset mismatch"):
         open_store(path)
 
 
