@@ -8,7 +8,9 @@ count. Every (pair, algorithm) cell runs ``repetitions`` times; all
 counters must agree across repetitions (any divergence is a hard
 error), so only the timing columns carry noise. On a store, each cell
 opens a fresh handle, and its read, hit, miss and latency columns are
-one query's, the first repetition's. Reports render as CSV
+one query's, the first repetition's; in memory they are zero. A disk
+scenario without a prebuilt store gets one built in a temporary
+directory, which is removed with the report. Reports render as CSV
 (fixed column set, one row per cell), versioned JSON, or Markdown
 tables grouped per metric.
 
@@ -27,6 +29,7 @@ import math
 import statistics
 import sys
 import tempfile
+from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -44,7 +47,7 @@ from .ingest import (
 )
 from .model import ClassKind, InMemoryGraph, NodeId, check_node, materialize, resolve_name
 from .search import Algorithm, FrontierPolicy, SearchConfig, run_search
-from .store import CacheConfig, CacheMode, build_store, open_store
+from .store import AccessStats, CacheConfig, CacheMode, build_store, open_store
 
 SCENARIO_SCHEMA = "callpath-scenario@1"
 REPORT_SCHEMA = "callpath-report@1"
@@ -141,6 +144,18 @@ class ReportRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
+def access_columns(stats: AccessStats) -> dict:
+    """A handle's read counters under their report column names, the last
+    five columns of a row, in column order."""
+    return {
+        "meta_reads": stats.meta_reads,
+        "adjacency_reads": stats.adjacency_reads,
+        "cache_hits": stats.cache_hits,
+        "cache_misses": stats.cache_misses,
+        "injected_latency_s": stats.injected_latency_total,
+    }
+
+
 @dataclass(frozen=True)
 class ScenarioReport:
     environment: dict
@@ -189,9 +204,7 @@ def _parse_scenario(doc, base: Path) -> Scenario:
         _known(spec, _SYNTHETIC_TYPES, "graph.synthetic")
         if "node_count" not in spec:
             raise ScenarioError("graph.synthetic.node_count is required")
-        synthetic = SyntheticSpec(
-            **{k: _field(spec, k, _SYNTHETIC_TYPES[k], "graph.synthetic") for k in spec}
-        )
+        synthetic = SyntheticSpec(**_given(spec, _SYNTHETIC_TYPES, "graph.synthetic"))
     elif "store" in graph:
         store_path = (base / _field(graph, "store", str, "graph")).resolve()
     else:
@@ -217,14 +230,13 @@ def _parse_scenario(doc, base: Path) -> Scenario:
     _known(cond, ("storage", "cache"), "condition")
     cache_doc = _field(cond, "cache", dict, "condition", {})
     where = "condition.cache"
-    _known(cache_doc, ("max_cached_nodes", "latency_per_miss_ms", "mode"), where)
+    _known(cache_doc, _CACHE_TYPES, where)
+    kwargs = _given(cache_doc, _CACHE_TYPES, where)
+    if "latency_per_miss_ms" in kwargs:
+        kwargs["latency_per_miss"] = kwargs.pop("latency_per_miss_ms") / 1000
     # Checked whatever the storage, though only a store reads it.
     try:
-        cache = CacheConfig(
-            max_cached_nodes=_field(cache_doc, "max_cached_nodes", int, where, 1024),
-            latency_per_miss=_field(cache_doc, "latency_per_miss_ms", float, where, 0) / 1000,
-            mode=_field(cache_doc, "mode", CacheMode, where, CacheMode.COLD_PER_QUERY),
-        )
+        cache = CacheConfig(**kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
     storage = cond.get("storage", "memory")
@@ -239,7 +251,7 @@ def _parse_scenario(doc, base: Path) -> Scenario:
         pairs=tuple(pairs),
         algorithms=tuple(algorithms),
         condition=condition,
-        repetitions=_field(doc, "repetitions", int, "", 3),
+        **_given(doc, {"repetitions": int}, ""),
     )
 
 
@@ -248,8 +260,7 @@ def _parse_algorithm(entry, where: str) -> SearchConfig:
     _known(entry, _ALGORITHM_TYPES, where)
     if "algorithm" not in entry:
         raise ScenarioError(f"{where}.algorithm is required")
-    kwargs = {key: _field(entry, key, kind, where) for key, kind in _ALGORITHM_TYPES.items()}
-    kwargs = {key: value for key, value in kwargs.items() if value is not None}
+    kwargs = _given(entry, _ALGORITHM_TYPES, where)
     if "postpone_kinds" in kwargs:
         kwargs["postpone_kinds"] = frozenset(
             _typed(kind, ClassKind, f"{where}.postpone_kinds") for kind in kwargs["postpone_kinds"]
@@ -280,6 +291,8 @@ _ALGORITHM_TYPES = {
     "frontier_policy": FrontierPolicy,
     "postpone_kinds": list,
 }
+#: JSON type of every field of ``condition.cache``; the latency is in milliseconds.
+_CACHE_TYPES = {"max_cached_nodes": int, "latency_per_miss_ms": float, "mode": CacheMode}
 _TYPE_NAMES = {
     int: "an integer", float: "a finite number", str: "a string",
     bool: "a boolean", dict: "an object", list: "a list",
@@ -298,6 +311,12 @@ def _field(obj: dict, key: str, kind: type, where: str, default=None):
     if key not in obj:
         return default
     return _typed(obj[key], kind, f"{where}.{key}" if where else key)
+
+
+def _given(obj: dict, types: dict, where: str) -> dict:
+    """The fields of ``obj`` that ``types`` names, each checked by ``_typed``;
+    the ones absent are left to the defaults of the class they build."""
+    return {key: _field(obj, key, types[key], where) for key in obj if key in types}
 
 
 def _typed(value, kind: type, name: str):
@@ -346,16 +365,12 @@ def _resolve_pair(graph: InMemoryGraph, spec: PairSpec) -> tuple[int, int]:
     return one(spec.initial), one(spec.final)
 
 
-def run_scenario(
-    scenario: Scenario,
-    *,
-    workdir: str | Path | None = None,
-) -> ScenarioReport:
+def run_scenario(scenario: Scenario) -> ScenarioReport:
     """Execute every (pair, algorithm) cell and assemble the report.
 
     Rows appear in deterministic order (pairs outer, algorithms inner).
-    On-disk scenarios without a prebuilt store get one built under
-    ``workdir`` (or a temp dir).
+    On-disk scenarios without a prebuilt store get one built in a
+    temporary directory, removed before this returns.
     """
     base = _load_base_graph(scenario)
     resolved: list[tuple[int, int, PairProfile]] = []
@@ -369,40 +384,21 @@ def run_scenario(
                 f"(forward={profile.forward_count}, backward={profile.backward_count})"
             )
         resolved.append((s, t, profile))
-
-    tmp: tempfile.TemporaryDirectory | None = None
-    store_path = scenario.store_path
-    if scenario.condition.on_disk and store_path is None:
-        if workdir is None:
-            tmp = tempfile.TemporaryDirectory(prefix="callpath-bench-")
-            workdir = tmp.name
-        store_path = Path(workdir) / "scenario.cgs"
-        build_store(base, store_path)
+    on_disk = scenario.condition.on_disk
 
     def run_cell(s: int, t: int, profile: PairProfile, config: SearchConfig) -> ReportRow:
-        on_disk = scenario.condition.on_disk
-        handle = open_store(store_path, scenario.condition.cache) if on_disk else base
-        try:
+        with open_store(store_path, scenario.condition.cache) if on_disk else nullcontext(base) as handle:
             # I/O is one query's, like the other counters: the first
             # repetition's, from the fresh handle's empty cache.
-            results, stats = [], None
-            for _ in range(scenario.repetitions):
-                if on_disk:
-                    handle.reset_stats()
-                results.append(run_search(handle, s, t, config))
-                if on_disk and stats is None:
-                    stats = handle.access_stats()
-            first = results[0]
-            if not all(first.same_traversal(other) for other in results[1:]):
-                raise ScenarioError(
-                    f"nondeterministic counters for pair ({s}, {t}) algorithm {config.label}"
-                )
-            elapsed = [r.elapsed for r in results]
-            mean = statistics.fmean(elapsed)
-            stddev = statistics.stdev(elapsed) if len(elapsed) > 1 else 0.0
-        finally:
-            if on_disk:
-                handle.close()
+            results = [run_search(handle, s, t, config)]
+            stats = handle.access_stats() if on_disk else AccessStats()
+            results += [run_search(handle, s, t, config) for _ in range(scenario.repetitions - 1)]
+        first = results[0]
+        if not all(first.same_traversal(other) for other in results[1:]):
+            raise ScenarioError(
+                f"nondeterministic counters for pair ({s}, {t}) algorithm {config.label}"
+            )
+        elapsed = [r.elapsed for r in results]
         return ReportRow(
             initial=s,
             final=t,
@@ -422,25 +418,22 @@ def run_scenario(
             probe_count=first.probe_count,
             steps=first.steps,
             repetitions=scenario.repetitions,
-            mean_elapsed_s=mean,
-            stddev_elapsed_s=stddev,
+            mean_elapsed_s=statistics.fmean(elapsed),
+            stddev_elapsed_s=statistics.stdev(elapsed) if len(elapsed) > 1 else 0.0,
             timing_valid=True,
-            meta_reads=stats.meta_reads if stats else 0,
-            adjacency_reads=stats.adjacency_reads if stats else 0,
-            cache_hits=stats.cache_hits if stats else 0,
-            cache_misses=stats.cache_misses if stats else 0,
-            injected_latency_s=stats.injected_latency_total if stats else 0.0,
+            **access_columns(stats),
         )
 
-    try:
+    with tempfile.TemporaryDirectory(prefix="callpath-bench-") as workdir:
+        store_path = scenario.store_path
+        if on_disk and store_path is None:
+            store_path = Path(workdir) / "scenario.cgs"
+            build_store(base, store_path)
         rows = tuple(
             run_cell(s, t, profile, config)
             for (s, t, profile) in resolved
             for config in scenario.algorithms
         )
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
 
     environment = {
         "node_count": base.node_count,
@@ -547,8 +540,6 @@ def find_regime_pairs(
     regime: Regime,
     sample_budget: int,
     seed: int = 0,
-    *,
-    max_attempts: int | None = None,
 ) -> list[tuple[NodeId, NodeId]]:
     """Sample distinct (initial, final) pairs that classify as ``regime``.
 
@@ -573,11 +564,9 @@ def find_regime_pairs(
     if not initials or not finals:
         return []
     rng = np.random.Generator(np.random.PCG64(seed))
-    if max_attempts is None:
-        max_attempts = max(1000, 200 * sample_budget)
     found: list[tuple[NodeId, NodeId]] = []
     seen: set[tuple[NodeId, NodeId]] = set()
-    for _ in range(max_attempts):
+    for _ in range(max(1000, 200 * sample_budget)):
         s = initials[int(rng.integers(len(initials)))]
         t = finals[int(rng.integers(len(finals)))]
         if s == t or (s, t) in seen:

@@ -9,6 +9,11 @@ Subcommands::
     callpath path        run one search and print the call path
     callpath bench       run a scenario file and emit a report
 
+Flags that ``path`` is not given take the defaults of ``SearchConfig``
+and ``CacheConfig``; a value either refuses is a usage error naming its
+flag. ``bench`` builds a scenario's store, when it needs one, in a
+temporary directory that is removed with the report.
+
 Exit codes: 0 success (a no-path result is an answer, not a failure),
 1 domain errors (bad input data, unresolvable names), 2 usage errors.
 """
@@ -17,14 +22,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .bench import emit_report, load_scenario, run_scenario
+from .bench import access_columns, emit_report, load_scenario, run_scenario
 from .errors import CallpathError
 from .ingest import (
     SyntheticSpec,
@@ -35,14 +40,7 @@ from .ingest import (
     reachable_count,
 )
 from .model import ClassKind, Direction, resolve_name
-from .search import (
-    DEFAULT_POSTPONE_KINDS,
-    Algorithm,
-    FrontierPolicy,
-    SearchConfig,
-    SearchStatus,
-    run_search,
-)
+from .search import Algorithm, FrontierPolicy, SearchConfig, SearchStatus, run_search
 from .store import CacheConfig, CacheMode, DiskGraph, build_store, is_store_file, open_store
 
 
@@ -89,27 +87,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reach.add_argument("node", help="node name (Class.method) or id")
     p_reach.add_argument("node2", nargs="?", help="optional final node; prints the pair regime")
 
+    search, cache = SearchConfig(), CacheConfig()
+    kinds = ",".join(kind.value for kind in ClassKind if kind in search.postpone_kinds)
     p_path = sub.add_parser("path", help="extract one call path")
     p_path.add_argument("--graph", required=True, help="JSONL or CGS1 file")
     p_path.add_argument("--from", dest="initial", required=True)
     p_path.add_argument("--to", dest="final", required=True)
     p_path.add_argument(
-        "--algo", choices=[a.value for a in Algorithm], default=Algorithm.BIDIR_POSTPONE.value
+        "--algo",
+        choices=[a.value for a in Algorithm],
+        help=f"search algorithm (default {search.algorithm.value})",
     )
-    p_path.add_argument("--delay", type=int, default=None, help="postpone rounds (default 3)")
+    p_path.add_argument("--delay", type=int, help=f"postpone rounds (default {search.delay_steps})")
     p_path.add_argument("--probe-only", action="store_true")
     p_path.add_argument(
-        "--frontier", choices=[p.value for p in FrontierPolicy], default=None
+        "--frontier",
+        choices=[p.value for p in FrontierPolicy],
+        help=f"which frontier expands next (default {search.frontier_policy.value})",
     )
     p_path.add_argument(
-        "--postpone-kinds",
-        default=None,
-        help="comma-separated class kinds to postpone (default interface,abstract)",
+        "--postpone-kinds", help=f"comma-separated class kinds to postpone (default {kinds})"
     )
-    p_path.add_argument("--latency-ms", type=float, default=0.0, help="store miss latency")
-    p_path.add_argument("--cache-nodes", type=int, default=1024)
     p_path.add_argument(
-        "--cache-mode", choices=[m.value for m in CacheMode], default=CacheMode.COLD_PER_QUERY.value
+        "--latency-ms",
+        type=float,
+        help=f"store miss latency (default {cache.latency_per_miss * 1000})",
+    )
+    p_path.add_argument(
+        "--cache-nodes", type=int, help=f"store cache size in nodes (default {cache.max_cached_nodes})"
+    )
+    p_path.add_argument(
+        "--cache-mode",
+        choices=[m.value for m in CacheMode],
+        help=f"store cache mode (default {cache.mode.value})",
     )
 
     p_bench = sub.add_parser("bench", help="run a scenario file")
@@ -118,13 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(path: str, args) -> object:
+def _load_graph(path: str, cache: CacheConfig | None = None) -> object:
     if is_store_file(path):
-        cache = CacheConfig(
-            max_cached_nodes=getattr(args, "cache_nodes", 1024),
-            latency_per_miss=getattr(args, "latency_ms", 0.0) / 1000.0,
-            mode=CacheMode(getattr(args, "cache_mode", "cold")),
-        )
         return open_store(path, cache)
     if path == "-":
         return import_jsonl(sys.stdin)
@@ -143,7 +148,7 @@ def _node_ref(graph, text: str) -> int:
 
 
 def _cmd_import(args, parser: argparse.ArgumentParser) -> int:
-    graph = _load_graph(args.graph, args)
+    graph = _load_graph(args.graph)
     if args.out:
         Path(args.out).write_text(export_jsonl(graph), encoding="utf-8")
     if not args.quiet:
@@ -174,7 +179,7 @@ def _cmd_generate(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_build_store(args, parser: argparse.ArgumentParser) -> int:
-    graph = _load_graph(args.graph, args)
+    graph = _load_graph(args.graph)
     summary = build_store(graph, args.out)
     if not args.quiet:
         print(
@@ -185,95 +190,85 @@ def _cmd_build_store(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_reach(args, parser: argparse.ArgumentParser) -> int:
-    graph = _load_graph(args.graph, args)
+    graph = _load_graph(args.graph)
     u = _node_ref(graph, args.node)
-    fmt = args.format or "text"
     if args.node2 is None:
         fwd = reachable_count(graph, u, Direction.FORWARD)
         bwd = reachable_count(graph, u, Direction.BACKWARD)
         name = graph.method_meta(u).qualified_name
-        if fmt == "json":
-            print(json.dumps({"node": u, "name": name, "forward": fwd, "backward": bwd}))
-        else:
-            print(f"{name} (node {u}): forward={fwd} backward={bwd}")
-        return 0
-    v = _node_ref(graph, args.node2)
-    profile = classify_pair(graph, u, v)
-    names = (graph.method_meta(u).qualified_name, graph.method_meta(v).qualified_name)
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "initial": u,
-                    "final": v,
-                    "initial_name": names[0],
-                    "final_name": names[1],
-                    "forward": profile.forward_count,
-                    "backward": profile.backward_count,
-                    "regime": profile.regime.label,
-                }
-            )
-        )
+        doc = {"node": u, "name": name, "forward": fwd, "backward": bwd}
+        text = f"{name} (node {u}): forward={fwd} backward={bwd}"
     else:
-        print(
+        v = _node_ref(graph, args.node2)
+        profile = classify_pair(graph, u, v)
+        names = (graph.method_meta(u).qualified_name, graph.method_meta(v).qualified_name)
+        doc = {
+            "initial": u,
+            "final": v,
+            "initial_name": names[0],
+            "final_name": names[1],
+            "forward": profile.forward_count,
+            "backward": profile.backward_count,
+            "regime": profile.regime.label,
+        }
+        text = (
             f"{names[0]} -> {names[1]}: forward={profile.forward_count} "
             f"backward={profile.backward_count} regime={profile.regime.label}"
         )
+    print(json.dumps(doc) if args.format == "json" else text)
     return 0
 
 
-def _search_config(args, parser: argparse.ArgumentParser) -> SearchConfig:
-    algorithm = Algorithm(args.algo)
-    if algorithm is not Algorithm.BIDIR_POSTPONE:
-        for flag, given in (
-            ("--delay", args.delay is not None),
-            ("--probe-only", args.probe_only),
-            ("--postpone-kinds", args.postpone_kinds is not None),
-        ):
-            if given:
-                parser.error(f"{flag} only applies to --algo postpone")
-    if algorithm is Algorithm.UNIDIRECTIONAL and args.frontier is not None:
-        parser.error("--frontier does not apply to --algo uni")
-    for flag, value, minimum in (
-        ("--delay", args.delay, 0),
-        ("--cache-nodes", args.cache_nodes, 1),
-        ("--latency-ms", args.latency_ms, 0),
+def _configs(args, parser: argparse.ArgumentParser) -> tuple[SearchConfig, CacheConfig]:
+    """The query's search and cache configs: each flag given replaces its
+    field of the library's default config, and a value the config refuses
+    is a usage error that names the flag.
+
+    ``--probe-only`` is set before ``--algo``, so the config refuses it
+    together with an algorithm other than postpone."""
+    configs = {SearchConfig: SearchConfig(), CacheConfig: CacheConfig()}
+    for flag, value, kind, name, convert in (
+        ("--probe-only", args.probe_only or None, SearchConfig, "probe_only", bool),
+        ("--algo", args.algo, SearchConfig, "algorithm", Algorithm),
+        ("--delay", args.delay, SearchConfig, "delay_steps", int),
+        ("--postpone-kinds", args.postpone_kinds, SearchConfig, "postpone_kinds", _class_kinds),
+        ("--frontier", args.frontier, SearchConfig, "frontier_policy", FrontierPolicy),
+        ("--cache-nodes", args.cache_nodes, CacheConfig, "max_cached_nodes", int),
+        ("--latency-ms", args.latency_ms, CacheConfig, "latency_per_miss", lambda ms: ms / 1000),
+        ("--cache-mode", args.cache_mode, CacheConfig, "mode", CacheMode),
     ):
-        if value is not None and not minimum <= value < math.inf:  # also rejects NaN
-            parser.error(f"{flag} must be a finite number of at least {minimum}, got {value}")
-    try:  # the store's own bound: the longest sleep the platform takes
-        CacheConfig(latency_per_miss=args.latency_ms / 1000.0)
-    except ValueError as exc:
-        parser.error(f"--latency-ms {args.latency_ms}: {exc}")
-    kinds = DEFAULT_POSTPONE_KINDS
-    if args.postpone_kinds is not None:
-        try:
-            kinds = frozenset(
-                ClassKind(part.strip()) for part in args.postpone_kinds.split(",") if part.strip()
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-    return SearchConfig(
-        algorithm=algorithm,
-        delay_steps=args.delay if args.delay is not None else 3,
-        probe_only=args.probe_only,
-        postpone_kinds=kinds,
-        frontier_policy=FrontierPolicy(args.frontier) if args.frontier else FrontierPolicy.PAPER_LITERAL,
-    )
+        if value is not None:
+            try:
+                configs[kind] = replace(configs[kind], **{name: convert(value)})
+            except ValueError as exc:
+                parser.error(f"{flag} {value}: {exc}")
+    search = configs[SearchConfig]
+    if search.algorithm is not Algorithm.BIDIR_POSTPONE:
+        for flag, value in (("--delay", args.delay), ("--postpone-kinds", args.postpone_kinds)):
+            if value is not None:
+                parser.error(f"{flag} only applies to --algo postpone")
+    if search.algorithm is Algorithm.UNIDIRECTIONAL and args.frontier is not None:
+        parser.error("--frontier does not apply to --algo uni")
+    return search, configs[CacheConfig]
+
+
+def _class_kinds(text: str) -> frozenset[ClassKind]:
+    """A ``--postpone-kinds`` value: class kinds, comma-separated."""
+    return frozenset(ClassKind(part.strip()) for part in text.split(",") if part.strip())
 
 
 def _cmd_path(args, parser: argparse.ArgumentParser) -> int:
-    config = _search_config(args, parser)
-    graph = _load_graph(args.graph, args)
+    config, cache = _configs(args, parser)
+    graph = _load_graph(args.graph, cache)
+    on_disk = isinstance(graph, DiskGraph)
     # A store reads names on a second handle, so the query's own cache and
     # counters start as they do for ids.
     named = not (_is_id(args.initial) and _is_id(args.final))
-    with (open_store(args.graph) if named and isinstance(graph, DiskGraph) else nullcontext(graph)) as names:
+    with (open_store(args.graph) if named and on_disk else nullcontext(graph)) as names:
         s, t = _node_ref(names, args.initial), _node_ref(names, args.final)
     result = run_search(graph, s, t, config)
-    stats = graph.access_stats() if hasattr(graph, "access_stats") else None
-    fmt = args.format or "text"
-    if fmt == "json":
+    access = access_columns(graph.access_stats()) if on_disk else None
+    if args.format == "json":
         doc = {
             "status": result.status.value,
             "length": result.length,
@@ -292,14 +287,8 @@ def _cmd_path(args, parser: argparse.ArgumentParser) -> int:
             "steps": result.steps,
             "elapsed_s": result.elapsed,
         }
-        if stats is not None:
-            doc["access"] = {
-                "meta_reads": stats.meta_reads,
-                "adjacency_reads": stats.adjacency_reads,
-                "cache_hits": stats.cache_hits,
-                "cache_misses": stats.cache_misses,
-                "injected_latency_s": stats.injected_latency_total,
-            }
+        if access is not None:
+            doc["access"] = access
         print(json.dumps(doc))
         return 0
     if result.status is SearchStatus.FOUND:
@@ -318,12 +307,8 @@ def _cmd_path(args, parser: argparse.ArgumentParser) -> int:
             f"postponements={result.postponements} probes={result.probe_count} "
             f"steps={result.steps}"
         )
-        if stats is not None:
-            print(
-                f"meta_reads={stats.meta_reads} adjacency_reads={stats.adjacency_reads} "
-                f"cache_hits={stats.cache_hits} cache_misses={stats.cache_misses} "
-                f"injected_latency_s={stats.injected_latency_total:.6f}"
-            )
+        if access is not None:
+            print(" ".join(f"{k}={v:.6f}" if type(v) is float else f"{k}={v}" for k, v in access.items()))
     return 0
 
 

@@ -15,6 +15,7 @@ from callpath.bench import (
     Scenario,
     ScenarioReport,
     StorageCondition,
+    access_columns,
     emit_report,
     find_regime_pairs,
     load_scenario,
@@ -24,7 +25,7 @@ from callpath.errors import ScenarioError
 from callpath.fixtures import hub_fixture_spec
 from callpath.ingest import Regime, SyntheticSpec, classify_pair, generate_synthetic
 from callpath.search import Algorithm, FrontierPolicy, SearchConfig, run_search
-from callpath.store import CacheConfig, CacheMode, build_store, open_store
+from callpath.store import AccessStats, CacheConfig, CacheMode, build_store, open_store
 
 from oracles import closure_matrix
 
@@ -333,7 +334,9 @@ def test_shipped_scenario_covers_all_regimes():
 # ---------------------------------------------------------------------------
 
 
-def test_disk_condition_builds_store_and_matches_memory(tmp_path):
+def test_disk_condition_builds_store_and_matches_memory(tmp_path, monkeypatch):
+    # the store is built in a temporary directory, gone with the report
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
     spec = SyntheticSpec(node_count=120, out_degree=2, hub_count=2, hub_indegree=10, seed=5)
     pairs = (PairSpec(0, 60), PairSpec(10, 11))
     algorithms = (SearchConfig(delay_steps=3), SearchConfig(algorithm=Algorithm.BIDIR_BALANCED))
@@ -347,16 +350,10 @@ def test_disk_condition_builds_store_and_matches_memory(tmp_path):
             algorithms=algorithms,
             repetitions=2,
             condition=StorageCondition(on_disk=True, cache=CacheConfig(max_cached_nodes=16)),
-        ),
-        workdir=tmp_path,
+        )
     )
-    skip = set(TIMING_COLUMNS) | {
-        "meta_reads",
-        "adjacency_reads",
-        "cache_hits",
-        "cache_misses",
-        "injected_latency_s",
-    }
+    assert list(tmp_path.iterdir()) == []
+    skip = set(TIMING_COLUMNS) | set(access_columns(AccessStats()))
     for mem_row, disk_row in zip(memory.rows, disk.rows):
         for col in CSV_COLUMNS:
             if col in skip:
@@ -396,7 +393,7 @@ def test_scenario_file_with_a_store_graph_reports_as_the_graph(tmp_path, storage
     for name, graph in (("store", {"store": "g.cgs"}), ("synthetic", {"synthetic": spec})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**doc, "graph": graph}))
-        reports.append(run_scenario(load_scenario(path), workdir=tmp_path))
+        reports.append(run_scenario(load_scenario(path)))
     assert load_scenario(tmp_path / "store.json").store_path == (tmp_path / "g.cgs").resolve()
     untimed = [[replace(row, mean_elapsed_s=0.0, stddev_elapsed_s=0.0) for row in r.rows] for r in reports]
     assert untimed[0] == untimed[1]

@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
-from callpath.bench import load_scenario, run_scenario
+from callpath.bench import CSV_COLUMNS, PairSpec, Scenario, StorageCondition, load_scenario, run_scenario
 from callpath.cli import main
 from callpath.ingest import SyntheticSpec, export_jsonl, generate_synthetic, import_jsonl
-from callpath.store import build_store
+from callpath.search import SearchConfig, run_search
+from callpath.store import CacheConfig, build_store, open_store
 
 DATA = Path(__file__).parent.parent / "data"
 FIG = str(DATA / "transceiver.jsonl")
@@ -103,6 +105,7 @@ def test_path_frontier_with_uni_exits_two(capsys):
         ("--latency-ms", "-1"),
         ("--latency-ms", "inf"),
         ("--latency-ms", "1e308"),
+        ("--latency-ms", "nan"),
     ],
 )
 def test_path_out_of_range_numbers_exit_two(capsys, flag, value):
@@ -258,6 +261,69 @@ def test_build_store_and_query_it(tmp_path, capsys):
     assert code == 0
     assert "status=found length=1" in out
     assert "meta_reads=0" in out  # balanced never probes class kinds
+
+
+@pytest.fixture(scope="module")
+def hub_store(tmp_path_factory):
+    """A 20,000-node hub graph's store, on which the query from 100 to
+    19000 postpones, and hits its cache more or less often with more or
+    fewer cached nodes than the default."""
+    store = tmp_path_factory.mktemp("hub") / "hub.cgs"
+    spec = SyntheticSpec(node_count=20000, out_degree=3, hub_count=200, hub_indegree=40, seed=7, acyclic=True)
+    build_store(generate_synthetic(spec), store)
+    return store
+
+
+def test_path_defaults_are_the_librarys(hub_store, capsys):
+    # no search or cache flag: the counters and reads of the library's
+    # default configs, in both formats
+    runs = []
+    for cache in (CacheConfig(), CacheConfig(max_cached_nodes=512), CacheConfig(max_cached_nodes=2048)):
+        with open_store(hub_store, cache) as handle:
+            runs.append((run_search(handle, 100, 19000, SearchConfig()), handle.access_stats()))
+    (result, stats), *_ = runs
+    # another cache size hits another number of times, so a CLI default
+    # that differs from the library's shows
+    assert result.postponements > 0 and len({other.cache_hits for _, other in runs}) == 3
+    counters = {
+        "visited_forward": result.visited_forward,
+        "visited_backward": result.visited_backward,
+        "postponements": result.postponements,
+        "probe_count": result.probe_count,
+        "steps": result.steps,
+    }
+    access = {
+        "meta_reads": stats.meta_reads,
+        "adjacency_reads": stats.adjacency_reads,
+        "cache_hits": stats.cache_hits,
+        "cache_misses": stats.cache_misses,
+        "injected_latency_s": stats.injected_latency_total,
+    }
+    assert run_cli("--format", "json", "path", "--graph", str(hub_store), "--from", "100", "--to", "19000") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {key: doc[key] for key in counters} == counters
+    assert (doc["status"], doc["length"]) == (result.status.value, result.length)
+    assert doc["access"] == access
+    assert run_cli("path", "--graph", str(hub_store), "--from", "100", "--to", "19000") == 0
+    text = dict(item.split("=") for line in capsys.readouterr().out.splitlines()[-2:] for item in line.split())
+    counters["probes"] = counters.pop("probe_count")
+    access["injected_latency_s"] = f"{stats.injected_latency_total:.6f}"
+    assert text == {key: str(value) for key, value in {**counters, **access}.items()}
+
+
+def test_bench_row_access_columns_are_the_path_access(hub_store, capsys):
+    # one repetition of a disk cell reads as the same query on the CLI
+    scenario = Scenario(
+        store_path=hub_store,
+        pairs=(PairSpec(100, 19000),),
+        algorithms=(SearchConfig(),),
+        repetitions=1,
+        condition=StorageCondition(on_disk=True),
+    )
+    row = astuple(run_scenario(scenario).rows[0])
+    assert run_cli("--format", "json", "path", "--graph", str(hub_store), "--from", "100", "--to", "19000") == 0
+    access = json.loads(capsys.readouterr().out)["access"]
+    assert list(zip(CSV_COLUMNS[-5:], row[-5:])) == list(access.items())
 
 
 @pytest.mark.parametrize("cache_nodes", ["64", "1000"], ids=["evicting", "holds-every-node"])
