@@ -47,7 +47,7 @@ from .ingest import (
 )
 from .model import ClassKind, InMemoryGraph, NodeId, check_node, materialize, resolve_name
 from .search import Algorithm, FrontierPolicy, SearchConfig, run_search
-from .store import AccessStats, CacheConfig, CacheMode, build_store, open_store
+from .store import AccessStats, CacheConfig, CacheMode, _latency_from_ms, build_store, open_store
 
 SCENARIO_SCHEMA = "callpath-scenario@1"
 REPORT_SCHEMA = "callpath-report@1"
@@ -232,10 +232,10 @@ def _parse_scenario(doc, base: Path) -> Scenario:
     where = "condition.cache"
     _known(cache_doc, _CACHE_TYPES, where)
     kwargs = _given(cache_doc, _CACHE_TYPES, where)
-    if "latency_per_miss_ms" in kwargs:
-        kwargs["latency_per_miss"] = kwargs.pop("latency_per_miss_ms") / 1000
     # Checked whatever the storage, though only a store reads it.
     try:
+        if "latency_per_miss_ms" in kwargs:
+            kwargs["latency_per_miss"] = _latency_from_ms(kwargs.pop("latency_per_miss_ms"))
         cache = CacheConfig(**kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc

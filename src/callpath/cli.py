@@ -41,7 +41,7 @@ from .ingest import (
 )
 from .model import ClassKind, Direction, resolve_name
 from .search import Algorithm, FrontierPolicy, SearchConfig, SearchStatus, run_search
-from .store import CacheConfig, CacheMode, DiskGraph, build_store, is_store_file, open_store
+from .store import CacheConfig, CacheMode, DiskGraph, _latency_from_ms, build_store, is_store_file, open_store
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -234,7 +234,7 @@ def _configs(args, parser: argparse.ArgumentParser) -> tuple[SearchConfig, Cache
         ("--postpone-kinds", args.postpone_kinds, SearchConfig, "postpone_kinds", _class_kinds),
         ("--frontier", args.frontier, SearchConfig, "frontier_policy", FrontierPolicy),
         ("--cache-nodes", args.cache_nodes, CacheConfig, "max_cached_nodes", int),
-        ("--latency-ms", args.latency_ms, CacheConfig, "latency_per_miss", lambda ms: ms / 1000),
+        ("--latency-ms", args.latency_ms, CacheConfig, "latency_per_miss", _latency_from_ms),
         ("--cache-mode", args.cache_mode, CacheConfig, "mode", CacheMode),
     ):
         if value is not None:
@@ -338,10 +338,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     # Some argparse versions read ``--option=--`` as an empty list.
     if any(type(value) is list for value in vars(args).values()):
-        parser.error("'--' is not an option value")
+        spelt = next(arg for arg in argv if arg.startswith("-") and arg.endswith("=--"))
+        parser.error(f"{spelt}: '--' is not an option value")
     handler, formats = _COMMANDS[args.command]
     if args.format not in formats:
         parser.error(f"--format {args.format!r} not supported for {args.command}")

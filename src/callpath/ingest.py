@@ -53,10 +53,13 @@ pins the graphs they give.
 The background's per-node ``choice`` calls are not made one by one.
 ``_choice_rows`` computes what they return, and leaves the generator
 in the state they would, with array operations over a block of nodes
-at a time (see there). It reproduces numpy's own algorithm, which
-numpy does not promise to keep; a numpy that changes it fails the
-golden tests, and tests/test_generator_property.py then shows whether
-the per-node loop in tests/oracles.py moved with it.
+at a time (see there). The block's bounded draws are one numpy
+``integers`` call over its bounds, which runs the bounded-integer
+routine each ``choice`` step runs; the steps around those draws
+reproduce numpy's own sampling algorithm. numpy promises to keep
+neither; a numpy that changes them fails the golden tests, and
+tests/test_generator_property.py then shows whether the per-node loop
+in tests/oracles.py moved with it.
 """
 
 from __future__ import annotations
@@ -563,7 +566,8 @@ def _choice_rows(rng, sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     size // 50; such rows still call ``choice``. For every other row it
     runs Floyd's algorithm and then shuffles the k picks (Fisher-Yates),
     one bounded draw per step, and ``_floyd_rows`` reproduces that for a
-    block of rows at a time.
+    block of rows at a time, drawing with ``integers`` over the block's
+    bounds.
     """
     keep = counts > 0
     sizes, counts = sizes[keep], counts[keep]
@@ -591,8 +595,10 @@ def _floyd_rows(rng, sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     A row's draws are Floyd's, with inclusive bounds size - k ..
     size - 1 (a bound of 0 draws nothing and gives 0), then the
     shuffle's, with bounds k - 1 .. 1. Every bound is known up front, so
-    one ``_bounded_draws`` call makes the whole block's draws; they are
-    laid out one column per step, with a row's unused steps masked.
+    one ``rng.integers(0, bounds, endpoint=True)`` makes the whole
+    block's draws: for int64 bounds it runs the bounded-integer routine
+    that ``choice`` runs per step, on the same 32-bit stream. The draws
+    are laid out one column per step, with a row's unused steps masked.
     """
     width = int(counts.max())
     k = counts[:, None]
@@ -600,7 +606,7 @@ def _floyd_rows(rng, sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     bounds = np.where(steps < width, sizes[:, None] - k + steps, 2 * width - 1 - steps)
     live = np.where(steps < width, steps < k, bounds < k) & (bounds > 0)
     draws = np.zeros(bounds.shape, dtype=np.int64)
-    draws[live] = _bounded_draws(rng, bounds[live])
+    draws[live] = rng.integers(0, bounds[live], endpoint=True)
     draws, bounds = draws.T.copy(), bounds[:, :width].T
     picks = draws[:width]
 
@@ -625,51 +631,6 @@ def _floyd_rows(rng, sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
         idx[j, rows] = idx[i]
         idx[i] = held
     return idx.T[steps[:width] < k]
-
-
-# After a rejected draw, the draws that follow are worked out again this
-# many at a time, so a rejection costs a bounded amount of work.
-_REDRAW_WINDOW = 4096
-
-
-def _bounded_draws(rng, bounds: np.ndarray) -> np.ndarray:
-    """The draws numpy makes in [0, b] for each inclusive bound b of
-    ``bounds`` (each in [1, 2**32 - 2]), one after another.
-
-    Each is Lemire's method ("Fast Random Integer Generation in an
-    Interval", ACM TOMACS 2019) on the 32-bit stream: raw value x gives
-    (x * (b + 1)) >> 32, unless the product's low 32 bits fall below
-    (2**32 - b - 1) % (b + 1); then the draw is rejected and takes the
-    next raw value, and every later draw moves on by one. Exactly the
-    raw values used are taken from ``rng``, so it ends where the draws
-    one by one would.
-    """
-    total = len(bounds)
-    span = bounds.astype(np.uint64) + 1
-    raw = rng.integers(0, 2**32, size=total, dtype=np.uint32)
-    out = np.empty(total, dtype=np.int64)
-    start = spent = 0  # spent: raw values taken by rejected draws
-    window = total
-    while start < total:
-        stop = min(start + window, total)
-        if stop + spent > len(raw):
-            more = rng.integers(0, 2**32, size=stop + spent - len(raw), dtype=np.uint32)
-            raw = np.concatenate([raw, more])
-        product = raw[start + spent : stop + spent] * span[start:stop]
-        low = product & 0xFFFFFFFF
-        # numpy computes the threshold only when low < b + 1, its upper bound.
-        near = np.flatnonzero(low < span[start:stop])
-        near_span = span[start:stop][near]
-        rejected = near[low[near] < (2**32 - near_span) % near_span]
-        end = start + int(rejected[0]) if len(rejected) else stop
-        out[start:end] = product[: end - start] >> 32
-        if end == stop:
-            window *= 2
-        else:
-            spent += 1
-            window = _REDRAW_WINDOW
-        start = end
-    return out
 
 
 # ---------------------------------------------------------------------------

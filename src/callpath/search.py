@@ -178,6 +178,8 @@ class SearchConfig:
             raise ValueError(f"delay_steps must be an integer, got {self.delay_steps!r}")
         if self.delay_steps < 0:
             raise ValueError("delay_steps must be non-negative")
+        if not isinstance(self.probe_only, bool):
+            raise ValueError(f"probe_only must be a bool, got {self.probe_only!r}")
         if self.probe_only and self.algorithm is not Algorithm.BIDIR_POSTPONE:
             raise ValueError("probe_only is only valid for the postponing algorithm")
 

@@ -217,6 +217,17 @@ class CacheConfig:
             )
 
 
+def _latency_from_ms(ms) -> float:
+    """A ``latency_per_miss`` given in milliseconds, in seconds; a value
+    outside ``CacheConfig``'s bound is refused with the bound in
+    milliseconds."""
+    if not 0 <= ms <= _MAX_LATENCY * 1000:  # also rejects NaN
+        raise ValueError(
+            f"latency_per_miss_ms must be finite and non-negative, at most {_MAX_LATENCY * 1000} ms"
+        )
+    return ms / 1000
+
+
 @dataclass
 class AccessStats:
     """Monotone read counters since open or the last reset.

@@ -25,7 +25,7 @@ from callpath.errors import ScenarioError
 from callpath.fixtures import hub_fixture_spec
 from callpath.ingest import Regime, SyntheticSpec, classify_pair, generate_synthetic
 from callpath.search import Algorithm, FrontierPolicy, SearchConfig, run_search
-from callpath.store import AccessStats, CacheConfig, CacheMode, build_store, open_store
+from callpath.store import _MAX_LATENCY, AccessStats, CacheConfig, CacheMode, build_store, open_store
 
 from oracles import closure_matrix
 
@@ -543,6 +543,11 @@ def _edited(path, value):
                 {"storage": "memory", "cache": {"max_cached_nodes": "x", "mode": [3], "latency_per_miss_ms": -5}},
             ),
             "condition.cache",
+        ),
+        # the field takes milliseconds, and so does its bound
+        (
+            _edited(("condition", "cache", "latency_per_miss_ms"), 1e308),
+            f"condition.cache: latency_per_miss_ms must be finite and non-negative, at most {_MAX_LATENCY * 1000} ms",
         ),
     ],
 )

@@ -13,7 +13,7 @@ from callpath.bench import CSV_COLUMNS, PairSpec, Scenario, StorageCondition, lo
 from callpath.cli import main
 from callpath.ingest import SyntheticSpec, export_jsonl, generate_synthetic, import_jsonl
 from callpath.search import SearchConfig, run_search
-from callpath.store import CacheConfig, build_store, open_store
+from callpath.store import _MAX_LATENCY, CacheConfig, build_store, open_store
 
 DATA = Path(__file__).parent.parent / "data"
 FIG = str(DATA / "transceiver.jsonl")
@@ -115,6 +115,9 @@ def test_path_out_of_range_numbers_exit_two(capsys, flag, value):
     err = capsys.readouterr().err
     assert flag in err
     assert "Traceback" not in err
+    if value == "1e308":
+        # the flag takes milliseconds, and so does its bound
+        assert f"at most {_MAX_LATENCY * 1000} ms" in err
 
 
 @pytest.mark.parametrize("flag", ["--delay", "--cache-nodes", "--latency-ms"])
@@ -124,7 +127,9 @@ def test_path_double_dash_value_exits_two(capsys, flag):
     with pytest.raises(SystemExit) as excinfo:
         run_cli("path", "--graph", FIG, "--from", "0", "--to", "3", f"{flag}=--")
     assert excinfo.value.code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
 
 
 def test_path_text_output_is_pure_function_of_inputs(capsys):

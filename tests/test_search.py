@@ -234,6 +234,10 @@ def test_postpone_config_validation(fig_graph):
         ("postpone_kinds", frozenset({ClassKind.INTERFACE, "abstract"})),
         ("postpone_kinds", {ClassKind.INTERFACE}),
         ("postpone_kinds", (ClassKind.INTERFACE,)),
+        # "no" ran a probe-only query labelled probe-only
+        ("probe_only", "no"),
+        ("probe_only", 1),
+        ("probe_only", None),
     ):
         with pytest.raises(ValueError, match=field):
             SearchConfig(**{field: value})
