@@ -65,6 +65,21 @@ small sparse graphs. ``_ARRAY_ROUND_MIN`` is a constant set by timing
 both bodies (see its comment), not an option: it moves no counter, only
 time.
 
+An array round stops at its first possible meeting when the opposite
+frontier holds one node m, as in every array round of ``uni`` (m is the
+final node) and of a ``paper`` backward sweep (m is the initial node).
+Only an expanding occurrence of one of m's neighbours the other way can
+meet it, and ``_meeting_cut`` finds the first such position from the
+CSR arrays of the other direction, skipping a node in ``delay`` and one
+a probing round is about to postpone. The round runs ``_array_round``
+on the frontier up to that position and, only if that part does not
+meet, on the rest in the same step: the array body does everything the
+per-node body does up to its last processed position, so the second
+part starts from the state the per-node body has there. Over a mem-hub
+pass this stops gathering 3.0M of the 9.4M edges its array rounds
+gathered. When the opposite frontier holds several nodes, as in most
+smaller-first rounds, the round runs whole.
+
 An untraced query on a store runs the array body too, over the
 store's ``csr`` and ``kind_codes``, which count nothing. The store still
 counts every read in processing order: the round hands the store's
@@ -367,10 +382,12 @@ _BASE_FLOOR = 1 - 2**30
 #: never fills an array round with distinct nodes, so its queries take
 #: the list tables and run node by node. Timed round by round on the
 #: mem-hub benchmark queries, the array body wins from about 48 nodes.
-#: An array round that meets early still does the whole round's work;
-#: timed whole, mem-hub stays within about 1% of its least total up to
-#: 96, while smaller-first queries and small sparse graphs, where a node
-#: costs a third as much, are faster at 96 than below it.
+#: With rounds cut at their first possible meeting, 10 s perfbench runs
+#: (4 each, medians, queries/s) read 1,083 / 1,051 / 1,003 on mem-hub,
+#: 1,341 / 1,294 / 1,235 on disk-cold and 1,855 / 1,879 / 1,859 on
+#: disk-warm at 64 / 96 / 128. 64 loses on disk-warm, and small sparse
+#: graphs, where a node costs a third as much, are faster at 96 than
+#: below it.
 _ARRAY_ROUND_MIN = 96
 
 
@@ -565,25 +582,40 @@ def _search(
                     codes = np.array([kind in postpone_kinds for kind in ClassKind])
                     postponable = graph.kind_codes(), codes
                 opposite = not forward
+                other = (final,) if uni else todo_b if forward else todo_f
                 if marked is not opposite:
-                    tables.mark_nodes((final,) if uni else todo_b if forward else todo_f)
+                    tables.mark_nodes(other)
                     marked = opposite
+                # Against a one-node opposite frontier, the round is cut at
+                # its first possible meeting (see the module docstring).
+                front = _as_array(todo)
+                cut = len(front)
+                if len(other) and other[0] == other[-1]:
+                    back = graph.csr(Direction.BACKWARD if forward else Direction.FORWARD)
+                    cut = _meeting_cut(front, back, int(other[0]), delay, postponed,
+                                       postponable if probing and not forward else None)
                 csr = graph.csr(Direction.FORWARD if forward else Direction.BACKWARD)
-                todo2, intermed, visits, round_probes, round_postponements, reads = _array_round(
-                    _as_array(todo), forward, tables, csr, delay, postponed,
-                    probing and not forward, postponable, delay_steps, steps, trace,
-                    replay is not None,
-                )
-                if forward:
-                    visited_f += visits
-                else:
-                    visited_b += visits
-                probes += round_probes
-                postponements += round_postponements
-                if replay is not None:
-                    replay(forward, reads)
+                nexts = []
+                for part in (front[:cut], front[cut:]) if cut < len(front) else (front,):
+                    todo2, intermed, visits, round_probes, round_postponements, reads = _array_round(
+                        part, forward, tables, csr, delay, postponed,
+                        probing and not forward, postponable, delay_steps, steps, trace,
+                        replay is not None,
+                    )
+                    if forward:
+                        visited_f += visits
+                    else:
+                        visited_b += visits
+                    probes += round_probes
+                    postponements += round_postponements
+                    if replay is not None:
+                        replay(forward, reads)
+                    if intermed is not None:
+                        break
+                    nexts.append(todo2)
                 if intermed is not None:
                     break
+                todo2 = nexts[0] if len(nexts) == 1 else np.sort(np.concatenate(nexts))
             else:
                 if type(todo) is not list:
                     todo = todo.tolist()
@@ -657,7 +689,7 @@ def _search(
     finally:
         # A traceback keeps this frame: drop the views of a store's map, or
         # the store could not be closed while the exception is handled.
-        csr = postponable = None
+        csr = back = postponable = None
         # The reads of this query, reported once, even when it raised.
         if end_query is not None:
             end_query(visited_f + visited_b, probes)
@@ -747,6 +779,11 @@ def _array_round(
       distances (a postponed node firing among newer ones);
     * stop at the first counted relaxation, in processing order, that
       lands on the opposite frontier.
+
+    ``frontier`` may be a prefix or the rest of a round's frontier: the
+    caller cuts a round whose opposite frontier holds one node after the
+    first position that can meet it (``_meeting_cut``) and runs the rest
+    in a second call only when the first does not meet.
     """
     offsets, ids = csr
     dist, prev = tables.dist[forward], tables.prev[forward]
@@ -850,6 +887,29 @@ def _array_round(
         return None, meeting, visits, probes, postponements, reads
     todo = np.sort(np.concatenate((frontier[list(actions)], v)))
     return todo, None, visits, probes, postponements, reads
+
+
+def _meeting_cut(frontier, csr, m, delay, postponed, postponable) -> int:
+    """Where a round whose opposite frontier is the one node ``m`` is cut:
+    just after the first position of ``frontier`` that holds one of m's
+    neighbours in ``csr``, the other direction's runs, and expands this
+    round, so not a node in ``delay`` nor, when ``postponable`` is given,
+    one about to be postponed. No earlier relaxation can land on m. The
+    frontier's length when no position can meet.
+
+    Positions are tried in the order of m's run; runs are ascending, so
+    that is the frontier's order. Any cut is exact: a later one only
+    gathers more."""
+    offsets, ids = csr
+    run = ids[offsets[m]:offsets[m + 1]]
+    at = frontier.searchsorted(run)
+    # A clipped position holds a node below the one sought, so never it.
+    for p in at[frontier.take(at, mode="clip") == run].tolist():
+        u = int(frontier[p])
+        if u in delay or (postponable is not None and u not in postponed and postponable[1][postponable[0][u]]):
+            continue
+        return p + 1
+    return len(frontier)
 
 
 def _round_reads(head: np.ndarray, runs_at: np.ndarray, unprobed: list[int] | None) -> np.ndarray:

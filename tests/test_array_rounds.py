@@ -197,3 +197,128 @@ def test_moving_to_array_tables_on_a_store_that_holds_every_node(tmp_path, mode,
         runs, moved = _store_session(tmp_path / "hub.cgs", mode, threshold, queries)
         assert runs == never, threshold
         assert moved > 0, threshold
+
+
+# ---- rounds cut at their first possible meeting ---------------------------
+#
+# A round whose opposite frontier holds one node runs ``_array_round`` on
+# the frontier up to the first position that can meet that node, and on
+# the rest only if that part does not meet. A spy on ``_array_round``
+# records each call; a run whose ``_meeting_cut`` never cuts gives each
+# round's whole frontier.
+
+
+def _whole_round(frontier, *args):
+    return len(frontier)
+
+
+def _spied(graph, s, t, config, threshold, cut=None):
+    """The query's result, trace (None on a store), returned state and
+    store reads, and the ``_array_round`` calls it made as (step,
+    frontier, meeting node); ``cut``, if given, replaces ``_meeting_cut``."""
+    calls = []
+    array_round = search._array_round
+
+    def spy(frontier, *args):
+        out = array_round(frontier, *args)
+        calls.append((args[8], frontier.tolist(), out[1]))
+        return out
+
+    store = hasattr(graph, "reset_stats")
+    trace = None if store else []
+    with (
+        mock.patch.object(search, "_array_round", spy),
+        mock.patch.object(search, "_ARRAY_ROUND_MIN", threshold),
+        mock.patch.object(search, "_meeting_cut", cut or search._meeting_cut),
+    ):
+        if store:
+            graph.reset_stats()
+        result, state = search._search(graph, s, t, config, trace=trace, return_state=True)
+    reads = graph.access_stats() if store else None
+    return (replace(result, elapsed=0.0), trace, state, reads), calls
+
+
+def _cut_calls(graph, s, t, config, cut=None):
+    """The ``_array_round`` calls of the query, which must give the same
+    result, trace, state and store reads as a run node by node, and each
+    round's whole frontier by step."""
+    threshold = search._ARRAY_ROUND_MIN
+    node_run, none = _spied(graph, s, t, config, NO_ROUND)
+    assert none == []
+    run, calls = _spied(graph, s, t, config, threshold, cut)
+    assert run == node_run, (s, t, config)
+    whole_run, whole_calls = _spied(graph, s, t, config, threshold, _whole_round)
+    assert whole_run == node_run, (s, t, config)
+    whole = {step: frontier for step, frontier, _ in whole_calls}
+    assert len(whole) == len(whole_calls)
+    return calls, whole
+
+
+@pytest.fixture(scope="module", params=["memory", "evicting store"])
+def hub10k(request, tmp_path_factory):
+    graph = _hub_graph(10_000, 5, False)
+    if request.param == "memory":
+        yield graph
+        return
+    path = tmp_path_factory.mktemp("cut") / "hub10k.cgs"
+    build_store(graph, path)
+    with open_store(path, CacheConfig(max_cached_nodes=64, mode=CacheMode.COLD_PER_QUERY)) as handle:
+        yield handle
+
+
+UNI = SearchConfig(algorithm=search.Algorithm.UNIDIRECTIONAL)
+PAPER = SearchConfig(frontier_policy=FrontierPolicy.PAPER_LITERAL)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [UNI, replace(PAPER, algorithm=search.Algorithm.BIDIR_BALANCED), PAPER],
+    ids=["uni", "balanced-paper", "postpone-3-paper"],
+)
+def test_a_round_meets_in_a_call_on_a_strict_prefix(hub10k, config):
+    # uni's opposite frontier is the final node, and a paper backward
+    # sweep's the initial one: the meeting round gathers only the
+    # frontier up to the first node that can meet it
+    s, t = _hub_pairs(_hub_graph(10_000, 5, False), 5)[0]
+    calls, whole = _cut_calls(hub10k, s, t, config)
+    step, frontier, meeting = calls[-1]
+    assert meeting is not None
+    assert len(frontier) < len(whole[step]) and whole[step][: len(frontier)] == frontier
+
+
+@pytest.mark.parametrize("s, t, action", [(8733, 1916, "postponed"), (7442, 1786, "delayed")])
+def test_a_round_is_not_cut_at_a_node_that_does_not_expand(hub10k, s, t, action):
+    # the first callee of the initial node in a backward round's frontier
+    # is postponed or sits out the round, so it cannot meet: the round is
+    # cut at a later callee, or not at all
+    graph = _hub_graph(10_000, 5, False)
+    calls, whole = _cut_calls(hub10k, s, t, PAPER)
+    _, trace = _run(graph, s, t, PAPER, NO_ROUND)
+    callees = set(graph.successors(s))
+    rounds = 0
+    for step, frontier in whole.items():
+        first = next((p for p, u in enumerate(frontier) if u in callees), None)
+        events = [event for event in trace if event.step == step]
+        if first is not None and events[first].action == action:
+            rounds += 1
+            head = next(frontier for at, frontier, _ in calls if at == step)
+            assert len(head) > first + 1, step
+    assert rounds > 0
+
+
+@pytest.mark.parametrize("config", [UNI, PAPER], ids=["uni", "postpone-3-paper"])
+def test_a_prefix_that_does_not_meet_goes_on_to_the_rest_of_the_round(hub10k, config):
+    # Here the prefix is forced to end after the round's first position,
+    # as no query here meets the kernel's own cut without meeting in it:
+    # under uni and paper the first expanding neighbour's offer to the
+    # opposite node always counts, and a smaller-first round faces a
+    # one-node opposite frontier only when that node occurs there at
+    # least as often as the round's own frontier has positions.
+    s, t = _hub_pairs(_hub_graph(10_000, 5, False), 5)[0]
+    calls, whole = _cut_calls(hub10k, s, t, config, cut=lambda frontier, *args: 1)
+    split = 0
+    for (step, head, meeting), (next_step, rest, _) in zip(calls, calls[1:]):
+        if step == next_step:
+            assert meeting is None and head + rest == whole[step]
+            split += 1
+    assert split > 0 and calls[-1][2] is not None

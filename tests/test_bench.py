@@ -24,6 +24,7 @@ from callpath.bench import (
 from callpath.errors import ScenarioError
 from callpath.fixtures import hub_fixture_spec
 from callpath.ingest import Regime, SyntheticSpec, classify_pair, generate_synthetic
+from callpath.model import ClassKind, InMemoryGraph, MethodMeta
 from callpath.search import Algorithm, FrontierPolicy, SearchConfig, run_search
 from callpath.store import _MAX_LATENCY, AccessStats, CacheConfig, CacheMode, build_store, open_store
 
@@ -549,6 +550,9 @@ def _edited(path, value):
             _edited(("condition", "cache", "latency_per_miss_ms"), 1e308),
             f"condition.cache: latency_per_miss_ms must be finite and non-negative, at most {_MAX_LATENCY * 1000} ms",
         ),
+        (_edited(("pairs",), []), "scenario has no pairs"),
+        (_edited(("algorithms",), []), "scenario has no algorithms"),
+        (_edited(("graph",), {"sql": "g.db"}), "graph source must be jsonl | synthetic | store"),
     ],
 )
 def test_load_scenario_rejects_malformed_fields(tmp_path, doc, field):
@@ -594,6 +598,13 @@ def test_load_scenario_relative_jsonl(tmp_path):
 
 def test_find_regime_pairs_budget_zero(fig_graph):
     assert find_regime_pairs(fig_graph, Regime.P2, 0) == []
+
+
+def test_find_regime_pairs_without_candidate_endpoints():
+    # no node at all, and no node with an edge for a P4 pair's many-sided ends
+    assert find_regime_pairs(InMemoryGraph([], []), Regime.P2, 3) == []
+    edgeless = InMemoryGraph([MethodMeta(u, f"m{u}", f"C{u}", ClassKind.CONCRETE) for u in range(5)], [])
+    assert find_regime_pairs(edgeless, Regime.P4, 3) == []
 
 
 def test_find_regime_pairs_p2_on_fig(fig_graph):

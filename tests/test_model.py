@@ -79,6 +79,15 @@ def test_adjacency_symmetry_exhaustive_1000_nodes(hub_graph):
     assert fwd_total == hub_graph.edge_count
 
 
+def test_repr_names_the_backend_and_its_size(fig_graph, tmp_path):
+    n, m = fig_graph.node_count, fig_graph.edge_count
+    assert repr(fig_graph) == f"InMemoryGraph(nodes={n}, edges={m})"
+    path = tmp_path / "fig.cgs"
+    build_store(fig_graph, path)
+    with open_store(path) as handle:
+        assert repr(handle) == f"DiskGraph({str(path)!r}, nodes={n}, edges={m})"
+
+
 def test_duplicate_edges_collapse():
     metas = [
         MethodMeta(0, "a", "X", ClassKind.CONCRETE),
