@@ -57,13 +57,17 @@ sides equal.
 On an ``InMemoryGraph`` of at least ``_ARRAY_ROUND_MIN`` nodes, a round
 whose frontier holds at least that many runs the array body,
 ``_array_round``, instead: it gathers every neighbour of the frontier
-at once from the graph's CSR arrays and relaxes them with numpy. An
-array round costs about 65 us before it does any work and about 0.15 us
-per frontier node in the largest rounds; node by node, a round costs
-about 1.5 us per node on the mem-hub benchmark graph and about 0.5 us on
-small sparse graphs. ``_ARRAY_ROUND_MIN`` is a constant set by timing
-both bodies (see its comment), not an option: it moves no counter, only
-time.
+at once from the graph's CSR arrays and relaxes them with numpy. When
+the nodes it expands share one distance, as in all but a few array
+rounds, it keeps every relaxation that beats the round-start distances,
+duplicates too, and settles them as it writes: each node takes its
+lowest relaxer, which is its first in processing order. On the mem-hub
+benchmark graph an array round of 96 to 127 nodes takes about 66 us,
+most of it fixed cost, and rounds above 4,096 nodes about 0.11 us per
+frontier node; node by node, a round costs about 1.5 us per node there
+and about 0.5 us on small sparse graphs. ``_ARRAY_ROUND_MIN`` is a
+constant set by timing both bodies (see its comment), not an option: it
+moves no counter, only time.
 
 An array round stops at its first possible meeting when the opposite
 frontier holds one node m, as in every array round of ``uni`` (m is the
@@ -76,8 +80,8 @@ on the frontier up to that position and, only if that part does not
 meet, on the rest in the same step: the array body does everything the
 per-node body does up to its last processed position, so the second
 part starts from the state the per-node body has there. Over a mem-hub
-pass this stops gathering 3.0M of the 9.4M edges its array rounds
-gathered. When the opposite frontier holds several nodes, as in most
+pass this stops gathering 3.0M of the 9.4M edges its array rounds would
+gather whole. When the opposite frontier holds several nodes, as in most
 smaller-first rounds, the round runs whole.
 
 An untraced query on a store runs the array body too, over the
@@ -382,12 +386,15 @@ _BASE_FLOOR = 1 - 2**30
 #: never fills an array round with distinct nodes, so its queries take
 #: the list tables and run node by node. Timed round by round on the
 #: mem-hub benchmark queries, the array body wins from about 48 nodes.
-#: With rounds cut at their first possible meeting, 10 s perfbench runs
-#: (4 each, medians, queries/s) read 1,083 / 1,051 / 1,003 on mem-hub,
-#: 1,341 / 1,294 / 1,235 on disk-cold and 1,855 / 1,879 / 1,859 on
-#: disk-warm at 64 / 96 / 128. 64 loses on disk-warm, and small sparse
-#: graphs, where a node costs a third as much, are faster at 96 than
-#: below it.
+#: With one-offer rounds settled as they write, 10 s perfbench runs (4
+#: each in rotation, medians, queries/s) read 1,235 / 1,217 / 1,147 on
+#: mem-hub, 1,426 / 1,366 / 1,302 on disk-cold and 2,039 / 2,026 / 2,034
+#: on disk-warm at 64 / 96 / 128. In alternating pairs 64 against 96
+#: won mem-hub (6 of 6, +5.4%) and disk-cold (5 of 6, +4.9%) but lost
+#: disk-warm (3 of 8 won, -1.6%), and small sparse graphs, where a node
+#: costs a third as much, are faster at 96: all pairs of the two
+#: 200-node criterion-2 graphs under ``uni`` took 3.13 s at 96 and
+#: 3.57 s at 64 (minimum of 5).
 _ARRAY_ROUND_MIN = 96
 
 
@@ -688,7 +695,8 @@ def _search(
                 marked = None
     finally:
         # A traceback keeps this frame: drop the views of a store's map, or
-        # the store could not be closed while the exception is handled.
+        # they would keep it mapped past the store's close while the
+        # exception is handled.
         csr = back = postponable = None
         # The reads of this query, reported once, even when it raised.
         if end_query is not None:
@@ -771,14 +779,20 @@ def _array_round(
       one; their effect on ``delay`` and ``postponed`` is applied after
       the meeting is known, up to the meeting node only;
     * relax every neighbour of the expanded occurrences. A relaxation
-      offers ``dist[u] + 1`` and counts only when that is below
-      ``dist[v]`` and below every offer made to v earlier in the round;
-      ``prev[v]`` comes from the last such relaxation. ``dist[u]`` is
-      the value when u expands: an earlier node of the round can lower
-      it, which happens only when the expanded nodes span three or more
-      distances (a postponed node firing among newer ones);
-    * stop at the first counted relaxation, in processing order, that
-      lands on the opposite frontier.
+      offers ``dist[u] + 1`` and is kept when that is below the
+      round-start ``dist[v]``. When the expanded occurrences share one
+      distance, every kept relaxation offers the same value and all of
+      them are kept, duplicates too; writing ``prev[v]`` as the lowest
+      relaxer settles v on its first one, as the per-node body does.
+      When they span several distances, a relaxation counts only when
+      its offer is also below every offer made to v earlier in the
+      round, and ``prev[v]`` comes from the last one that counts.
+      ``dist[u]`` is then the value when u expands: an earlier node of
+      the round can lower it, which happens only when the expanded
+      nodes span three or more distances (a postponed node firing among
+      newer ones);
+    * stop at the first kept or counted relaxation, in processing order,
+      that lands on the opposite frontier.
 
     ``frontier`` may be a prefix or the rest of a round's frontier: the
     caller cuts a round whose opposite frontier holds one node after the
@@ -826,25 +840,35 @@ def _array_round(
     targets = ids[np.arange(len(source)) + firsts[source]]
     du = dist[nodes]
     several = len(du) > 0 and du.min() != du.max()
-    kept, offers = _offers(du, several, source, targets, dist)
-    if several and int(du.max()) - int(du.min()) >= 2:
-        # An offer to a node that expands later in the round lowers the
-        # dist it expands with; settle those in processing order.
-        while True:
-            lowered = _lowered(du, nodes, source[kept], targets[kept], offers, tables.scratch)
-            if lowered is None:
-                break
-            du = lowered
-            kept, offers = _offers(du, several, source, targets, dist)
-    chosen = _counted(targets[kept], offers, several, tables.scratch)
-    counted = kept[chosen]
-    v, offers, source = targets[counted], offers[chosen], source[counted]
+    if several:
+        kept, offers = _offers(du, source, targets, dist)
+        if int(du.max()) - int(du.min()) >= 2:
+            # An offer to a node that expands later in the round lowers the
+            # dist it expands with; settle those in processing order.
+            while True:
+                lowered = _lowered(du, nodes, source[kept], targets[kept], offers, tables.scratch)
+                if lowered is None:
+                    break
+                du = lowered
+                kept, offers = _offers(du, source, targets, dist)
+        chosen = _counted(targets[kept], offers, tables.scratch)
+        kept, offers = kept[chosen], offers[chosen]
+    else:
+        # One offer value: every relaxation that beats the round-start
+        # dist is kept, duplicates too; the writes settle them.
+        offers = du[0] + 1 if len(du) else 0
+        kept = np.flatnonzero(dist[targets] > offers)
+    v, source = targets[kept], source[kept]
 
     # Step 3: meet, then cut every count and effect at the meeting node.
+    # Under one offer value, the first kept relaxation to a node is its
+    # first offer, so the first one to land on the opposite frontier meets.
     meets = tables.mark[v] == tables.stamp
     if meets.any():
         k = int(meets.argmax()) + 1
-        v, offers, source = v[:k], offers[:k], source[:k]
+        v, source = v[:k], source[:k]
+        if several:
+            offers = offers[:k]
         meeting = int(v[-1])
         visits = int(source[-1]) + 1
         last = visits - 1 if expanding is None else int(expanding[visits - 1])
@@ -876,16 +900,33 @@ def _array_round(
     if trace is not None:
         for p, u in enumerate(frontier[: last + 1].tolist()):
             trace.append(TraceEvent(step, forward, u, actions.get(p, "expanded")))
-    # With offers of several values a node can be counted more than
-    # once, at most once per value: writing the values in falling order
-    # leaves it its last, lowest offer.
-    for level in _levels(offers)[::-1] if several else (None,):
-        at = slice(None) if level is None else np.flatnonzero(offers == level)
-        dist[v[at]] = offers[at]
-        prev[v[at]] = nodes[source[at]]
+    if several:
+        # A node can be counted more than once, at most once per value:
+        # writing the values in falling order leaves it its last, lowest
+        # offer.
+        for level in _levels(offers)[::-1]:
+            at = np.flatnonzero(offers == level)
+            dist[v[at]] = offers[at]
+            prev[v[at]] = nodes[source[at]]
+    else:
+        # Expanding occurrences ascend, so a node's first relaxer in
+        # processing order is its lowest.
+        dist[v] = offers
+        prev[v] = _UNREACHED
+        np.minimum.at(prev, v, nodes.astype(np.int32)[source])
     if meeting is not None:
         return None, meeting, visits, probes, postponements, reads
-    todo = np.sort(np.concatenate((frontier[list(actions)], v)))
+    if not several:
+        v = np.sort(v)
+        distinct = np.ones(len(v), bool)
+        distinct[1:] = v[1:] != v[:-1]
+        v = v[distinct]
+    # A store's ids are ``<u4``; a frontier is int64, or ``~u`` would
+    # not make a kind read of it (see ``_round_reads``).
+    if several or actions:
+        todo = np.sort(np.concatenate((frontier[list(actions)], v)))
+    else:
+        todo = v.astype(np.int64, copy=False)
     return todo, None, visits, probes, postponements, reads
 
 
@@ -954,14 +995,9 @@ def _irregular(frontier, delay, postponable) -> list[int]:
     return sorted(odd)
 
 
-def _offers(du, several, source, targets, dist):
+def _offers(du, source, targets, dist):
     """Indices of the relaxations whose offer ``du[source] + 1`` beats
-    the round-start ``dist`` of their target, and those offers.
-    ``several`` says ``du`` holds more than one value."""
-    if not several:
-        offer = du[0] + 1 if len(du) else 0
-        kept = np.flatnonzero(dist[targets] > offer)
-        return kept, np.full(len(kept), offer, dist.dtype)
+    the round-start ``dist`` of their target, and those offers."""
     offered = (du + 1)[source]
     kept = np.flatnonzero(offered < dist[targets])
     return kept, offered[kept]
@@ -985,21 +1021,17 @@ def _lowered(du, nodes, source, targets, offers, scratch):
     return None if np.array_equal(lowered, du) else lowered
 
 
-def _counted(v, offers, several, scratch):
+def _counted(v, offers, scratch):
     """Indices, in processing order, of the offers that lower ``dist[v]``
     below every earlier offer to the same v (all of them beat the
-    round-start dist). ``several`` says they may differ in value.
+    round-start dist).
 
     An offer counts when it is the first offer to its node of a value
     at most its own: value by value, ascending, ``scratch[v]`` keeps the
     first index of such an offer.
     """
     scratch[v] = len(v)
-    order = np.arange(len(v))
-    if not several:
-        np.minimum.at(scratch, v, order)
-        return np.flatnonzero(scratch[v] == order)
-    counted = [order[:0]]
+    counted = [np.arange(0)]
     for level in _levels(offers):
         at = np.flatnonzero(offers == level)
         np.minimum.at(scratch, v[at], at)

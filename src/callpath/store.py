@@ -145,7 +145,7 @@ from zlib import crc32
 
 import numpy as np
 
-from .errors import ChecksumError, StoreFormatError, StoreLimitError
+from .errors import ChecksumError, StoreError, StoreFormatError, StoreLimitError
 from .model import (
     _KINDS,
     ClassKind,
@@ -436,11 +436,13 @@ class DiskGraph:
         return self._edge_count
 
     def successors(self, u: NodeId) -> tuple[int, ...]:
+        self._check_open()
         u = check_node(u, self._node_count)
         self._stats.adjacency_reads += 1
         return self._reads[0](u)
 
     def predecessors(self, u: NodeId) -> tuple[int, ...]:
+        self._check_open()
         u = check_node(u, self._node_count)
         self._stats.adjacency_reads += 1
         return self._reads[1](u)
@@ -448,6 +450,7 @@ class DiskGraph:
     def method_meta(self, u: NodeId) -> MethodMeta:
         """One meta read of node ``u``, the kernel's kind read, then its
         whole record decoded from the map."""
+        self._check_open()
         u = check_node(u, self._node_count)
         self._stats.meta_reads += 1
         return self._read_meta(u, self._reads[2](u))
@@ -464,6 +467,7 @@ class DiskGraph:
         ``_load``, which keeps recency and decodes from the map. Ids must
         lie in ``[0, node_count)``.
         """
+        self._check_open()
         return self._reads
 
     @property
@@ -477,6 +481,7 @@ class DiskGraph:
         of the map that ``open_store`` checked: offsets as ``<i8``, proved
         to rise from 0 to ``edge_count``, and ids as ``<u4``, proved below
         ``node_count``. Reading them counts nothing."""
+        self._check_open()
         return self._views[0] if direction is Direction.FORWARD else self._views[1]
 
     def kind_codes(self) -> np.ndarray:
@@ -484,6 +489,7 @@ class DiskGraph:
         view of the meta records that ``open_store`` checked, each byte
         the kind's index in ``tuple(ClassKind)``, as
         ``InMemoryGraph.kind_codes`` gives it. Reading it counts nothing."""
+        self._check_open()
         return self._views[2]
 
     @property
@@ -491,12 +497,15 @@ class DiskGraph:
         """What counts an array round's reads: ``_replay`` when the cache
         can evict, ``_replay_decoded`` when it cannot. The kernel runs
         array rounds only on a store that has it and hands it their reads."""
+        self._check_open()
         return self._replay_decoded if self._last is None else self._replay
 
     # ---- query/statistics management ----------------------------------------
 
     def begin_query(self) -> None:
-        """Searches call this on entry; in cold mode it empties the cache."""
+        """Searches call this on entry, so a search on a closed handle
+        fails here; in cold mode it empties the cache."""
+        self._check_open()
         if self._cache_config.mode is CacheMode.COLD_PER_QUERY:
             if self._last is not None:
                 # No earlier read finds its record, so the history restarts.
@@ -521,8 +530,23 @@ class DiskGraph:
         self._stats = AccessStats()
 
     def close(self) -> None:
-        self._views = None  # a view of the map would keep it from closing
-        self._map.close()
+        """Close the handle: every later read, search, ``csr`` or
+        ``kind_codes`` raises a ``StoreError``. The handle's own views go
+        first, as a view keeps the map from closing. A caller still
+        holding an array from ``csr`` or ``kind_codes`` keeps the file
+        mapped until the last such array goes; the handle is closed
+        either way."""
+        self._views = None
+        mapped, self._map = self._map, None
+        if mapped is not None:
+            try:
+                mapped.close()
+            except BufferError:  # views held by the caller; they unmap it when they go
+                pass
+
+    def _check_open(self) -> None:
+        if self._map is None:
+            raise StoreError(f"{self._path}: the store handle is closed")
 
     def __enter__(self) -> "DiskGraph":
         return self

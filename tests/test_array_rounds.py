@@ -27,7 +27,7 @@ import pytest
 from callpath import search
 from callpath.bench import load_scenario
 from callpath.ingest import SyntheticSpec, generate_synthetic
-from callpath.model import resolve_name
+from callpath.model import ClassKind, Direction, InMemoryGraph, MethodMeta, resolve_name
 from callpath.search import FrontierPolicy, SearchConfig, run_search
 from callpath.store import CacheConfig, CacheMode, build_store, open_store
 
@@ -322,3 +322,71 @@ def test_a_prefix_that_does_not_meet_goes_on_to_the_rest_of_the_round(hub10k, co
             assert meeting is None and head + rest == whole[step]
             split += 1
     assert split > 0 and calls[-1][2] is not None
+
+
+# ---- how a round settles its relaxations ----------------------------------
+#
+# A round whose expanding occurrences share one distance keeps every
+# relaxation that beats the round-start dist, duplicates too, and settles
+# each node on its lowest relaxer when it writes. These call
+# ``_array_round`` on one hand-built round: nodes 10, 11, 11 and 12 each
+# relax 20 and 21, over each backend's CSR arrays (a store's ids are <u4).
+
+SETTLE_NODES = 32
+SETTLE_FRONTIER = np.array([10, 11, 11, 12], np.int64)
+
+
+@pytest.fixture(scope="module", params=["memory", 16, SETTLE_NODES], ids=["memory", "evicting store", "every-node store"])
+def settle_graph(request, tmp_path_factory):
+    edges = [(u, v) for u in (10, 11, 12) for v in (20, 21)]
+    graph = InMemoryGraph([MethodMeta(u, f"m{u}", f"C{u}", ClassKind.CONCRETE) for u in range(SETTLE_NODES)], edges)
+    if request.param == "memory":
+        yield graph
+        return
+    path = tmp_path_factory.mktemp("settle") / "settle.cgs"
+    build_store(graph, path)
+    with open_store(path, CacheConfig(max_cached_nodes=request.param)) as handle:
+        yield handle
+
+
+def _settle(graph, frontier, opposite, distances):
+    """One forward array round of ``frontier`` against the opposite
+    frontier ``opposite``, on fresh tables holding the distances
+    ``distances`` (node -> distance); its output and the prev and dist
+    tables after it."""
+    tables = search._ArrayTables(SETTLE_NODES)
+    for u, d in distances.items():
+        tables.dist[True][u] = d
+    tables.mark_nodes(opposite)
+    out = search._array_round(
+        frontier, True, tables, graph.csr(Direction.FORWARD), {}, set(), False, None, 3, 1, None, True
+    )
+    return out, tables.prev[True], tables.dist[True]
+
+
+def test_a_one_offer_round_settles_each_node_on_its_lowest_relaxer(settle_graph):
+    out, prev, dist = _settle(settle_graph, SETTLE_FRONTIER, [0], {10: 1, 11: 1, 12: 1})
+    todo, meeting, visits, probes, postponements, reads = out
+    assert meeting is None and (visits, probes, postponements) == (4, 0, 0)
+    assert reads.tolist() == SETTLE_FRONTIER.tolist()
+    assert todo.dtype == np.int64 and todo.tolist() == [20, 21]
+    assert prev[[20, 21]].tolist() == [10, 10] and dist[[20, 21]].tolist() == [2, 2]
+
+
+def test_a_one_offer_round_writes_nothing_past_its_meeting(settle_graph):
+    # 10 relaxes 20, the opposite frontier, before it relaxes 21
+    out, prev, dist = _settle(settle_graph, SETTLE_FRONTIER, [20], {10: 1, 11: 1, 12: 1})
+    todo, meeting, visits, _, _, reads = out
+    assert (todo, meeting, visits) == (None, 20, 1)
+    assert reads.tolist() == [10]
+    assert (prev[20], dist[20]) == (10, 2)
+    assert (prev[21], dist[21]) == (-1, search._UNREACHED)
+
+
+def test_a_several_offer_round_that_keeps_no_relaxation(settle_graph):
+    # 10 and 12 offer 3 and 4 to 20 and 21, which stand at 1
+    out, prev, dist = _settle(settle_graph, np.array([10, 12], np.int64), [0], {10: 2, 12: 3, 20: 1, 21: 1})
+    todo, meeting, visits, _, _, _ = out
+    assert meeting is None and visits == 2
+    assert todo.dtype == np.int64 and todo.tolist() == []
+    assert prev[[20, 21]].tolist() == [-1, -1] and dist[[20, 21]].tolist() == [1, 1]

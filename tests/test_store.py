@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from pathlib import Path
 from zlib import crc32
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from callpath import store
-from callpath.errors import ChecksumError, InvalidNodeError, StoreFormatError, StoreLimitError
+from callpath.errors import ChecksumError, InvalidNodeError, StoreError, StoreFormatError, StoreLimitError
 from callpath.ingest import SyntheticSpec, generate_synthetic
 from callpath.model import ClassKind, Direction, InMemoryGraph, MethodMeta
 from callpath.search import (
@@ -202,6 +203,39 @@ def test_the_views_a_store_serves_are_the_graphs_arrays(tmp_path, hub_graph, cap
                 view[0] = view[0]
         assert handle.access_stats() == stats
         del offsets, ids, views, kinds, view  # the views must go before the map closes
+
+
+@pytest.mark.parametrize("capacity", [16, 200], ids=["evicting", "every-node"])
+def test_close_while_a_view_is_held_closes_the_handle(tmp_path, capacity):
+    # a caller's csr and kind_codes arrays keep the file mapped, not the
+    # handle open: after close every call fails in one line, and the
+    # mapping goes with the last of those arrays
+    graph = generate_synthetic(SyntheticSpec(node_count=200, out_degree=3, hub_count=2, hub_indegree=10, seed=1))
+    build_store(graph, tmp_path / "g.cgs")
+    handle = open_store(tmp_path / "g.cgs", CacheConfig(max_cached_nodes=capacity, mode=CacheMode.WARM_ACROSS_QUERIES))
+    run_search(handle, 0, 199, BALANCED)
+    offsets, ids = handle.csr(Direction.FORWARD)
+    kinds = handle.kind_codes()
+    mapped = weakref.ref(handle._map)
+    handle.close()
+    calls = [
+        lambda: handle.csr(Direction.BACKWARD),
+        handle.kind_codes,
+        handle.readers,
+        lambda: handle.replay,
+        lambda: handle.successors(0),
+        lambda: handle.predecessors(0),
+        lambda: handle.method_meta(0),
+        lambda: run_search(handle, 0, 199, BALANCED),
+    ]
+    for call in calls:
+        with pytest.raises(StoreError, match="closed") as raised:
+            call()
+        assert "\n" not in str(raised.value)
+    handle.close()
+    assert np.array_equal(offsets, graph.csr(Direction.FORWARD)[0]) and mapped() is not None
+    del offsets, ids, kinds
+    assert mapped() is None
 
 
 def test_second_read_hits_cache(fig_store):
