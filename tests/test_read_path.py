@@ -10,6 +10,7 @@ and is read one contract call at a time, node by node. Both must
 traverse alike and count every read alike after every query.
 """
 
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -201,14 +202,32 @@ def test_a_raising_trace_on_an_evicting_store_leaves_the_per_node_counts(hub_sto
                 assert direct.access_stats() == inner.access_stats(), (s, t, events)
 
 
-def test_a_store_closes_after_array_rounds(hub_store, hub_graph, array_rounds):
-    # the kernel keeps no view of the map once a query returns or raises
+def test_a_store_closes_after_array_rounds(hub_store, hub_graph, array_rounds, monkeypatch):
+    # the kernel keeps no view of the map once a query returns or raises,
+    # so the file is unmapped at the close: a view left in a frame, even
+    # one a traceback keeps, would hold the mapping past it
     handle = open_store(hub_store, CacheConfig(max_cached_nodes=64))
+    arrayed = []
     for config in REGIME_CONFIGS:
+        rounds = len(array_rounds)
         run_search(handle, 643, 549, config)
-    assert array_rounds
+        if len(array_rounds) > rounds:
+            arrayed.append(config)
+    assert arrayed
+    mapped = weakref.ref(handle._map)
     handle.close()
-    with pytest.raises(_Interrupted):
-        with open_store(hub_store, CacheConfig(max_cached_nodes=64)) as handle:
-            run_search(handle, 643, 549, REGIME_CONFIGS[0])
-            raise _Interrupted
+    assert mapped() is None
+    spy = search._array_round
+
+    def interrupted(*args):
+        spy(*args)
+        del args  # the round's own arguments hold views; the kernel's frame is under test
+        raise _Interrupted
+
+    monkeypatch.setattr(search, "_array_round", interrupted)
+    for config in arrayed:
+        with pytest.raises(_Interrupted) as raised:
+            with open_store(hub_store, CacheConfig(max_cached_nodes=64)) as handle:
+                mapped = weakref.ref(handle._map)
+                run_search(handle, 643, 549, config)
+        assert raised.traceback and mapped() is None, config
