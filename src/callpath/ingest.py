@@ -76,7 +76,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import CallpathError, JsonlFormatError, SyntheticSpecError
-from .model import ClassKind, Direction, InMemoryGraph, NodeColumns, NodeId, check_node, is_integer
+from .model import ClassKind, Direction, InMemoryGraph, NodeColumns, NodeId, check_node, graph_readers, is_integer
 from .store import _MAX_NODES
 
 # "Few vs many" reachability boundary, as a fraction of the node count,
@@ -644,19 +644,30 @@ def reachable_count(graph, start: NodeId, direction: Direction) -> int:
 
 
 def reachable_set(graph, start: NodeId, direction: Direction) -> set[NodeId]:
-    """All nodes reachable from ``start`` (start itself excluded even on cycles)."""
+    """All nodes reachable from ``start`` (start itself excluded even on cycles).
+
+    Reads through ``model.graph_readers`` as the search kernel does, and
+    hands a store's ``end_query`` the runs it read, even when a read
+    raised, so the store counts them as the contract calls would."""
     start = check_node(start, graph.node_count)
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction, got {direction!r}")
-    step = graph.successors if direction is Direction.FORWARD else graph.predecessors
+    read_fwd, read_bwd, _ = graph_readers(graph)
+    step = read_fwd if direction is Direction.FORWARD else read_bwd
+    end_query = getattr(graph, "end_query", None)
     seen: set[NodeId] = {start}
     queue: deque[NodeId] = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in step(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
+    try:
+        while queue:
+            u = queue.popleft()
+            for v in step(u):
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+    finally:
+        # Every node seen entered the queue once; those that left it were read.
+        if end_query is not None:
+            end_query(len(seen) - len(queue), 0)
     seen.discard(start)
     return seen
 

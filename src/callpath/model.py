@@ -15,9 +15,11 @@ looks up each optional method once per query:
 * ``readers()`` returns three callables, for forward runs, backward
   runs and class kinds; the kernel reads node u as ``read(u)``. None
   checks u, since the kernel passes only ids it read from the graph.
-  Both backends have it: an ``InMemoryGraph``'s readers index its
-  per-node tuples; a store's count the misses they make, but not the
-  reads.
+  Both backends have it, and both serve it from :class:`Decoded` dicts,
+  which decode a node on its first read and keep it: an
+  ``InMemoryGraph`` from its CSR arrays and kind codes, a store from its
+  map when its cache holds every node. A store's readers count the
+  misses they make, but not the reads.
 * ``end_query(runs, kinds)`` receives, once per query and even when
   the query raised, the number of run and kind reads it made. Only the
   store has it, and it adds them to its read counts.
@@ -25,23 +27,25 @@ looks up each optional method once per query:
 A backend without ``readers`` is read through its contract methods, a
 kind read taking the field off ``method_meta(u)``, so every read is
 one checked contract call, as any wrapper or proxy around a backend
-expects; without ``end_query`` nothing is reported.
+expects; without ``end_query`` nothing is reported. ``graph_readers``
+gives these three reads of any backend; ``ingest.reachable_set`` reads
+through it too, and reports its run reads to ``end_query``.
 
-The search kernel reads an :class:`InMemoryGraph` through more than
-the contract. Rounds with a large frontier run as array operations over
-its CSR arrays (``csr``) and postponement tests over its per-node kind
-codes (``kind_codes``), traced or not; it counts no reads, so it has no
-``replay``. A store has both, and a ``replay`` that counts the misses
-of such a round's reads, handed over in the order the per-node body
-would have made them, as its readers would have; any other backend runs
-array rounds only when it has all three, and only untraced. A store
+The search kernel reads a backend that has CSR arrays (``csr``) and
+per-node kind codes (``kind_codes``) through more than the contract:
+rounds with a large frontier run as array operations over the arrays,
+and postponement tests over the codes. A backend that counts no reads,
+as an :class:`InMemoryGraph`, has no ``replay`` and runs them traced or
+not. A store has a ``replay`` that counts the misses of such a round's
+reads, handed over in the order the per-node body would have made
+them, as its readers would have, and runs them only untraced. A store
 that holds every node (``holds_every_node``) starts each query on list
 tables and moves to array tables at its first large round (see
 ``search``). Any other backend is searched node by node.
 
 Graphs are immutable once built, so concurrent readers are safe; the
-per-node objects an :class:`InMemoryGraph` builds on first read are
-covered in its docstring.
+values an :class:`InMemoryGraph` decodes on first read are covered in
+its docstring.
 """
 
 from __future__ import annotations
@@ -149,6 +153,33 @@ class NodeColumns(NamedTuple):
     lines: tuple[int, ...]
 
 
+class Decoded(dict):
+    """One section's decoded values by node, the per-node reader of both
+    backends: ``d[u]`` serves a decoded value in one C call, and a miss
+    calls ``load(u)`` and keeps what it returns. Two threads that miss on
+    one node both decode it, and each assigns an equal value."""
+
+    __slots__ = ("load",)
+
+    def __init__(self, load) -> None:
+        super().__init__()
+        self.load = load
+
+    def __missing__(self, u: int):
+        value = self[u] = self.load(u)
+        return value
+
+
+def graph_readers(graph):
+    """The reads of forward runs, backward runs and class kinds of any
+    backend: its ``readers()``, or else its contract methods, a kind read
+    taking the field off ``method_meta``."""
+    readers = getattr(graph, "readers", None)
+    if readers is not None:
+        return readers()
+    return graph.successors, graph.predecessors, lambda u: graph.method_meta(u).class_kind
+
+
 class InMemoryGraph:
     """Call graph held fully in memory.
 
@@ -159,18 +190,26 @@ class InMemoryGraph:
     :class:`NodeColumns`. Node ids are dense, assigned in construction
     order.
 
-    What the access contract serves is built on first read: each run
-    as a tuple of Python ints (``successors``, ``predecessors``,
-    ``readers``), each node's ``ClassKind`` (``readers``) and its
-    ``MethodMeta`` (``method_meta``). So a graph that is only written
-    to a store (``build_store`` reads the columns and the CSR arrays)
-    never builds them. Each is one ``cached_property``. On Python 3.12
-    and later, two threads that read one at once may both build it:
-    each gets a complete, equal, immutable value, and the later
-    assignment replaces the earlier, so any reader sees the same
-    answers. On 3.10 and 3.11, ``cached_property`` holds a lock while it
-    builds, so the builds run one after the other. Either way the graph
-    needs no lock of its own.
+    What the access contract serves is decoded from the columns and the
+    CSR arrays on demand. ``successors`` and ``predecessors`` decode a
+    run into a tuple of Python ints on each call and keep nothing, so a
+    caller that reads every node once holds no per-node object after.
+    ``readers()``, through which the search kernel and the closures read,
+    are three :class:`Decoded` dicts, of forward runs, backward runs and
+    ``ClassKind`` values, which keep each node they decode, as a store
+    whose cache holds every node does. So a query costs the nodes it
+    touches, and a graph only written to a store (``build_store`` reads
+    the columns and the CSR arrays) decodes none. ``method_meta`` builds
+    every node's ``MethodMeta`` on its first call, as one
+    ``cached_property``.
+
+    Two threads that read one node at once may both decode it: each
+    assigns an equal tuple or kind, so any reader sees the same answers.
+    Two that build the ``MethodMeta`` records at once both build them
+    on Python 3.12 and later, and the later assignment replaces the
+    earlier; on 3.10 and 3.11 ``cached_property`` holds a lock, so the
+    builds run one after the other. Either way the graph needs no lock
+    of its own.
     """
 
     def __init__(
@@ -247,30 +286,16 @@ class InMemoryGraph:
         self._columns = NodeColumns(
             tuple(columns.method_names), tuple(columns.class_names), codes, tuple(columns.files), tuple(columns.lines)
         )
-
-    # ---- per-node objects, built on first read ------------------------------
-
-    @cached_property
-    def _node_ids(self) -> list[int]:
-        # One int object per id, shared by the runs of both directions.
-        return list(range(self._node_count))
-
-    @cached_property
-    def _fwd(self) -> tuple[tuple[int, ...], ...]:
-        return _rows(*self._csr_fwd, self._node_ids)
-
-    @cached_property
-    def _bwd(self) -> tuple[tuple[int, ...], ...]:
-        return _rows(*self._csr_bwd, self._node_ids)
-
-    @cached_property
-    def _kinds(self) -> tuple[ClassKind, ...]:
-        return tuple(map(_KINDS.__getitem__, self._columns.class_kinds.tolist()))
+        # The readers: forward runs, backward runs and class kinds.
+        kinds = memoryview(codes)
+        loads = _run_loader(*self._csr_fwd), _run_loader(*self._csr_bwd), lambda u: _KINDS[kinds[u]]
+        self._decoded = tuple(map(Decoded, loads))
 
     @cached_property
     def _metas(self) -> tuple[MethodMeta, ...]:
         c = self._columns
-        return tuple(map(MethodMeta, self._node_ids, c.method_names, c.class_names, self._kinds, c.files, c.lines))
+        kinds = map(_KINDS.__getitem__, c.class_kinds.tolist())
+        return tuple(map(MethodMeta, range(self._node_count), c.method_names, c.class_names, kinds, c.files, c.lines))
 
     # ---- access contract ---------------------------------------------------
 
@@ -284,19 +309,20 @@ class InMemoryGraph:
 
     def successors(self, u: NodeId) -> tuple[int, ...]:
         """All v with an edge u -> v, sorted ascending."""
-        return self._fwd[check_node(u, self._node_count)]
+        return self._decoded[0].load(check_node(u, self._node_count))
 
     def predecessors(self, u: NodeId) -> tuple[int, ...]:
         """All v with an edge v -> u, sorted ascending."""
-        return self._bwd[check_node(u, self._node_count)]
+        return self._decoded[1].load(check_node(u, self._node_count))
 
     def method_meta(self, u: NodeId) -> MethodMeta:
         return self._metas[check_node(u, self._node_count)]
 
     def readers(self):
         """The search kernel's unchecked reads of forward runs, backward
-        runs and class kinds: each indexes a per-node tuple."""
-        return self._fwd.__getitem__, self._bwd.__getitem__, self._kinds.__getitem__
+        runs and class kinds: each is a ``Decoded`` dict's lookup, which
+        decodes a node on its first read and keeps it."""
+        return tuple(decoded.__getitem__ for decoded in self._decoded)
 
     # ---- helpers -------------------------------------------------------------
 
@@ -326,13 +352,11 @@ def _csr(sources: np.ndarray, targets: np.ndarray, n: int) -> tuple[np.ndarray, 
     return offsets, ids
 
 
-def _rows(offsets: np.ndarray, ids: np.ndarray, node_ids: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Every run as a tuple of Python ints. The ints come from the shared
-    ``node_ids`` list, so each id is one object however many rows hold it
-    (``tolist`` alone would allocate one int per edge and direction)."""
-    values = list(map(node_ids.__getitem__, ids.tolist()))
-    bounds = offsets.tolist()
-    return tuple([tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])])
+def _run_loader(offsets: np.ndarray, ids: np.ndarray):
+    """Node u's run in one CSR direction as a tuple of Python ints, decoded
+    through memoryviews, which index and slice faster than the arrays."""
+    starts, values = memoryview(offsets), memoryview(ids)
+    return lambda u: tuple(values[starts[u] : starts[u + 1]].tolist())
 
 
 def materialize(graph) -> InMemoryGraph:

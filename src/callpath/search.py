@@ -45,14 +45,14 @@ its delay countdown, probe and postponement, then relaxes its neighbours
 one by one. It runs on every backend and reads every one the same way,
 through the three callables of ``graph.readers()`` (see ``model``): a
 probe is ``read_kind(u)``, and an expansion one read of u's run in that
-direction. An ``InMemoryGraph``'s readers index tuples; a store whose
-cache holds every node serves its hits from C-level dicts; a backend
-without ``readers`` is read through its checked contract methods. The
-kernel counts its own reads: each query hands the store's ``end_query``
-its visits and its probes once, in a ``finally``, and the store adds
-them to its read counts, having counted only the misses. Each visit or
-probe is counted before its read, so a read that raises leaves both
-sides equal.
+direction. An ``InMemoryGraph`` and a store whose cache holds every
+node serve them from C-level dicts that decode a node on its first
+read; a backend without ``readers`` is read through its checked
+contract methods. The kernel counts its own reads: each query hands the
+store's ``end_query`` its visits and its probes once, in a ``finally``,
+and the store adds them to its read counts, having counted only the
+misses. Each visit or probe is counted before its read, so a read that
+raises leaves both sides equal.
 
 On an ``InMemoryGraph`` of at least ``_ARRAY_ROUND_MIN`` nodes, a round
 whose frontier holds at least that many runs the array body,
@@ -91,7 +91,7 @@ counts every read in processing order: the round hands the store's
 meeting node and in the order the per-node body would have made them,
 and the store counts them with numpy (see ``store``). A traced store
 query runs node by node, so a raising trace hook leaves the per-node
-counts. Other backends have no CSR arrays and always run node by node.
+counts. A backend without CSR arrays always runs node by node.
 
 A query costs the nodes it touches, not ``node_count``. A query that can
 run array rounds from its start (on an ``InMemoryGraph`` of at least
@@ -121,10 +121,9 @@ also builds a ``SearchState`` from the query's own tables before it
 hands them back.
 
 A query whose endpoints are equal meets before its first round, but it
-takes the same path as every other: it takes and hands back tables, and
-on a graph's first query it may build the graph's per-node objects (see
-``model``) and the tables, and with ``return_state=True`` it returns a
-``SearchState``, not None.
+takes the same path as every other: it takes and hands back tables,
+which a graph's first query may build, and with ``return_state=True``
+it returns a ``SearchState``, not None.
 
 A round in which every occurrence of the chosen frontier sits out the
 round only counts delays down, and the next round repeats it. An
@@ -145,7 +144,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalSearchError
-from .model import ClassKind, Direction, Edge, InMemoryGraph, NodeId, check_node, is_integer
+from .model import ClassKind, Direction, Edge, NodeId, check_node, graph_readers, is_integer
 
 DEFAULT_POSTPONE_KINDS = frozenset({ClassKind.INTERFACE, ClassKind.ABSTRACT})
 DEFAULT_DELAY_STEPS = 3
@@ -449,16 +448,6 @@ def _as_array(nodes) -> np.ndarray:
     return np.fromiter(nodes, np.int64, len(nodes))
 
 
-def _readers(graph):
-    """The reads of forward runs, backward runs and class kinds. A backend
-    without ``readers`` is read through its contract methods, a kind read
-    taking the field off ``method_meta``."""
-    readers = getattr(graph, "readers", None)
-    if readers is not None:
-        return readers()
-    return graph.successors, graph.predecessors, lambda u: graph.method_meta(u).class_kind
-
-
 def _choose_forward(policy: FrontierPolicy, n_fwd: int, n_bwd: int) -> bool:
     """Pick the direction to expand; caller guarantees one frontier is non-empty."""
     if policy is FrontierPolicy.PAPER_LITERAL:
@@ -496,24 +485,25 @@ def _search(
     t0 = perf_counter()
     n = graph.node_count
     # Frontier ids come from the graph, so the per-node reads do not check them.
-    read_fwd, read_bwd, read_kind = _readers(graph)
+    read_fwd, read_bwd, read_kind = graph_readers(graph)
     # The query's tables. A query that can run array rounds from its start
     # gets the int32 arrays, whose memoryviews its per-node rounds index
-    # too: one on an InMemoryGraph large enough to fill an array round, or
-    # an untraced one on a store whose cache can evict, which is handed
-    # each array round's reads to ``replay``. An untraced query on a store
+    # too: one on a graph large enough to fill an array round that counts
+    # no reads (it has ``csr`` and no ``replay``), traced or not, or an
+    # untraced one on a store whose cache can evict, which is handed each
+    # array round's reads to ``replay``. An untraced query on a store
     # whose cache holds every node starts on the lists and logs the nodes
     # each round writes in ``written``; at its first round of
-    # ``_ARRAY_MOVE_MIN`` nodes it moves to the arrays.
-    # Every other query gets the lists. Rounds of ``array_min`` nodes or
-    # more run as arrays.
+    # ``_ARRAY_MOVE_MIN`` nodes it moves to the arrays. Every other query
+    # gets the lists. Rounds of ``array_min`` nodes or more run as arrays.
     replay = None if trace is not None else getattr(graph, "replay", None)
     written = None
     if replay is not None and getattr(graph, "holds_every_node", False):
         arrays, array_min = False, _ARRAY_MOVE_MIN
         written = {True: [], False: []}
     else:
-        arrays = n >= _ARRAY_ROUND_MIN and (replay is not None or isinstance(graph, InMemoryGraph))
+        counts_nothing = hasattr(graph, "csr") and not hasattr(graph, "replay")
+        arrays = n >= _ARRAY_ROUND_MIN and (replay is not None or counts_nothing)
         array_min = _ARRAY_ROUND_MIN if arrays else inf
     spare, make = (_SPARE_ARRAYS, _ArrayTables) if arrays else (_SPARE_TABLES, _Tables)
     tables = _take_tables(spare, make, n)

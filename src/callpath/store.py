@@ -89,10 +89,11 @@ needs the count of distinct nodes (``_distinct``); a round with many is
 read by read instead.
 
 Otherwise (``holds_every_node``) no record is ever evicted and recency
-decides nothing, so the cache is one dict of decoded values per section
-(the runs of each direction, kinds), and a read is a hit when its dict
-holds the node; ``method_meta`` decodes the rest of a record from the
-map each time. The same bits as above (``_held``, one uint8 per node)
+decides nothing, so the cache is one ``model.Decoded`` dict of decoded
+values per section (the runs of each direction, kinds), the reader an
+``InMemoryGraph`` has too, and a read is a hit when its dict holds the
+node; ``method_meta`` decodes the rest of a record from the map each
+time. The same bits as above (``_held``, one uint8 per node)
 say which dicts hold a node: a decode into a dict sets its bit, and a
 cold ``begin_query`` clears the bits with the dicts.
 
@@ -149,6 +150,7 @@ from .errors import ChecksumError, StoreError, StoreFormatError, StoreLimitError
 from .model import (
     _KINDS,
     ClassKind,
+    Decoded,
     Direction,
     InMemoryGraph,
     MethodMeta,
@@ -352,21 +354,6 @@ def is_store_file(path: str | Path) -> bool:
         return False
 
 
-class _Decoded(dict):
-    """One section's decoded values by node, on a store that holds every
-    node: ``d[u]`` serves a hit in one C call, and a miss calls ``load(u)``,
-    which decodes the value into the dict."""
-
-    __slots__ = ("load",)
-
-    def __init__(self, load) -> None:
-        super().__init__()
-        self.load = load
-
-    def __missing__(self, u: int):
-        return self.load(u)
-
-
 class DiskGraph:
     """Graph-access handle over a CGS1 file.
 
@@ -403,7 +390,7 @@ class DiskGraph:
         # whose read still finds its record; and how many records the
         # cache holds. Each array is also held as a memoryview, which
         # single reads index faster. Otherwise ``_last`` is None, and the
-        # cache is one ``_Decoded`` dict per section bit; ``_held`` then
+        # cache is one ``Decoded`` dict per section bit; ``_held`` then
         # has a node's bit set exactly when its section dict holds the
         # node.
         self._last: np.ndarray | None = None
@@ -416,7 +403,7 @@ class DiskGraph:
             self._nodes = np.empty(capacity + _HISTORY_SLACK, np.int64)
             self._nodes_mv = memoryview(self._nodes)
             self._base = self._clock = self._horizon = self._live = 0
-        self._decoded = {bit: _Decoded(partial(self._load, bit)) for bit in (_FWD, _BWD, _META)}
+        self._decoded = {bit: Decoded(partial(self._load, bit)) for bit in (_FWD, _BWD, _META)}
         # ``readers()``: per section (fwd, bwd, meta) its dict's lookup, or
         # its ``_load`` when the cache can evict and the dicts stay empty.
         self._reads = tuple(
@@ -567,7 +554,7 @@ class DiskGraph:
         """One read of section ``bit`` of node ``u``: its run in that
         direction, or its class kind for ``_META``. It counts a miss, not
         the read. When the cache holds every node, only a miss of the
-        section dict comes here, and the value is decoded into the dict."""
+        section dict comes here, and the dict keeps the value."""
         last = self._last_mv
         if last is not None:
             t, base = self._clock, self._base
@@ -600,17 +587,13 @@ class DiskGraph:
                 time.sleep(latency)
                 stats.injected_latency_total += latency
         if bit == _META:
-            value = _KINDS[self._map[self._meta_start + _META_RECORD.size * u + _KIND_OFFSET]]
-        else:
-            prefix, ids = self._run_starts[bit]
-            start, end = _U64x2.unpack_from(self._map, prefix + 8 * u)
-            decode = self._run_structs.get(end - start)
-            if decode is None:
-                decode = self._run_structs[end - start] = struct.Struct(f"<{end - start}I")
-            value = decode.unpack_from(self._map, ids + 4 * start)
-        if last is None:
-            self._decoded[bit][u] = value
-        return value
+            return _KINDS[self._map[self._meta_start + _META_RECORD.size * u + _KIND_OFFSET]]
+        prefix, ids = self._run_starts[bit]
+        start, end = _U64x2.unpack_from(self._map, prefix + 8 * u)
+        decode = self._run_structs.get(end - start)
+        if decode is None:
+            decode = self._run_structs[end - start] = struct.Struct(f"<{end - start}I")
+        return decode.unpack_from(self._map, ids + 4 * start)
 
     def _replay(self, forward: bool, reads: np.ndarray) -> None:
         """Count an array round's misses as ``_load`` would have: ``u`` is
@@ -677,7 +660,7 @@ class DiskGraph:
         unheld = np.flatnonzero((self._held[nodes] & bits) == 0)
         decoded = self._decoded
         for bit, u in zip(bits[unheld].tolist(), nodes[unheld].tolist()):
-            decoded[bit][u]  # a miss loads through ``_Decoded.__missing__``
+            decoded[bit][u]  # a miss loads through ``Decoded.__missing__``
 
     def _count_round(self, run_bit: int, reads: np.ndarray) -> int | None:
         """Count a round's reads with numpy and return its hits, or

@@ -103,6 +103,21 @@ def test_pair_node_id_outside_graph_is_scenario_error(initial):
         run_scenario(scenario)
 
 
+def test_nondeterministic_counters_are_a_scenario_error(monkeypatch):
+    # a kernel whose repetitions disagree on a counter is refused in one line
+    calls = []
+
+    def drifting(*args, **kwargs):
+        calls.append(args)
+        return replace(run_search(*args, **kwargs), steps=len(calls))
+
+    monkeypatch.setattr("callpath.bench.run_search", drifting)
+    with pytest.raises(ScenarioError, match="nondeterministic counters") as caught:
+        run_scenario(FIG_PAIR_SCENARIO)
+    assert "\n" not in str(caught.value)
+    assert len(calls) == FIG_PAIR_SCENARIO.repetitions
+
+
 def test_unresolved_pair_name_is_error():
     scenario = Scenario(
         graph_jsonl=DATA / "transceiver.jsonl",

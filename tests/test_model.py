@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from callpath.errors import AmbiguousNameError, InvalidNodeError, NameNotFoundError
-from callpath.ingest import reachable_set
+from callpath.ingest import SyntheticSpec, generate_synthetic, reachable_set
 from callpath.model import (
     ClassKind,
     Direction,
@@ -15,7 +16,7 @@ from callpath.model import (
     materialize,
     resolve_name,
 )
-from callpath.search import Algorithm, SearchConfig, run_search
+from callpath.search import Algorithm, FrontierPolicy, SearchConfig, run_search
 from callpath.store import build_store, open_store
 
 from oracles import random_graph
@@ -122,6 +123,40 @@ def test_rows_and_kind_codes_serve_what_the_contract_serves(hub_graph):
         assert (meta.method_name, meta.class_name, meta.file, meta.line) == (
             columns.method_names[u], columns.class_names[u], columns.files[u], columns.lines[u]
         )
+
+
+def test_contract_reads_keep_nothing_and_readers_keep_each_node(hub_graph):
+    # successors and predecessors decode on each call, so a sweep of every
+    # node holds nothing after; readers() keep what they decode and serve
+    # the same runs and kinds
+    fresh = materialize(hub_graph)
+    runs = [(fresh.successors(u), fresh.predecessors(u)) for u in range(fresh.node_count)]
+    read_fwd, read_bwd, read_kind = fresh.readers()
+    assert all(len(decoded) == 0 for decoded in fresh._decoded)
+    for u in range(0, fresh.node_count, 7):
+        got = read_fwd(u), read_bwd(u)
+        assert got == runs[u] == (hub_graph.successors(u), hub_graph.predecessors(u))
+        assert all(type(run) is tuple for run in got)
+        assert read_fwd(u) is got[0] and read_bwd(u) is got[1]
+        assert read_kind(u) is hub_graph.method_meta(u).class_kind
+    assert all(len(decoded) == len(range(0, fresh.node_count, 7)) for decoded in fresh._decoded)
+
+
+def test_first_query_costs_the_nodes_it_touches():
+    # the graph decodes only the nodes a query reads one by one, so the
+    # first query's peak is about its own tables (28 bytes per node), not
+    # a tuple per run of every node (312 bytes per node before)
+    n = 100_000
+    graph = generate_synthetic(SyntheticSpec(node_count=n, out_degree=4, seed=3))
+    config = SearchConfig(algorithm=Algorithm.BIDIR_BALANCED, frontier_policy=FrontierPolicy.SMALLER_FIRST)
+    tracemalloc.start()
+    try:
+        result = run_search(graph, 0, n - 1, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.length > 0
+    assert peak < 40 * n
 
 
 def _same_graph(a: InMemoryGraph, b: InMemoryGraph) -> None:

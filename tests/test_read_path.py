@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from callpath import search, store
-from callpath.ingest import SyntheticSpec, generate_synthetic
+from callpath.ingest import SyntheticSpec, generate_synthetic, reachable_set
+from callpath.model import Direction
 from callpath.search import FrontierPolicy, SearchConfig, run_search
 from callpath.store import CacheConfig, CacheMode, build_store, open_store
 
@@ -50,7 +51,7 @@ def test_cached_reads_match_the_contract_path(hub_store, hub_graph, mode, room):
     warm = mode is CacheMode.WARM_ACROSS_QUERIES
     with open_store(hub_store, cache) as direct, open_store(hub_store, cache) as inner:
         contract = _RequiredMethodsOnly(inner)
-        for config in REGIME_CONFIGS:
+        for k, config in enumerate(REGIME_CONFIGS):
             for s, t in pairs:
                 got = run_search(direct, s, t, config)
                 assert got.same_traversal(run_search(contract, s, t, config))
@@ -59,6 +60,13 @@ def test_cached_reads_match_the_contract_path(hub_store, hub_graph, mode, room):
                     nodes = [int(u) for u in rng.integers(n, size=3)]
                     reads = _direct_reads(direct, nodes)
                     assert reads == _direct_reads(inner, nodes) == _direct_reads(hub_graph, nodes)
+                    assert direct.access_stats() == inner.access_stats()
+            # closures read through the store's readers and report their
+            # reads, so they count as closures of contract calls do
+            for u in pairs[k % len(pairs)]:
+                for direction in Direction:
+                    closure = reachable_set(direct, u, direction)
+                    assert closure == reachable_set(contract, u, direction) == reachable_set(hub_graph, u, direction)
                     assert direct.access_stats() == inner.access_stats()
         stats = direct.access_stats()
     assert stats.meta_reads > 0 and stats.cache_misses > 0

@@ -12,7 +12,7 @@ from callpath.bench import load_scenario
 from callpath.errors import InternalSearchError, InvalidNodeError
 from callpath.fixtures import postponement_pathology_graph
 from callpath.ingest import SyntheticSpec, generate_synthetic
-from callpath.model import ClassKind, Edge, InMemoryGraph, MethodMeta
+from callpath.model import ClassKind, Direction, Edge, InMemoryGraph, MethodMeta
 from callpath.search import (
     Algorithm,
     FrontierPolicy,
@@ -906,29 +906,35 @@ def test_query_after_a_failed_query_is_exact(hub_graph):
 
 
 def test_concurrent_searches_on_one_graph_match_sequential(hub_graph):
+    # the session's hub_graph has decoded its nodes in earlier tests; on a
+    # copy never read, the four threads also race each node's first decode
     rng = np.random.default_rng(407)
     queries = [(s, t, config) for config in REGIME_CONFIGS for s, t in _pairs(rng, hub_graph, 5)]
     expected = [_fresh(hub_graph, s, t, config) for s, t, config in queries]
-    results = {}
+    offsets, callees = hub_graph.csr(Direction.FORWARD)
+    callers = np.repeat(np.arange(hub_graph.node_count), np.diff(offsets))
+    never_read = InMemoryGraph.from_columns(hub_graph.columns(), np.column_stack([callers, callees]))
+    for graph in (hub_graph, never_read):
+        results = {}
 
-    def worker(k):
-        order = [int(i) for i in np.random.default_rng(k).permutation(len(queries))]
-        results[k] = {i: run_search(hub_graph, *queries[i]) for i in order}
+        def worker(k):
+            order = [int(i) for i in np.random.default_rng(k).permutation(len(queries))]
+            results[k] = {i: run_search(graph, *queries[i]) for i in order}
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(results) == [0, 1, 2, 3]
-    for got in results.values():
-        assert all(got[i].same_traversal(want) for i, want in enumerate(expected))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for got in results.values():
+            assert all(got[i].same_traversal(want) for i, want in enumerate(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -939,8 +945,8 @@ def test_concurrent_searches_on_one_graph_match_sequential(hub_graph):
 class _RequiredMethodsOnly:
     """A backend with the required access methods and, when ``inner`` has
     them, the store's ``begin_query`` and stats. Without ``readers`` the
-    kernel's probes read the kind off ``method_meta``; not being an
-    InMemoryGraph, it has every round run node by node."""
+    kernel's probes read the kind off ``method_meta``; having no ``csr``,
+    it has every round run node by node."""
 
     def __init__(self, inner):
         self.node_count = inner.node_count
