@@ -45,7 +45,7 @@ from .ingest import (
     generate_synthetic,
     import_jsonl,
 )
-from .model import ClassKind, InMemoryGraph, NodeId, check_node, materialize, resolve_name
+from .model import ClassKind, InMemoryGraph, NodeId, check_node, graph_readers, materialize, resolve_name
 from .search import Algorithm, FrontierPolicy, SearchConfig, run_search
 from .store import AccessStats, CacheConfig, CacheMode, _latency_from_ms, build_store, open_store
 
@@ -547,6 +547,11 @@ def find_regime_pairs(
     "many" draw only from nodes with at least one edge in the relevant
     direction, since pure sinks/sources can never reach anything.
     Deterministic for a fixed seed; may return fewer than requested.
+
+    The endpoint filter reads runs through ``model.graph_readers``, as
+    the closures that classify each pair do, so they reuse the runs it
+    decoded; it hands a store's ``end_query`` its reads, even when one
+    raised, so the store counts them as contract calls would.
     """
     if sample_budget <= 0:
         return []
@@ -555,12 +560,17 @@ def find_regime_pairs(
         return []
     needs_forward = regime in (Regime.P1, Regime.P4)
     needs_backward = regime in (Regime.P3, Regime.P4)
-    initials = [
-        u for u in range(n) if not needs_forward or len(graph.successors(u)) > 0
-    ]
-    finals = [
-        u for u in range(n) if not needs_backward or len(graph.predecessors(u)) > 0
-    ]
+    read_fwd, read_bwd = graph_readers(graph)[:2]
+    end_query = getattr(graph, "end_query", None)
+    reads = 0  # counted before each read, as a contract call counts its own
+    try:
+        initials = [u for u in range(n) if (reads := reads + 1) and read_fwd(u)] if needs_forward else range(n)
+        finals = [u for u in range(n) if (reads := reads + 1) and read_bwd(u)] if needs_backward else range(n)
+    finally:
+        # A traceback keeps this frame: drop the readers, as ``reachable_set`` does.
+        read_fwd = read_bwd = None
+        if end_query is not None:
+            end_query(reads, 0)
     if not initials or not finals:
         return []
     rng = np.random.Generator(np.random.PCG64(seed))

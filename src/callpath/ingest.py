@@ -652,7 +652,7 @@ def reachable_set(graph, start: NodeId, direction: Direction) -> set[NodeId]:
     start = check_node(start, graph.node_count)
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction, got {direction!r}")
-    read_fwd, read_bwd, _ = graph_readers(graph)
+    read_fwd, read_bwd = graph_readers(graph)[:2]
     step = read_fwd if direction is Direction.FORWARD else read_bwd
     end_query = getattr(graph, "end_query", None)
     seen: set[NodeId] = {start}
@@ -665,6 +665,9 @@ def reachable_set(graph, start: NodeId, direction: Direction) -> set[NodeId]:
                     seen.add(v)
                     queue.append(v)
     finally:
+        # A traceback keeps this frame: drop the readers, which hold views
+        # of a store's map, as the search kernel does.
+        step = read_fwd = read_bwd = None
         # Every node seen entered the queue once; those that left it were read.
         if end_query is not None:
             end_query(len(seen) - len(queue), 0)

@@ -28,8 +28,9 @@ A backend without ``readers`` is read through its contract methods, a
 kind read taking the field off ``method_meta(u)``, so every read is
 one checked contract call, as any wrapper or proxy around a backend
 expects; without ``end_query`` nothing is reported. ``graph_readers``
-gives these three reads of any backend; ``ingest.reachable_set`` reads
-through it too, and reports its run reads to ``end_query``.
+gives these three reads of any backend; ``ingest.reachable_set`` and
+the endpoint filter of ``bench.find_regime_pairs`` read through it too,
+and report their run reads to ``end_query``.
 
 The search kernel reads a backend that has CSR arrays (``csr``) and
 per-node kind codes (``kind_codes``) through more than the contract:
@@ -43,16 +44,17 @@ that holds every node (``holds_every_node``) starts each query on list
 tables and moves to array tables at its first large round (see
 ``search``). Any other backend is searched node by node.
 
-Graphs are immutable once built, so concurrent readers are safe; the
-values an :class:`InMemoryGraph` decodes on first read are covered in
-its docstring.
+Each section has one on-demand decoder that both backends use, built by
+``_loaders`` over a direction's CSR arrays or the kind codes: an
+``InMemoryGraph``'s arrays, or the views of a store's map. Graphs are
+immutable once built, so concurrent readers are safe: two threads that
+decode one node at once each keep an equal value (see :class:`Decoded`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -197,19 +199,11 @@ class InMemoryGraph:
     ``readers()``, through which the search kernel and the closures read,
     are three :class:`Decoded` dicts, of forward runs, backward runs and
     ``ClassKind`` values, which keep each node they decode, as a store
-    whose cache holds every node does. So a query costs the nodes it
-    touches, and a graph only written to a store (``build_store`` reads
-    the columns and the CSR arrays) decodes none. ``method_meta`` builds
-    every node's ``MethodMeta`` on its first call, as one
-    ``cached_property``.
-
-    Two threads that read one node at once may both decode it: each
-    assigns an equal tuple or kind, so any reader sees the same answers.
-    Two that build the ``MethodMeta`` records at once both build them
-    on Python 3.12 and later, and the later assignment replaces the
-    earlier; on 3.10 and 3.11 ``cached_property`` holds a lock, so the
-    builds run one after the other. Either way the graph needs no lock
-    of its own.
+    whose cache holds every node does. ``method_meta`` is served the same
+    way, from a :class:`Decoded` dict that builds a node's ``MethodMeta``
+    from the columns on its first read. So a query or a lookup costs the
+    nodes it touches, and a graph only written to a store (``build_store``
+    reads the columns and the CSR arrays) decodes none.
     """
 
     def __init__(
@@ -228,7 +222,6 @@ class InMemoryGraph:
             tuple([meta.line for meta in nodes]),
         )
         self._fill(columns, edges)
-        self._metas = tuple(nodes)
 
     @classmethod
     def from_columns(
@@ -286,16 +279,12 @@ class InMemoryGraph:
         self._columns = NodeColumns(
             tuple(columns.method_names), tuple(columns.class_names), codes, tuple(columns.files), tuple(columns.lines)
         )
-        # The readers: forward runs, backward runs and class kinds.
-        kinds = memoryview(codes)
-        loads = _run_loader(*self._csr_fwd), _run_loader(*self._csr_bwd), lambda u: _KINDS[kinds[u]]
+        # The readers: forward runs, backward runs and class kinds; and the
+        # records ``method_meta`` serves, each built on its first read.
+        loads = _loaders(self._csr_fwd, self._csr_bwd, codes)
         self._decoded = tuple(map(Decoded, loads))
-
-    @cached_property
-    def _metas(self) -> tuple[MethodMeta, ...]:
-        c = self._columns
-        kinds = map(_KINDS.__getitem__, c.class_kinds.tolist())
-        return tuple(map(MethodMeta, range(self._node_count), c.method_names, c.class_names, kinds, c.files, c.lines))
+        (names, classes, _, files, lines), kind = self._columns, loads[2]
+        self._meta = Decoded(lambda u: MethodMeta(u, names[u], classes[u], kind(u), files[u], lines[u]))
 
     # ---- access contract ---------------------------------------------------
 
@@ -316,7 +305,7 @@ class InMemoryGraph:
         return self._decoded[1].load(check_node(u, self._node_count))
 
     def method_meta(self, u: NodeId) -> MethodMeta:
-        return self._metas[check_node(u, self._node_count)]
+        return self._meta[check_node(u, self._node_count)]
 
     def readers(self):
         """The search kernel's unchecked reads of forward runs, backward
@@ -352,10 +341,25 @@ def _csr(sources: np.ndarray, targets: np.ndarray, n: int) -> tuple[np.ndarray, 
     return offsets, ids
 
 
+def _loaders(fwd: tuple[np.ndarray, np.ndarray], bwd: tuple[np.ndarray, np.ndarray], codes: np.ndarray):
+    """The one decoder of each section, which both backends read through:
+    node u's forward run, its backward run, each from one direction's
+    (offsets, ids), and its ``ClassKind`` from one code byte per node,
+    contiguous or the strided kind bytes of a store's meta records."""
+    kinds = memoryview(codes)
+    return _run_loader(*fwd), _run_loader(*bwd), lambda u: _KINDS[kinds[u]]
+
+
 def _run_loader(offsets: np.ndarray, ids: np.ndarray):
     """Node u's run in one CSR direction as a tuple of Python ints, decoded
-    through memoryviews, which index and slice faster than the arrays."""
-    starts, values = memoryview(offsets), memoryview(ids)
+    through memoryviews, which index and slice faster than the arrays.
+
+    Each view is cast through bytes to its native integer format, so it
+    need not be aligned (a store's offsets seldom are, and a plain
+    memoryview of them refuses to index); an array in the other byte
+    order is swapped once, here."""
+    native = (np.ascontiguousarray(a, a.dtype.newbyteorder("=")) for a in (offsets, ids))
+    starts, values = (memoryview(a).cast("B").cast(a.dtype.char) for a in native)
     return lambda u: tuple(values[starts[u] : starts[u + 1]].tolist())
 
 

@@ -684,10 +684,10 @@ def _search(
             if marked is forward:
                 marked = None
     finally:
-        # A traceback keeps this frame: drop the views of a store's map, or
-        # they would keep it mapped past the store's close while the
-        # exception is handled.
-        csr = back = postponable = None
+        # A traceback keeps this frame: drop the views of a store's map and
+        # the readers that hold them, or they would keep it mapped past the
+        # store's close while the exception is handled.
+        csr = back = postponable = read = read_fwd = read_bwd = read_kind = None
         # The reads of this query, reported once, even when it raised.
         if end_query is not None:
             end_query(visited_f + visited_b, probes)

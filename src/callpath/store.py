@@ -56,25 +56,30 @@ record holds its section and one miss otherwise, which adds the section
 to the record; either way the record becomes the most recent, and a new
 record beyond ``max_cached_nodes`` evicts the least recent one whole.
 
+Runs and kinds are decoded by the loaders an ``InMemoryGraph`` decodes
+its own with (``model._loaders``), built once over the views
+``open_store`` checked: a run is one slice of the ids view between two
+prefix offsets, a kind one byte of the strided kind view.
+``method_meta`` decodes the rest of the record from the map.
+
 When the cache can evict (``max_cached_nodes`` = C below ``node_count``)
-no decoded value is kept: every read decodes from the map, an id run
-with one unpack, a kind from its one byte, and ``method_meta`` the whole
-record. The cache itself is recency stamps, not an ordered dict. Each
-read takes the next tick of a read clock. Per node the handle keeps the
-time of its latest read (``_last``, int64) and its record's section bits
-(``_held``, uint8); per read since ``_base`` it keeps the node read
-(``_nodes``). The records held are those of the nodes whose latest read
-is at or after the horizon (``_horizon``), ``_live`` of them, at most C.
-A read finds its node's record when the node's latest read is at or
-after the horizon, and hits when that record holds its bit. Either way
-it stamps the node and adds its bit, to a fresh record when it found
-none; a fresh record in a full cache evicts the least recent one, which
-moves the horizon past the next latest read, a Python step per read it
-passes. A cold ``begin_query`` moves the horizon and ``_base`` to the
-clock. When the history fills, ``_make_room`` replaces it with one read
-of each held node, in their order. So it holds at most C +
-``_HISTORY_SLACK`` reads, or that and the longest round; ``_last`` and
-``_held`` take 9 bytes per node.
+no decoded value is kept: every read decodes from the map. The cache
+itself is recency stamps, not an ordered dict. Each read takes the next
+tick of a read clock. Per node the handle keeps the time of its latest
+read (``_last``, int64) and its record's section bits (``_held``,
+uint8); per read since ``_base`` it keeps the node read (``_nodes``).
+The records held are those of the nodes whose latest read is at or after
+the horizon (``_horizon``), ``_live`` of them, at most C. A read finds
+its node's record when the node's latest read is at or after the
+horizon, and hits when that record holds its bit. Either way it stamps
+the node and adds its bit, to a fresh record when it found none; a fresh
+record in a full cache evicts the least recent one, which moves the
+horizon past the next latest read, a Python step per read it passes. A
+cold ``begin_query`` moves the horizon and ``_base`` to the clock. When
+the history fills, ``_make_room`` replaces it with one read of each held
+node, in their order. So it holds at most C + ``_HISTORY_SLACK`` reads,
+or that and the longest round; ``_last`` and ``_held`` take 9 bytes per
+node.
 
 An LRU holds the C most recently read nodes: the inclusion property of
 Mattson, Gecsei, Slutz & Traiger, "Evaluation Techniques for Storage
@@ -104,8 +109,8 @@ reads it made, even when the query raises. The store counts only the
 misses and the injected latency, and ``AccessStats.cache_hits`` is the
 rest of the reads. The contract methods read through the same
 callables as the kernel, one per section: when the cache can evict,
-``_load(bit, u)``, which keeps the recency stamps and decodes from the
-map in one Python frame without the node-id check; otherwise the
+``_load(bit, decode, u)``, which keeps the recency stamps and then calls
+the section's loader, without the node-id check; otherwise the
 section dict's ``__getitem__``, so a hit is one C call and only a miss
 reaches ``_load``, through the dict's ``__missing__``. On either kind
 of store the kernel runs its large rounds as numpy over the views
@@ -128,7 +133,8 @@ ms, and a split at 128, 256 or 1,024 reads 213-226 ms, within the noise
 of each other. Warm at 10,000 cached nodes, where 40% of a round's
 reads can be far: counting every far read took 785 ms, and a far share
 of 4, 16 or 64 330-353 ms, no slower than every round read by read.
-``close`` drops the views before it unmaps the file.
+``close`` drops the views, and the loaders and dicts that hold them,
+before it unmaps the file.
 """
 
 from __future__ import annotations
@@ -156,6 +162,7 @@ from .model import (
     MethodMeta,
     NodeColumns,
     NodeId,
+    _loaders,
     check_node,
     is_integer,
     materialize,
@@ -168,7 +175,6 @@ _TRAILER = struct.Struct("<IIIII")
 _META_RECORD = struct.Struct("<QQQBI")
 _KIND_OFFSET = struct.calcsize("<QQQ")  # the class-kind byte within a meta record
 _U32 = struct.Struct("<I")
-_U64x2 = struct.Struct("<QQ")
 
 _SECTION_NAMES = ("meta-index", "string-heap", "forward-adjacency", "backward-adjacency")
 
@@ -374,13 +380,11 @@ class DiskGraph:
             raise
         # (fwd csr, bwd csr, kind bytes) as the views of the map that
         # ``open_store`` checked; ``csr`` and ``kind_codes`` serve them.
-        (self._node_count, self._edge_count, (meta, heap, fwd, bwd), self._views) = layout
+        (self._node_count, self._edge_count, (meta, heap, fwd, _), self._views) = layout
         n, capacity = self._node_count, cache.max_cached_nodes
-        # Where each section starts in the map: the meta records, the heap
-        # (which ends where fwd starts), and per run bit its prefix
-        # offsets and its ids.
+        # Where the meta records and the heap start in the map; the heap
+        # ends where fwd starts.
         self._meta_start, self._heap_start, self._heap_end = meta, heap, fwd
-        self._run_starts = {bit: (start, start + 8 * (n + 1)) for bit, start in ((_FWD, fwd), (_BWD, bwd))}
         self._capacity = capacity
         # When the cache can evict, the recency stamps (see the module
         # docstring): per node the read-clock time of its latest read (-1
@@ -403,13 +407,14 @@ class DiskGraph:
             self._nodes = np.empty(capacity + _HISTORY_SLACK, np.int64)
             self._nodes_mv = memoryview(self._nodes)
             self._base = self._clock = self._horizon = self._live = 0
-        self._decoded = {bit: Decoded(partial(self._load, bit)) for bit in (_FWD, _BWD, _META)}
+        # Per section bit its loader, over the views ``open_store`` checked.
+        loads = zip((_FWD, _BWD, _META), _loaders(*self._views))
+        self._decoded = {bit: Decoded(partial(self._load, bit, load)) for bit, load in loads}
         # ``readers()``: per section (fwd, bwd, meta) its dict's lookup, or
         # its ``_load`` when the cache can evict and the dicts stay empty.
         self._reads = tuple(
             decoded.__getitem__ if self._last is None else decoded.load for decoded in self._decoded.values()
         )
-        self._run_structs: dict[int, struct.Struct] = {}
         self._stats = AccessStats()
 
     # ---- access contract ---------------------------------------------------
@@ -518,12 +523,14 @@ class DiskGraph:
 
     def close(self) -> None:
         """Close the handle: every later read, search, ``csr`` or
-        ``kind_codes`` raises a ``StoreError``. The handle's own views go
-        first, as a view keeps the map from closing. A caller still
-        holding an array from ``csr`` or ``kind_codes`` keeps the file
-        mapped until the last such array goes; the handle is closed
-        either way."""
-        self._views = None
+        ``kind_codes`` raises a ``StoreError``. The handle's own views,
+        loaders and section dicts go first, as a view keeps the map from
+        closing. A caller still holding something obtained before the
+        close, an array from ``csr`` or ``kind_codes`` or a reader from
+        ``readers()``, keeps the file mapped until the last such object
+        goes, as does the traceback of a read that raised inside the
+        store; the handle is closed either way."""
+        self._views = self._decoded = self._reads = None
         mapped, self._map = self._map, None
         if mapped is not None:
             try:
@@ -547,14 +554,16 @@ class DiskGraph:
     # ---- internals -------------------------------------------------------
 
     # ``_load`` serves single reads and ``_replay`` an array round's reads,
-    # each in one frame: routing either through a helper frame per read
-    # costs more than the code it would share (see CHANGES.md).
+    # each keeping the recency stamps in its own frame: routing that
+    # through a helper frame per read costs more than the code it would
+    # share (see CHANGES.md). ``_load`` then calls the section's loader.
 
-    def _load(self, bit: int, u: int) -> tuple[int, ...] | ClassKind:
-        """One read of section ``bit`` of node ``u``: its run in that
-        direction, or its class kind for ``_META``. It counts a miss, not
-        the read. When the cache holds every node, only a miss of the
-        section dict comes here, and the dict keeps the value."""
+    def _load(self, bit: int, decode, u: int) -> tuple[int, ...] | ClassKind:
+        """One read of section ``bit`` of node ``u``, decoded by the
+        section's loader ``decode``: its run in that direction, or its class
+        kind for ``_META``. It counts a miss, not the read. When the cache
+        holds every node, only a miss of the section dict comes here, and
+        the dict keeps the value."""
         last = self._last_mv
         if last is not None:
             t, base = self._clock, self._base
@@ -586,14 +595,7 @@ class DiskGraph:
             if latency > 0:
                 time.sleep(latency)
                 stats.injected_latency_total += latency
-        if bit == _META:
-            return _KINDS[self._map[self._meta_start + _META_RECORD.size * u + _KIND_OFFSET]]
-        prefix, ids = self._run_starts[bit]
-        start, end = _U64x2.unpack_from(self._map, prefix + 8 * u)
-        decode = self._run_structs.get(end - start)
-        if decode is None:
-            decode = self._run_structs[end - start] = struct.Struct(f"<{end - start}I")
-        return decode.unpack_from(self._map, ids + 4 * start)
+        return decode(u)
 
     def _replay(self, forward: bool, reads: np.ndarray) -> None:
         """Count an array round's misses as ``_load`` would have: ``u`` is

@@ -11,12 +11,14 @@ traverse alike and count every read alike after every query.
 """
 
 import weakref
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from callpath import search, store
+from callpath import ingest, search, store
+from callpath.bench import Regime, find_regime_pairs
 from callpath.ingest import SyntheticSpec, generate_synthetic, reachable_set
 from callpath.model import Direction
 from callpath.search import FrontierPolicy, SearchConfig, run_search
@@ -68,6 +70,12 @@ def test_cached_reads_match_the_contract_path(hub_store, hub_graph, mode, room):
                     closure = reachable_set(direct, u, direction)
                     assert closure == reachable_set(contract, u, direction) == reachable_set(hub_graph, u, direction)
                     assert direct.access_stats() == inner.access_stats()
+        # so does the endpoint filter of pair mining
+        for regime in (Regime.P1, Regime.P4):
+            mined = find_regime_pairs(direct, regime, 2, seed=5)
+            assert len(mined) == 2 and mined == find_regime_pairs(contract, regime, 2, seed=5)
+            assert mined == find_regime_pairs(hub_graph, regime, 2, seed=5)
+            assert direct.access_stats() == inner.access_stats(), regime
         stats = direct.access_stats()
     assert stats.meta_reads > 0 and stats.cache_misses > 0
     assert stats.cache_hits > 0 or not warm
@@ -210,10 +218,25 @@ def test_a_raising_trace_on_an_evicting_store_leaves_the_per_node_counts(hub_sto
                 assert direct.access_stats() == inner.access_stats(), (s, t, events)
 
 
+class _TrippingQueue(deque):
+    """A BFS queue whose ``pops``-th ``popleft`` raises, ending the closure there."""
+
+    def __init__(self, items, pops):
+        super().__init__(items)
+        self.left = pops
+
+    def popleft(self):
+        self.left -= 1
+        if self.left == 0:
+            raise _Interrupted
+        return super().popleft()
+
+
 def test_a_store_closes_after_array_rounds(hub_store, hub_graph, array_rounds, monkeypatch):
-    # the kernel keeps no view of the map once a query returns or raises,
-    # so the file is unmapped at the close: a view left in a frame, even
-    # one a traceback keeps, would hold the mapping past it
+    # the kernel and the closures keep no view of the map, nor a reader
+    # that holds one, once they return or raise, so the file is unmapped
+    # at the close: either left in a frame, even one a traceback keeps,
+    # would hold the mapping past it
     handle = open_store(hub_store, CacheConfig(max_cached_nodes=64))
     arrayed = []
     for config in REGIME_CONFIGS:
@@ -239,3 +262,21 @@ def test_a_store_closes_after_array_rounds(hub_store, hub_graph, array_rounds, m
                 mapped = weakref.ref(handle._map)
                 run_search(handle, 643, 549, config)
         assert raised.traceback and mapped() is None, config
+    # a traced query runs node by node, and its trace raises midway; a
+    # closure's queue raises midway; on an evicting store and on one that
+    # holds every node
+    monkeypatch.setattr(ingest, "deque", lambda items: _TrippingQueue(items, 20))
+    for capacity in (64, hub_graph.node_count):
+        cache = CacheConfig(max_cached_nodes=capacity)
+        for config in REGIME_CONFIGS:
+            with pytest.raises(_Interrupted) as raised:
+                with open_store(hub_store, cache) as handle:
+                    mapped = weakref.ref(handle._map)
+                    run_search(handle, 643, 549, config, trace=_Tripwire(20))
+            assert raised.traceback and mapped() is None, (capacity, config)
+        for u, direction in ((643, Direction.FORWARD), (549, Direction.BACKWARD)):
+            with pytest.raises(_Interrupted) as raised:
+                with open_store(hub_store, cache) as handle:
+                    mapped = weakref.ref(handle._map)
+                    reachable_set(handle, u, direction)
+            assert raised.traceback and mapped() is None, (capacity, direction)
